@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import (
     DegenerateCalibrationError,
     InsufficientSamplesError,
@@ -143,3 +145,14 @@ def code_to_mass(code: int, cal: CalibrationState) -> MassReading:
     if mass < 0:
         return MassReading(0.0, True)
     return MassReading(mass, False)
+
+
+def codes_to_kg(codes: np.ndarray, cal: CalibrationState) -> np.ndarray:
+    """`code_to_mass(code, cal).kg` for every int64 code, with the same clamp.
+
+    The int64 difference converts to float64 exactly as a Python int does,
+    so each element equals the scalar conversion bit for bit; `maximum`
+    keeps a NaN as the scalar clamp does.
+    """
+    mass = cal.scale_kg_per_lsb * (codes - cal.tare_code)
+    return np.maximum(mass, 0.0, out=mass)

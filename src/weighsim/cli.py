@@ -32,7 +32,7 @@ from .compliance import (
 from .errors import RecordParseError, WeighSimError
 from .scenario import Scenario, ideal_calibration, run_end_to_end
 from .sensor import AdcConfig, FOUR_CELL_120KG, LoadCellSpec, add_noise, bridge_output, quantize
-from .station import FrameIngestor, RecordStore, WeighRecord, assessment_line, run_session
+from .station import FrameBatch, FrameIngestor, RecordStore, WeighRecord, assessment_line, run_session
 
 EXIT_SAFE = 0
 EXIT_ERROR = 1
@@ -55,11 +55,11 @@ def _load_geometry(args: argparse.Namespace) -> DeckGeometry:
         track = kvfile.get_float(values, "track_m", source, track)
         b = kvfile.get_float(values, "breadth_m", source, 0.0)
         breadth = b if b > 0 else None
-    if getattr(args, "wheelbase_m", None):
+    if getattr(args, "wheelbase_m", None) is not None:
         wheelbase = args.wheelbase_m
-    if getattr(args, "track_m", None):
+    if getattr(args, "track_m", None) is not None:
         track = args.track_m
-    if getattr(args, "breadth_m", None):
+    if getattr(args, "breadth_m", None) is not None:
         breadth = args.breadth_m
     return DeckGeometry(wheelbase_m=wheelbase, track_m=track, breadth_m=breadth)
 
@@ -123,9 +123,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_weigh(args: argparse.Namespace) -> int:
     ingestor = FrameIngestor(cell_count=args.cells)
-    frames = []
+    batches = []
     for path in args.frames:
-        frames.extend(ingestor.ingest_lines(Path(path).read_text().splitlines()))
+        with open(path) as fh:
+            batches.append(ingestor.ingest_lines(fh))
+    frames = FrameBatch.concat(batches)
     calibrations = [CalibrationState.from_file(p) for p in args.cal]
     geometry = _load_geometry(args)
     policy = _load_policy(args)

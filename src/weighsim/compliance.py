@@ -284,6 +284,32 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
 # -- weighing modes ----------------------------------------------------------
 
 
+def static_mean(times_s: np.ndarray, masses_kg: np.ndarray, window_s: float = STATIC_WINDOW_S) -> float:
+    """`static_weigh` over time-ordered columns of sample times and masses."""
+    if not len(times_s):
+        raise InsufficientDurationError("empty stream")
+    span = times_s[-1] - times_s[0]
+    if span < window_s:
+        raise InsufficientDurationError(
+            f"stream spans {span:.3f} s, static weighing needs {window_s:.3f} s"
+        )
+    return float(masses_kg[times_s > times_s[-1] - window_s].mean())
+
+
+def wim_stats(masses_kg: np.ndarray) -> tuple[float, float]:
+    """`wim_weigh` over a column of sample masses."""
+    if not len(masses_kg):
+        raise NoVehicleError("no samples in the pass-over segment")
+    mean = float(masses_kg.mean())
+    var = float(masses_kg.var(ddof=1)) if len(masses_kg) > 1 else 0.0
+    return mean, var
+
+
+def _sample_columns(samples: Sequence[MassSample]) -> tuple[np.ndarray, np.ndarray]:
+    table = np.array(samples, dtype=float).reshape(-1, 2)
+    return table[:, 0], np.ascontiguousarray(table[:, 1])
+
+
 def static_weigh(samples: Sequence[MassSample], window_s: float = STATIC_WINDOW_S) -> float:
     """Mean of the samples in the trailing window of a static weighing.
 
@@ -292,27 +318,12 @@ def static_weigh(samples: Sequence[MassSample], window_s: float = STATIC_WINDOW_
     (t_end - window, t_end], so a stream spanning exactly the window
     contributes everything after its first sample.
     """
-    if not samples:
-        raise InsufficientDurationError("empty stream")
-    times = [t for t, _ in samples]
-    span = times[-1] - times[0]
-    if span < window_s:
-        raise InsufficientDurationError(
-            f"stream spans {span:.3f} s, static weighing needs {window_s:.3f} s"
-        )
-    cutoff = times[-1] - window_s
-    tail = [m for t, m in samples if t > cutoff]
-    return float(np.mean(tail))
+    return static_mean(*_sample_columns(samples), window_s)
 
 
 def wim_weigh(samples: Sequence[MassSample]) -> tuple[float, float]:
     """Mean and sample variance over a pass-over segment."""
-    if not samples:
-        raise NoVehicleError("no samples in the pass-over segment")
-    masses = np.array([m for _, m in samples], dtype=float)
-    mean = float(masses.mean())
-    var = float(masses.var(ddof=1)) if len(masses) > 1 else 0.0
-    return mean, var
+    return wim_stats(_sample_columns(samples)[1])
 
 
 def simulate_weigh_stream(

@@ -133,6 +133,74 @@ class TestCalibrateWeighAssess:
         assert "15" in capsys.readouterr().err
 
 
+class TestWeighInput:
+    """Frame-file and geometry errors: exit 1 with one line on stderr."""
+
+    @pytest.fixture
+    def weigh(self, tmp_path, capsys):
+        from weighsim.calibration import CalibrationState
+
+        cal_path = tmp_path / "cal.cfg"
+        CalibrationState(
+            tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),)
+        ).to_file(cal_path)
+
+        def run(*frame_texts, extra=()):
+            paths = []
+            for i, text in enumerate(frame_texts):
+                path = tmp_path / f"frames{i}.txt"
+                path.write_text(text)
+                paths.append(str(path))
+            code = main(
+                [
+                    "weigh", "--mode", "static", "--frames", *paths,
+                    "--cal", *([str(cal_path)] * 4),
+                    "--data-dir", str(tmp_path / "records"), *extra,
+                ]
+            )
+            return code, capsys.readouterr()
+
+        return run
+
+    @staticmethod
+    def frames(t_from=0, t_to=15_000, step=100):
+        return "".join(
+            f"st9,{cell},{t},10000,128,0\n" for t in range(t_from, t_to + 1, step) for cell in range(4)
+        )
+
+    def test_valid_frames_exit_0(self, weigh):
+        code, out = weigh(self.frames())
+        assert code == 0 and json.loads(out.out)["cell_masses_kg"] == [10.0] * 4
+
+    @pytest.mark.parametrize("flag", ["--wheelbase-m", "--track-m", "--breadth-m"])
+    def test_zero_geometry_flag_is_rejected(self, weigh, flag):
+        code, out = weigh(self.frames(), extra=(flag, "0"))
+        assert code == 1 and out.out == ""
+        assert out.err == f"weighsim: error: {flag[2:].replace('-', '_')} must be > 0, got 0.0\n"
+
+    def test_timestamp_wider_than_int64(self, weigh):
+        code, out = weigh(self.frames() + f"st9,0,{10**400},10000,128,0\n")
+        assert code == 1 and out.out == ""
+        assert out.err.startswith("weighsim: error: line 605: timestamp 1000")
+        assert out.err.count("\n") == 1
+
+    def test_regression_across_frames_files(self, weigh):
+        code, out = weigh(self.frames(0, 15_000), self.frames(14_000, 16_000))
+        assert code == 1
+        assert out.err == (
+            "weighsim: error: timestamp 14000 ms before 15000 ms on station 'st9' cell 0 (line 1)\n"
+        )
+
+    def test_line_numbers_restart_per_file(self, weigh):
+        code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000) + "\nst9,0,1\n")
+        assert code == 1
+        assert out.err == "weighsim: error: line 302: expected 6 fields, got 3\n"
+
+    def test_frames_split_across_files(self, weigh):
+        code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000))
+        assert code == 0 and json.loads(out.out)["ended_at_ms"] == 15_000
+
+
 class TestReplay:
     def test_decodes_frames(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"

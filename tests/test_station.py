@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,8 @@ from weighsim.errors import (
     SequencingError,
 )
 from weighsim.station import (
+    CHUNK_LINES,
+    FrameBatch,
     FrameIngestor,
     RecordStore,
     SensorFrameRecord,
@@ -73,6 +76,12 @@ class TestParseFrameLine:
         with pytest.raises(RecordParseError):
             parse_frame_line("st1,0,1000,12345,128,2")
 
+    def test_timestamp_wider_than_int64(self):
+        with pytest.raises(RecordParseError, match="line 5: timestamp 1000+ ms does not fit in 64 bits"):
+            parse_frame_line(f"st1,0,{10**400},12345,128,0", line_no=5)
+        assert parse_frame_line(f"st1,0,{2**63 - 1},1,128,0").timestamp_ms == 2**63 - 1
+        assert parse_frame_line(f"st1,0,{-(2**63)},1,128,0").timestamp_ms == -(2**63)
+
     def test_error_carries_line_number(self):
         with pytest.raises(RecordParseError, match="line 17"):
             parse_frame_line("nope", line_no=17)
@@ -104,6 +113,76 @@ class TestIngestor:
         lines = ["st1,0,1000,1,128,0", "", "st1,0,garbage,1,128,0"]
         with pytest.raises(RecordParseError, match="line 3"):
             ing.ingest_lines(lines)
+
+    def test_ingest_lines_returns_columns(self, tmp_path):
+        path = tmp_path / "frames.txt"
+        path.write_text("st1,0,1000,-5,128,0\n\n  st2,1,900,7,32,1  \nst1,0,1000,3,64,0\n")
+        with open(path) as fh:
+            batch = FrameIngestor().ingest_lines(fh)
+        assert isinstance(batch, FrameBatch) and len(batch) == 3
+        assert batch.station_ids == ("st1", "st2")
+        assert batch.timestamp_ms.dtype == np.int64 and batch.saturated.dtype == bool
+        assert [batch.row(i) for i in range(3)] == [
+            SensorFrameRecord("st1", 0, 1000, -5, 128, False),
+            SensorFrameRecord("st2", 1, 900, 7, 32, True),
+            SensorFrameRecord("st1", 0, 1000, 3, 64, False),
+        ]
+
+    def test_ingest_returns_one_record(self):
+        ing = FrameIngestor()
+        assert ing.ingest("st1,2,5,6,128,1") == SensorFrameRecord("st1", 2, 5, 6, 128, True)
+        with pytest.raises(RecordParseError, match="expected 6 fields, got 1"):
+            ing.ingest("   ")
+
+    def test_int64_overflow_is_a_parse_error(self):
+        lines = ["st1,0,1000,1,128,0", f"st1,0,{10**400},1,128,0"]
+        with pytest.raises(RecordParseError, match="line 2: timestamp 1+0+ ms does not fit"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_sequencing_error_before_a_later_parse_error(self):
+        lines = ["st1,0,1000,1,128,0", "st1,0,999,1,128,0", "st1,1,5,1,128,0", "st1,0,x,1,128,0"]
+        with pytest.raises(SequencingError, match=r"999 ms before 1000 ms .* cell 0 \(line 2\)"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_parse_error_before_a_later_sequencing_error(self):
+        lines = ["st1,0,1000,1,128,0", "st1,9,5,1,128,0", "st1,0,999,1,128,0"]
+        with pytest.raises(RecordParseError, match="line 2: cell index 9"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_first_regression_in_input_order_is_reported(self):
+        # cell 1 regresses on line 4; cell 0 regresses later, on line 5,
+        # although cell 0 sorts first
+        lines = [
+            "st1,0,100,1,128,0", "st1,1,100,1,128,0", "st1,0,200,1,128,0",
+            "st1,1,50,1,128,0", "st1,0,10,1,128,0",
+        ]
+        with pytest.raises(SequencingError, match=r"50 ms before 100 ms .* cell 1 \(line 4\)"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_regression_straddling_a_chunk_boundary(self):
+        lines = [f"st1,0,{t},1,128,0" for t in range(CHUNK_LINES)]
+        lines.append("st1,0,0,1,128,0")
+        with pytest.raises(SequencingError, match=rf"\(line {CHUNK_LINES + 1}\)"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_line_numbers_past_a_chunk_count_blank_lines(self):
+        lines = [f"st1,0,{t},1,128,0" if t % 3 else "" for t in range(CHUNK_LINES + 10)]
+        lines.append("st1,0,1,2,3,4")
+        with pytest.raises(RecordParseError, match=rf"line {CHUNK_LINES + 11}: gain 3"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_order_carries_across_calls_and_numbers_restart(self):
+        ing = FrameIngestor()
+        assert len(ing.ingest_lines(["st1,0,1000,1,128,0", "st1,1,2000,1,128,0"])) == 2
+        with pytest.raises(SequencingError, match=r"999 ms before 1000 ms .* \(line 3\)"):
+            ing.ingest_lines(["st1,1,2000,1,128,0", "", "st1,0,999,1,128,0"])
+
+    def test_concat_merges_station_ids(self):
+        a = FrameBatch.from_records([SensorFrameRecord("s2", 0, 1, 2), SensorFrameRecord("s1", 1, 1, 2)])
+        b = FrameBatch.from_records([SensorFrameRecord("s1", 2, 3, 4, 64, True)])
+        both = FrameBatch.concat([a, b])
+        assert both.station_ids == ("s2", "s1")
+        assert [both.row(i) for i in range(3)] == [a.row(0), a.row(1), b.row(0)]
 
 
 class TestRunSession:
@@ -159,6 +238,17 @@ class TestRunSession:
         assert record.compliance[1]["passed"]  # 440 kg under 18 t
         assert not record.compliance[0]["passed"]  # 440 vs 80,000 reference
         assert record.unsafe()
+
+    def test_takes_a_batch_in_any_row_order(self):
+        frames = session_frames([110_000, 90_000, 80_000, 70_000])
+        from_records = run_session(frames, [CAL] * 4, "static", P2, GEOM)
+        from_batch = run_session(FrameBatch.from_records(frames[::-1]), [CAL] * 4, "static", P2, GEOM)
+        assert from_batch.to_line().replace(from_batch.record_id, from_records.record_id) == from_records.to_line()
+
+    def test_negative_cell_index_rejected(self):
+        frames = session_frames([1000] * 4) + [SensorFrameRecord("st1", -1, 0, 1000)]
+        with pytest.raises(IncompleteStationError, match="frame for cell -1 on a 4-cell station"):
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
