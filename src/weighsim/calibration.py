@@ -24,8 +24,9 @@ from .errors import (
     DegenerateCalibrationError,
     InsufficientSamplesError,
     InvertedWiringError,
+    TareRangeError,
 )
-from .sensor import AdcFrame
+from .sensor import CODE_MAX, CODE_MIN, AdcFrame
 from . import kvfile
 
 #: Samples averaged for a tare when the caller does not say otherwise.
@@ -45,6 +46,8 @@ class CalibrationState:
     reference_points: tuple[tuple[float, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if not CODE_MIN <= self.tare_code <= CODE_MAX:
+            raise TareRangeError(f"tare code {self.tare_code} outside signed 24-bit range")
         if self.scale_kg_per_lsb <= 0:
             raise ValueError(f"scale must be > 0, got {self.scale_kg_per_lsb}")
         if len(self.reference_points) < 1:

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .compliance import (
     max_permissible_error,
     within_gvw_limit,
 )
-from .errors import RecordParseError, WeighSimError
+from .errors import FrameError, RecordParseError, WeighSimError
 from .scenario import Scenario, ideal_calibration, run_end_to_end
 from .sensor import AdcConfig, FOUR_CELL_120KG, LoadCellSpec, add_noise, bridge_output, quantize
 from .station import FrameBatch, FrameIngestor, RecordStore, WeighRecord, assessment_line, run_session
@@ -192,17 +193,34 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    lines = Path(args.trace).read_text().splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            frame = codec.decode_frame(line)
-        except WeighSimError as exc:
-            print(f"{args.trace}:{line_no}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"{line_no},{frame.code},{frame.gain},{frame.channel},{int(frame.saturated)}")
+    # The whole file is read as text first, so a file that is not valid
+    # text fails before anything reaches stdout.
+    text = Path(args.trace).read_text()
+    try:
+        for rows in codec.decode_lines(_split_lines(text)):
+            sys.stdout.write(
+                "".join(
+                    [
+                        f"{line_no},{code},{gain},{channel},{int(saturated)}\n"
+                        for line_no, code, gain, channel, saturated in rows
+                    ]
+                )
+            )
+    except FrameError as exc:
+        print(f"{args.trace}:{exc.line_no}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_SAFE
+
+
+def _split_lines(text: str, size: int = 1 << 16) -> Iterator[str]:
+    """The lines of `text.splitlines()`, split from slices of about `size`
+    characters that each end after a newline, so that the lines of one
+    slice at a time are alive."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + size) + 1 or len(text)
+        yield from text[pos:end].splitlines()
+        pos = end
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:

@@ -10,21 +10,26 @@ One conversion is clocked out as 25-27 pulses on a shared clock/data pair:
 
 The data line idles high once bit 24 has been shifted out, so the encoder
 emits '1' for every configuration pulse; the decoder ignores those bit
-values and counts pulses only. Timing (clock frequency, the ready-line
-transition) is represented logically by AdcFrame.data_ready, not as
-wall-clock time.
+values and counts pulses only.
 
 Wire text format: one frame per line, each line a string of '0'/'1'
 characters, length 25-27. The decoder is total over arbitrary lines:
 anything invalid raises a typed FrameError, never an unhandled crash.
+
+`decode_frame` decodes one line into an `AdcFrame`. `decode_lines`
+decodes a whole trace in chunks of `CHUNK_LINES` into rows of plain
+values, without a per-line object; its first invalid line raises the
+error `decode_frame` gives for that line alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from typing import Iterable, Iterator
 
-from .errors import MalformedFrameError, TruncatedFrameError
-from .sensor import AdcFrame
+from .errors import FrameError, MalformedFrameError, TruncatedFrameError
+from .sensor import AdcFrame, CODE_MAX, CODE_MIN
 
 DATA_BITS = 24
 
@@ -34,6 +39,17 @@ CONFIG_PULSES = {(128, "A"): 1, (32, "B"): 2, (64, "A"): 3}
 #: Total pulse count → (gain, channel). Bijective with CONFIG_PULSES.
 PULSE_COUNT_GAIN = {DATA_BITS + n: gc for gc, n in CONFIG_PULSES.items()}
 
+#: Trace lines decoded per chunk by `decode_lines`. It bounds the per-line
+#: Python objects alive at once while keeping the per-chunk cost small.
+CHUNK_LINES = 4096
+
+#: `str.translate` table deleting both bit symbols: a text consists of
+#: bits only exactly when nothing is left of it.
+_DROP_BITS = str.maketrans("", "", "01")
+
+#: One decoded trace line: (line_no, code, gain, channel, saturated).
+TraceRow = tuple[int, int, int, str, bool]
+
 
 @dataclass(frozen=True)
 class BitTrace:
@@ -42,7 +58,7 @@ class BitTrace:
     bits: str
 
     def __post_init__(self) -> None:
-        if any(c not in "01" for c in self.bits):
+        if self.bits.translate(_DROP_BITS):
             raise MalformedFrameError(f"trace contains non-bit symbols: {self.bits!r}")
 
     def __len__(self) -> int:
@@ -80,8 +96,50 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
         raise TruncatedFrameError(f"only {n} pulses, need {DATA_BITS} data bits")
     if n not in PULSE_COUNT_GAIN:
         raise MalformedFrameError(f"invalid pulse count {n}, expected one of {sorted(PULSE_COUNT_GAIN)}")
-    code = int(trace.bits[:DATA_BITS], 2)
-    if code >= 2**23:
-        code -= 2**24
     gain, channel = PULSE_COUNT_GAIN[n]
-    return AdcFrame.from_code(code, gain=gain, channel=channel)
+    return AdcFrame.from_code(_data_code(trace.bits), gain=gain, channel=channel)
+
+
+def decode_lines(lines: Iterable[str]) -> Iterator[list[TraceRow]]:
+    """Decode trace lines (any iterable, e.g. an open file) chunk by chunk.
+
+    Yields, for each chunk of `CHUNK_LINES` lines, one row
+    (line_no, code, gain, channel, saturated) per non-blank line, each
+    equal to the fields of `decode_frame(line)`. Lines are numbered from 1,
+    blank lines included. At the first invalid line, the rows of
+    the lines before it are yielded, then the FrameError `decode_frame`
+    raises for that line propagates with its `line_no` set.
+    """
+    it = iter(lines)
+    first_no = 1
+    while chunk := list(islice(it, CHUNK_LINES)):
+        stripped = list(map(str.strip, chunk))
+        kept = list(filter(None, stripped))
+        numbers = list(compress(count(first_no), stripped))
+        configs = list(map(PULSE_COUNT_GAIN.get, map(len, kept)))
+        bad = None
+        if None in configs or "".join(kept).translate(_DROP_BITS):
+            bad = next(
+                j for j, (bits, config) in enumerate(zip(kept, configs))
+                if config is None or bits.translate(_DROP_BITS)
+            )
+        yield [
+            (line_no, code, gain, channel, code in (CODE_MIN, CODE_MAX))
+            for line_no, code, (gain, channel) in zip(
+                numbers[:bad], map(_data_code, kept[:bad]), configs
+            )
+        ]
+        if bad is not None:
+            try:
+                decode_frame(kept[bad])
+            except FrameError as exc:
+                exc.line_no = numbers[bad]
+                raise
+            raise AssertionError(f"line {numbers[bad]} rejected although it decodes")
+        first_no += len(chunk)
+
+
+def _data_code(bits: str) -> int:
+    """Signed code of the 24 data bits that open a valid trace; sign-extends bit 23."""
+    code = int(bits[:DATA_BITS], 2)
+    return code - 2**24 if code >= 2**23 else code

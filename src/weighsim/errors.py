@@ -18,7 +18,13 @@ class MechanicalOverrangeError(WeighSimError):
 # serial frame codec ---------------------------------------------------------
 
 class FrameError(WeighSimError):
-    """Base for serial bit-trace decode failures."""
+    """Base for serial bit-trace decode failures.
+
+    `line_no` is the 1-based trace line when the frame came from a trace
+    decoded by `codec.decode_lines`; the message itself carries no number.
+    """
+
+    line_no: int | None = None
 
 
 class MalformedFrameError(FrameError):
@@ -41,6 +47,10 @@ class DegenerateCalibrationError(WeighSimError):
 
 class InvertedWiringError(WeighSimError):
     """Calibration slope came out negative (signal pair swapped)."""
+
+
+class TareRangeError(WeighSimError):
+    """Tare code lies outside the signed 24-bit range an ADC can report."""
 
 
 # centre-of-gravity engine ---------------------------------------------------

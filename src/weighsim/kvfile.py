@@ -9,6 +9,7 @@ when a format forbids duplicates.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -53,9 +54,12 @@ def get_float(values: dict[str, str], key: str, source: str, default: float | No
             return default
         raise ConfigError(f"{source}: missing key {key!r}")
     try:
-        return float(values[key])
+        value = float(values[key])
     except ValueError:
         raise ConfigError(f"{source}: key {key!r} is not a number: {values[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{source}: key {key!r} is not a finite number: {values[key]!r}")
+    return value
 
 
 def get_int(values: dict[str, str], key: str, source: str, default: int | None = None) -> int:

@@ -188,16 +188,13 @@ class AdcFrame:
     """One signed 24-bit conversion result plus the next gain selection.
 
     `saturated` follows the rail convention: True exactly when the code
-    sits on either end of the 24-bit range. `data_ready` is the logical
-    stand-in for the converter's ready line; frames produced by this
-    package are always ready.
+    sits on either end of the 24-bit range.
     """
 
     code: int
     gain: int = 128
     channel: str = "A"
     saturated: bool = False
-    data_ready: bool = True
 
     def __post_init__(self) -> None:
         if not CODE_MIN <= self.code <= CODE_MAX:

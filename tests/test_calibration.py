@@ -12,9 +12,10 @@ from weighsim.errors import (
     DegenerateCalibrationError,
     InsufficientSamplesError,
     InvertedWiringError,
+    TareRangeError,
 )
 from weighsim.scenario import ideal_calibration
-from weighsim.sensor import AdcConfig, AdcFrame, LoadCellSpec, bridge_output, quantize
+from weighsim.sensor import CODE_MAX, CODE_MIN, AdcConfig, AdcFrame, LoadCellSpec, bridge_output, quantize
 
 
 def frames(*codes):
@@ -117,6 +118,27 @@ def test_state_validation():
         CalibrationState(tare_code=0, scale_kg_per_lsb=-1e-4, reference_points=((1.0, 100),))
     with pytest.raises(ValueError):
         CalibrationState(tare_code=0, scale_kg_per_lsb=1e-4, reference_points=())
+
+
+def write_calibration(path, tare_code):
+    path.write_text(f"tare_code = {tare_code}\nscale_kg_per_lsb = 1e-4\nref_mass_kg_0 = 1.0\nref_code_0 = 100\n")
+    return path
+
+
+@pytest.mark.parametrize("tare_code", [CODE_MIN, CODE_MAX])
+def test_tare_on_the_rails_loads(tmp_path, tare_code):
+    assert CalibrationState.from_file(write_calibration(tmp_path / "cal.cfg", tare_code)).tare_code == tare_code
+
+
+@pytest.mark.parametrize(
+    "tare_code",
+    [CODE_MAX + 1, CODE_MIN - 1, 2**63 - 1, -(2**63), 2**64, -(2**70)],
+    ids=["above_24_bit", "below_24_bit", "int64_max", "int64_min", "beyond_int64", "below_int64"],
+)
+def test_tare_outside_the_code_range_is_rejected(tmp_path, tare_code):
+    path = write_calibration(tmp_path / "cal.cfg", tare_code)
+    with pytest.raises(TareRangeError, match=f"tare code {tare_code} outside signed 24-bit range"):
+        CalibrationState.from_file(path)
 
 
 def test_file_round_trip(tmp_path):

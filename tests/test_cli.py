@@ -1,10 +1,19 @@
+import io
 import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
-from weighsim.cli import main
-from weighsim.codec import encode_frame
-from weighsim.sensor import AdcFrame, LoadCellSpec
+from weighsim import codec
+from weighsim.cli import _split_lines, main
+from weighsim.codec import decode_frame, encode_frame
+from weighsim.errors import WeighSimError
+from weighsim.sensor import CODE_MAX, CODE_MIN, AdcFrame, LoadCellSpec
 
 BALANCED_SCENARIO = """
 wheelbase_m = 2.0
@@ -51,6 +60,16 @@ class TestSimulate:
 
     def test_missing_file_is_operational_error(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "absent.cfg")]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_config_value_is_rejected(self, scenario_file, capsys, value):
+        config = scenario_file(f"overload_threshold_kg = {value}\n", "station.cfg")
+        assert main(["simulate", scenario_file(OVERLOAD_SCENARIO), "--config", config]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"weighsim: error: {config}: key 'overload_threshold_kg' is not a finite number: {value!r}\n"
+        )
 
     def test_prototype1_policy(self, scenario_file, capsys):
         # 100 kg curb is overloaded against the 9.5 kg limit
@@ -201,6 +220,64 @@ class TestWeighInput:
         assert code == 0 and json.loads(out.out)["ended_at_ms"] == 15_000
 
 
+_GAIN_CHANNELS = [(128, "A"), (64, "A"), (32, "B")]
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
+
+
+@st.composite
+def replay_inputs(draw):
+    """Trace file bytes: valid frames of every gain and both rails, padded
+    frames, bad pulse counts, junk and non-ASCII text, blank lines, every
+    kind of line break, and at times a byte no UTF-8 text contains."""
+    frame_line = st.builds(
+        lambda code, gc: encode_frame(AdcFrame.from_code(code, *gc)).to_line(),
+        st.one_of(st.integers(CODE_MIN, CODE_MAX), st.sampled_from([CODE_MIN, CODE_MAX])),
+        st.sampled_from(_GAIN_CHANNELS),
+    )
+    line = st.one_of(
+        frame_line,
+        frame_line.map(lambda bits: f" \t{bits}\xa0"),
+        st.sampled_from(["", " ", "\t \x1f", "0" * 24, "0" * 28, "é" + "0" * 25]),
+        st.text(alphabet="01", max_size=30),
+        st.text(max_size=12),
+    )
+    lines = draw(st.lists(line, max_size=12))
+    breaks = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(l + b for l, b in zip(lines, breaks))
+    if draw(st.booleans()):
+        text = text.rstrip("\n")
+    tail = draw(st.sampled_from([b"", b"", b"\xff", b"\xc3", b"\x80" + b"0" * 25]))
+    return text.encode() + tail
+
+
+def reference_replay(trace):
+    """The per-line replay that `codec.decode_lines` replaced, with the
+    error handling `main` puts around it."""
+    try:
+        lines = Path(trace).read_text().splitlines()
+    except (ValueError, OSError) as exc:
+        print(f"weighsim: error: {exc}", file=sys.stderr)
+        return 1
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            frame = decode_frame(line)
+        except WeighSimError as exc:
+            print(f"{trace}:{line_no}: {exc}", file=sys.stderr)
+            return 1
+        print(f"{line_no},{frame.code},{frame.gain},{frame.channel},{int(frame.saturated)}")
+    return 0
+
+
+def captured(fn, *args):
+    """(return value, stdout, stderr) of fn(*args)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        result = fn(*args)
+    return result, out.getvalue(), err.getvalue()
+
+
 class TestReplay:
     def test_decodes_frames(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
@@ -219,6 +296,29 @@ class TestReplay:
         path.write_text("0" * 25 + "\n" + "0" * 10 + "\n")
         assert main(["replay", str(path)]) == 1
         assert ":2:" in capsys.readouterr().err
+
+    def test_frames_before_a_bad_line_are_printed(self, tmp_path, capsys):
+        path = tmp_path / "trace.txt"
+        minus_one = encode_frame(AdcFrame.from_code(-1, 64, "A")).to_line()
+        path.write_text("0" * 25 + "\n\n" + minus_one + "\n" + "0" * 10 + "\n" + "0" * 25 + "\n")
+        with mock.patch.object(codec, "CHUNK_LINES", 2):
+            assert main(["replay", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "1,0,128,A,0\n3,-1,64,A,0\n"
+        assert out.err == f"{path}:4: only 10 pulses, need 24 data bits\n"
+
+    @given(replay_inputs(), st.integers(1, 5))
+    def test_matches_per_line_reference(self, data, chunk_lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.txt"
+            path.write_bytes(data)
+            expected = captured(reference_replay, str(path))
+            with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+                assert captured(main, ["replay", str(path)]) == expected
+
+    @given(st.text(alphabet="01\n\r\x0c\u2028 x", max_size=60), st.integers(1, 8))
+    def test_split_lines_matches_splitlines(self, text, size):
+        assert list(_split_lines(text, size)) == text.splitlines()
 
 
 class TestRules:
