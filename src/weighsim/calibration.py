@@ -63,36 +63,25 @@ class CalibrationState:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def to_file(self, path: str | Path) -> None:
-        pairs = [
-            ("tare_code", str(self.tare_code)),
-            ("scale_kg_per_lsb", repr(self.scale_kg_per_lsb)),
-            ("calibrated_at_temp_c", repr(self.calibrated_at_temp_c)),
-        ]
+        pairs = []
         for i, (mass, code) in enumerate(self.reference_points):
             pairs.append((f"ref_mass_kg_{i}", repr(mass)))
             pairs.append((f"ref_code_{i}", str(code)))
-        kvfile.write_kv(path, pairs, header="cell calibration")
+        kvfile.write(path, self, "cell calibration", pairs)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CalibrationState":
         source = str(path)
         values = kvfile.as_dict(kvfile.read_kv(path), source)
         points = []
-        i = 0
-        while f"ref_mass_kg_{i}" in values:
-            points.append(
-                (
-                    kvfile.get_float(values, f"ref_mass_kg_{i}", source),
-                    kvfile.get_int(values, f"ref_code_{i}", source),
-                )
-            )
-            i += 1
-        return cls(
-            tare_code=kvfile.get_int(values, "tare_code", source),
-            scale_kg_per_lsb=kvfile.get_float(values, "scale_kg_per_lsb", source),
-            calibrated_at_temp_c=kvfile.get_float(values, "calibrated_at_temp_c", source, 25.0),
-            reference_points=tuple(points),
-        )
+        while f"ref_mass_kg_{len(points)}" in values:
+            i = len(points)
+            mass = kvfile.take(values, f"ref_mass_kg_{i}", kvfile.parse_float, source)
+            code = kvfile.take(values, f"ref_code_{i}", kvfile.parse_int, source)
+            points.append((mass, code))
+        cal = kvfile.build(cls, values, source, reference_points=tuple(points))
+        kvfile.reject_unknown(values, source)
+        return cal
 
 
 class MassReading(NamedTuple):

@@ -11,8 +11,8 @@ human-readable multi-line rendering as well.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -20,10 +20,12 @@ import numpy as np
 
 from . import codec, kvfile
 from .calibration import CalibrationState, calibrate, tare
-from .cog import AlertPolicy, DeckGeometry, POLICIES, policy as named_policy, render_lcd
+from .cog import DECKS, AlertPolicy, DeckGeometry, POLICIES, is_unsafe, policy as named_policy, render_lcd
 from .compliance import (
     AXLE_CONFIGURATIONS,
     BUILTIN_RULES,
+    AxleConfiguration,
+    ToleranceRule,
     check_compliance,
     load_axle_table,
     load_tolerance_rules,
@@ -33,7 +35,7 @@ from .compliance import (
 from .errors import FrameError, RecordParseError, WeighSimError
 from .scenario import Scenario, ideal_calibration, run_end_to_end
 from .sensor import AdcConfig, FOUR_CELL_120KG, LoadCellSpec, add_noise, bridge_output, quantize
-from .station import FrameBatch, FrameIngestor, RecordStore, WeighRecord, assessment_line, run_session
+from .station import FrameBatch, FrameIngestor, RecordStore, WeighRecord, json_line, run_session, to_json
 
 EXIT_SAFE = 0
 EXIT_ERROR = 1
@@ -47,49 +49,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _load_geometry(args: argparse.Namespace) -> DeckGeometry:
-    wheelbase, track, breadth = 2.0, 1.5, None
-    if getattr(args, "config", None):
-        source = args.config
-        values = kvfile.as_dict(kvfile.read_kv(source), source)
-        wheelbase = kvfile.get_float(values, "wheelbase_m", source, wheelbase)
-        track = kvfile.get_float(values, "track_m", source, track)
-        b = kvfile.get_float(values, "breadth_m", source, 0.0)
-        breadth = b if b > 0 else None
-    if getattr(args, "wheelbase_m", None) is not None:
-        wheelbase = args.wheelbase_m
-    if getattr(args, "track_m", None) is not None:
-        track = args.track_m
-    if getattr(args, "breadth_m", None) is not None:
-        breadth = args.breadth_m
-    return DeckGeometry(wheelbase_m=wheelbase, track_m=track, breadth_m=breadth)
-
-
-def _load_policy(args: argparse.Namespace) -> AlertPolicy:
-    if getattr(args, "policy", None):
-        return named_policy(args.policy)
-    if getattr(args, "config", None):
-        source = args.config
-        values = kvfile.as_dict(kvfile.read_kv(source), source)
-        if "overload_threshold_kg" in values:
-            return AlertPolicy(
-                overload_threshold_kg=kvfile.get_float(values, "overload_threshold_kg", source),
-                quadrant_threshold_pct=kvfile.get_float(values, "quadrant_threshold_pct", source, 30.0),
-            )
-    return POLICIES["prototype2"]
+def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
+    """Deck geometry and alert policy: each value from its flag, else from
+    the station config's key of the same name, else from the defaults (a
+    2.0 m x 1.5 m deck, the prototype2 policy). `--policy` replaces the
+    whole policy."""
+    source = args.config
+    values = kvfile.as_dict(kvfile.read_kv(source), source) if source else {}
+    flags = {f.name: v for f in fields(DeckGeometry) if (v := getattr(args, f.name, None)) is not None}
+    for name in flags:
+        values.pop(name, None)
+    geometry = kvfile.build(DeckGeometry, values, source, **{"wheelbase_m": 2.0, "track_m": 1.5, **flags})
+    policy = kvfile.build(AlertPolicy, values, source, **asdict(POLICIES["prototype2"]))
+    kvfile.reject_unknown(values, source)
+    return geometry, named_policy(args.policy) if args.policy else policy
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = Scenario.from_file(args.scenario)
     spec = LoadCellSpec.from_file(args.cell_spec) if args.cell_spec else FOUR_CELL_120KG
-    policy = _load_policy(args)
+    _, policy = _load_station(args)
     cal = ideal_calibration(spec)
     assessment = run_end_to_end(scenario, (spec,) * 4, (cal,) * 4, policy)
-    print(assessment_line(assessment))
+    print(json_line(to_json(assessment)))
     if args.lcd:
         print(render_lcd(assessment, policy))
-    unsafe = assessment.overloaded or bool(assessment.flagged_quadrants)
-    return EXIT_UNSAFE if unsafe else EXIT_SAFE
+    return EXIT_UNSAFE if is_unsafe(assessment) else EXIT_SAFE
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -108,17 +93,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     code_at_mass = round(sum(loaded_codes) / len(loaded_codes))
     cal = calibrate(tare_code, args.known_mass, code_at_mass, temperature_c=args.temperature)
     cal.to_file(args.out)
-    print(
-        json.dumps(
-            {
-                "tare_code": cal.tare_code,
-                "scale_kg_per_lsb": cal.scale_kg_per_lsb,
-                "calibrated_at_temp_c": cal.calibrated_at_temp_c,
-                "out": str(args.out),
-            },
-            separators=(",", ":"),
-        )
-    )
+    print(json_line({**kvfile.scalars(cal), "out": str(args.out)}))
     return EXIT_SAFE
 
 
@@ -130,24 +105,9 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
             batches.append(ingestor.ingest_lines(fh))
     frames = FrameBatch.concat(batches)
     calibrations = [CalibrationState.from_file(p) for p in args.cal]
-    geometry = _load_geometry(args)
-    policy = _load_policy(args)
-    rule = None
-    if args.jurisdiction:
-        rules = load_tolerance_rules(args.rules_file) if args.rules_file else BUILTIN_RULES
-        try:
-            rule = rules[(args.jurisdiction, args.kind)]
-        except KeyError:
-            raise WeighSimError(
-                f"no tolerance rule for {args.jurisdiction}/{args.kind}"
-            ) from None
-    axle = None
-    if args.axle_config:
-        table = load_axle_table(args.axle_file) if args.axle_file else AXLE_CONFIGURATIONS
-        try:
-            axle = table[args.axle_config]
-        except KeyError:
-            raise WeighSimError(f"unknown axle configuration {args.axle_config!r}") from None
+    geometry, policy = _load_station(args)
+    rule = _tolerance_rule(args) if args.jurisdiction else None
+    axle = _axle_config(args) if args.axle_config else None
     record = run_session(
         frames,
         calibrations,
@@ -183,8 +143,11 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         record = RecordStore(args.data_dir).load(args.record)
     recomputed = record.reassess()
     if recomputed != record.assessment:
+        stored, again = to_json(record.assessment), to_json(recomputed)
+        name = next(k for k in again if stored.get(k) != again[k])
         raise WeighSimError(
-            f"stored assessment for {record.record_id} does not reproduce; store corrupt?"
+            f"stored assessment for {record.record_id} does not reproduce:"
+            f" {name} is {stored.get(name)!r}, recomputed {again[name]!r}"
         )
     print(record.to_line())
     if args.lcd:
@@ -223,18 +186,33 @@ def _split_lines(text: str, size: int = 1 << 16) -> Iterator[str]:
         pos = end
 
 
+def _tolerance_rule(args: argparse.Namespace) -> ToleranceRule:
+    rules = load_tolerance_rules(args.rules_file) if args.rules_file else BUILTIN_RULES
+    try:
+        return rules[(args.jurisdiction, args.kind)]
+    except KeyError:
+        known = ", ".join(f"{j}/{k}" for j, k in sorted(rules))
+        raise WeighSimError(
+            f"no tolerance rule for {args.jurisdiction}/{args.kind}; known: {known}"
+        ) from None
+
+
+def _axle_config(args: argparse.Namespace) -> AxleConfiguration:
+    table = load_axle_table(args.axle_file) if args.axle_file else AXLE_CONFIGURATIONS
+    try:
+        return table[args.axle_config]
+    except KeyError:
+        raise WeighSimError(f"unknown axle configuration {args.axle_config!r}") from None
+
+
 def _cmd_rules(args: argparse.Namespace) -> int:
     if args.axle_config:
-        table = load_axle_table(args.axle_file) if args.axle_file else AXLE_CONFIGURATIONS
-        try:
-            config = table[args.axle_config]
-        except KeyError:
-            raise WeighSimError(f"unknown axle configuration {args.axle_config!r}") from None
+        config = _axle_config(args)
         if args.total is None:
             raise WeighSimError("--total is required with --axle-config")
         passed = within_gvw_limit(config, args.total)
         print(
-            json.dumps(
+            json_line(
                 {
                     "check": "gvw",
                     "config_code": config.config_code,
@@ -242,26 +220,18 @@ def _cmd_rules(args: argparse.Namespace) -> int:
                     "gvw_limit_kg": config.gvw_limit_kg,
                     "measured_kg": args.total,
                     "passed": passed,
-                },
-                separators=(",", ":"),
+                }
             )
         )
         return EXIT_SAFE if passed else EXIT_UNSAFE
 
     if not args.jurisdiction:
         raise WeighSimError("need --jurisdiction (tolerance query) or --axle-config (GVW check)")
-    rules = load_tolerance_rules(args.rules_file) if args.rules_file else BUILTIN_RULES
-    try:
-        rule = rules[(args.jurisdiction, args.kind)]
-    except KeyError:
-        known = ", ".join(f"{j}/{k}" for j, k in sorted(rules))
-        raise WeighSimError(
-            f"no tolerance rule for {args.jurisdiction}/{args.kind}; known: {known}"
-        ) from None
+    rule = _tolerance_rule(args)
     if args.measured is not None and args.reference is not None:
         result = check_compliance(args.measured, args.reference, rule)
         print(
-            json.dumps(
+            json_line(
                 {
                     "check": "tolerance",
                     "jurisdiction": result.jurisdiction,
@@ -271,8 +241,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
                     "max_error_kg": result.max_error_kg,
                     "margin_kg": result.margin_kg,
                     "passed": result.passed,
-                },
-                separators=(",", ":"),
+                }
             )
         )
         return EXIT_SAFE if result.passed else EXIT_UNSAFE
@@ -280,14 +249,13 @@ def _cmd_rules(args: argparse.Namespace) -> int:
         raise WeighSimError("need --capacity, or --measured with --reference")
     mpe = max_permissible_error(rule, args.capacity)
     print(
-        json.dumps(
+        json_line(
             {
                 "jurisdiction": rule.jurisdiction,
                 "verification_kind": rule.verification_kind,
                 "capacity_t": args.capacity,
                 "max_error_kg": mpe,
-            },
-            separators=(",", ":"),
+            }
         )
     )
     return EXIT_SAFE
@@ -318,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["static", "wim"], required=True)
     p.add_argument("--frames", nargs="+", required=True, help="wire-format frame file(s)")
     p.add_argument("--cal", nargs="+", required=True, help="calibration file per cell, in cell order")
-    p.add_argument("--cells", type=int, choices=[2, 4], default=4)
+    p.add_argument("--cells", type=int, choices=sorted(DECKS), default=4)
     p.add_argument("--config", help="station config file (geometry/policy)")
     p.add_argument("--policy", choices=sorted(POLICIES))
     p.add_argument("--wheelbase-m", type=float)

@@ -27,6 +27,7 @@ an axis likewise needs a strict majority (ties report balanced).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InvalidReadingError, UndefinedCogError
 
@@ -234,6 +235,37 @@ def assess_four_cell(r: FourCellReading, geom: DeckGeometry, policy: AlertPolicy
         left_heavy=left > right,
         right_heavy=right > left,
     )
+
+
+class Deck(NamedTuple):
+    """What differs between the two-cell and the four-cell deck."""
+
+    kind: str  # the record's assessment "kind"
+    reading: type
+    assessment: type
+    assess: Callable
+
+
+#: The deck of each cell count.
+DECKS = {
+    2: Deck("two_cell", TwoCellReading, TwoCellAssessment, assess_two_cell),
+    4: Deck("four_cell", FourCellReading, LoadAssessment, assess_four_cell),
+}
+
+
+def assess(
+    masses: Sequence[float], geom: DeckGeometry, policy: AlertPolicy
+) -> LoadAssessment | TwoCellAssessment:
+    """Assessment of the deck with one cell per mass, masses in cell order."""
+    if len(masses) not in DECKS:
+        raise ValueError(f"cell count must be one of {sorted(DECKS)}, got {len(masses)}")
+    deck = DECKS[len(masses)]
+    return deck.assess(deck.reading(*masses), geom, policy)
+
+
+def is_unsafe(assessment: LoadAssessment | TwoCellAssessment) -> bool:
+    """True when the assessment raises an overload or a quadrant flag."""
+    return assessment.overloaded or bool(getattr(assessment, "flagged_quadrants", ()))
 
 
 def classify(assessment: LoadAssessment | TwoCellAssessment, policy: AlertPolicy) -> list[str]:

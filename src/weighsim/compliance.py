@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -238,8 +239,10 @@ def load_axle_table(path: str | Path) -> dict[str, AxleConfiguration]:
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 2:
             raise ConfigError(f"{source}: {code!r} needs 'axle_count, gvw_limit_kg', got {value!r}")
+        axle_count = kvfile.parse_int(parts[0], code, source)
+        gvw_limit_kg = kvfile.parse_float(parts[1], code, source)
         try:
-            table[code] = AxleConfiguration(code, axle_count=int(parts[0]), gvw_limit_kg=float(parts[1]))
+            table[code] = AxleConfiguration(code, axle_count, gvw_limit_kg)
         except ValueError as exc:
             raise ConfigError(f"{source}: bad entry for {code!r}: {exc}") from None
     return table
@@ -260,19 +263,20 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
             raise ConfigError(f"{source}: rule key must be 'jurisdiction/kind', got {key!r}")
         jurisdiction, kind = key.split("/", 1)
         parts = value.split()
+        number = partial(kvfile.parse_float, key=key, source=source)
         try:
             if parts[0] == "anchors":
                 anchors = tuple(
-                    (float(a.split(":")[0]), float(a.split(":")[1])) for a in parts[1:]
+                    (number(a.split(":")[0]), number(a.split(":")[1])) for a in parts[1:]
                 )
                 rule = ToleranceRule(jurisdiction, kind, anchor_points_t_kg=anchors)
             elif parts[0] == "band":
-                lo, hi = (float(x) for x in parts[1].split(":"))
+                lo, hi = (number(x) for x in parts[1].split(":"))
                 rule = ToleranceRule(
-                    jurisdiction, kind, band_t=(lo, hi), band_error_kg=float(parts[2])
+                    jurisdiction, kind, band_t=(lo, hi), band_error_kg=number(parts[2])
                 )
             elif parts[0] == "percent":
-                rule = ToleranceRule(jurisdiction, kind, percent_of_load=float(parts[1]) / 100.0)
+                rule = ToleranceRule(jurisdiction, kind, percent_of_load=number(parts[1]) / 100.0)
             else:
                 raise ConfigError(f"{source}: unknown rule shape {parts[0]!r} for {key!r}")
         except (IndexError, ValueError) as exc:

@@ -5,20 +5,29 @@ config loaders. Format: one `key = value` pair per line, `#` starts a
 comment, blank lines ignored. Keys are case-sensitive. Repeated keys are
 allowed (the scenario format uses them for placements); use `as_dict`
 when a format forbids duplicates.
+
+The keys of a format are the fields of its dataclass. `build` parses each
+field by its annotated type (a finite float, an int, or an optional
+float) and `write` emits the same fields as `name = repr(value)`. A key
+that no field consumed is rejected by `reject_unknown`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
+from typing import Any, Callable, Iterable, get_type_hints
 
 from .errors import ConfigError
 
 
-def parse_kv_lines(text: str, source: str = "<string>") -> list[tuple[str, str]]:
-    """Parse key=value text into an ordered list of (key, value) pairs."""
+def read_kv(path: str | Path) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a file, in file order."""
+    source = str(path)
     pairs: list[tuple[str, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -33,11 +42,6 @@ def parse_kv_lines(text: str, source: str = "<string>") -> list[tuple[str, str]]
     return pairs
 
 
-def read_kv(path: str | Path) -> list[tuple[str, str]]:
-    path = Path(path)
-    return parse_kv_lines(path.read_text(), source=str(path))
-
-
 def as_dict(pairs: list[tuple[str, str]], source: str = "<config>") -> dict[str, str]:
     """Collapse pairs to a dict, rejecting duplicate keys."""
     out: dict[str, str] = {}
@@ -48,34 +52,76 @@ def as_dict(pairs: list[tuple[str, str]], source: str = "<config>") -> dict[str,
     return out
 
 
-def get_float(values: dict[str, str], key: str, source: str, default: float | None = None) -> float:
-    if key not in values:
-        if default is not None:
-            return default
-        raise ConfigError(f"{source}: missing key {key!r}")
+def parse_float(text: str, key: str, source: str) -> float:
+    """`text` as a finite float; otherwise a ConfigError naming `key`."""
     try:
-        value = float(values[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"{source}: key {key!r} is not a number: {values[key]!r}") from None
+        raise ConfigError(f"{source}: key {key!r} is not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{source}: key {key!r} is not a finite number: {values[key]!r}")
+        raise ConfigError(f"{source}: key {key!r} is not a finite number: {text!r}")
     return value
 
 
-def get_int(values: dict[str, str], key: str, source: str, default: int | None = None) -> int:
-    if key not in values:
-        if default is not None:
-            return default
-        raise ConfigError(f"{source}: missing key {key!r}")
+def parse_int(text: str, key: str, source: str) -> int:
     try:
-        return int(values[key])
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{source}: key {key!r} is not an integer: {values[key]!r}") from None
+        raise ConfigError(f"{source}: key {key!r} is not an integer: {text!r}") from None
 
 
-def write_kv(path: str | Path, pairs: list[tuple[str, str]], header: str | None = None) -> None:
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
+#: Parser of each field type a file can spell.
+_PARSERS: dict[Any, Callable] = {float: parse_float, float | None: parse_float, int: parse_int}
+
+
+@cache
+def _parsers(cls: type) -> dict[str, Callable[[str, str, str], Any]]:
+    """Parser of each field of `cls` that a file can set, in field order."""
+    hints = get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if hints[f.name] in _PARSERS}
+
+
+def take(values: dict[str, str], key: str, parse: Callable[[str, str, str], Any], source: str) -> Any:
+    """`key`'s value parsed and removed from `values`; a ConfigError when it is missing."""
+    if key not in values:
+        raise ConfigError(f"{source}: missing key {key!r}")
+    return parse(values.pop(key), key, source)
+
+
+def build(cls: type, values: dict[str, str], source: str, prefix: str = "", **defaults: Any) -> Any:
+    """A `cls` from the `prefix + name` keys of `values`, which it removes.
+
+    A field without a key takes its value from `defaults`, then from the
+    dataclass default; a field found in none of them is a missing key.
+    Fields of a type no file spells (tuples, nested dataclasses) come from
+    `defaults` only.
+    """
+    parsers = _parsers(cls)
+    kwargs = dict(defaults)
+    for f in fields(cls):
+        key = prefix + f.name
+        if f.name in parsers and key in values:
+            kwargs[f.name] = take(values, key, parsers[f.name], source)
+        elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{source}: missing key {key!r}")
+    return cls(**kwargs)
+
+
+def reject_unknown(values: dict[str, str], source: str) -> None:
+    """Raise for the first key of `values` that no `build` consumed."""
+    if values:
+        raise ConfigError(f"{source}: unknown key {next(iter(values))!r}")
+
+
+def scalars(obj: Any) -> dict[str, Any]:
+    """The fields of `obj` that its file format holds, by name in field order."""
+    return {name: getattr(obj, name) for name in _parsers(type(obj))}
+
+
+def write(path: str | Path, obj: Any, header: str, extra: Iterable[tuple[str, str]] = ()) -> None:
+    """`obj`'s scalar fields as `name = repr(value)` lines, then the `extra`
+    pairs, under a `# header` comment."""
+    pairs = [*((name, repr(value)) for name, value in scalars(obj).items()), *extra]
+    lines = [f"# {h}" for h in header.splitlines()]
     lines.extend(f"{k} = {v}" for k, v in pairs)
     Path(path).write_text("\n".join(lines) + "\n")

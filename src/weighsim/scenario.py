@@ -26,7 +26,7 @@ Scenario text format (`key = value`, see `Scenario.from_file`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +47,17 @@ class Placement:
     y_m: float
 
 
+#: Curb weights of a scenario that names none.
+NO_CURB = FourCellReading(0.0, 0.0, 0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A deck, its curb weights, and the masses placed on it."""
 
     geometry: DeckGeometry
     placements: tuple[Placement, ...] = ()
-    curb: FourCellReading = field(default_factory=lambda: FourCellReading(0.0, 0.0, 0.0, 0.0))
+    curb: FourCellReading = NO_CURB
     noise_seed: int = 0
     temperature_c: float = 25.0
 
@@ -74,45 +78,31 @@ class Scenario:
     def from_file(cls, path: str | Path) -> "Scenario":
         source = str(path)
         pairs = kvfile.read_kv(path)
-        placements = []
-        scalars: dict[str, str] = {}
-        for key, value in pairs:
-            if key == "placement":
-                placements.append(_parse_placement(value, source))
-            elif key in scalars:
-                raise ConfigError(f"{source}: duplicate key {key!r}")
-            else:
-                scalars[key] = value
-        breadth = kvfile.get_float(scalars, "breadth_m", source, 0.0)
-        geom = DeckGeometry(
-            wheelbase_m=kvfile.get_float(scalars, "wheelbase_m", source),
-            track_m=kvfile.get_float(scalars, "track_m", source),
-            breadth_m=breadth if breadth > 0 else None,
+        placements = tuple(_parse_placement(v, source) for k, v in pairs if k == "placement")
+        values = kvfile.as_dict([(k, v) for k, v in pairs if k != "placement"], source)
+        scenario = kvfile.build(
+            cls,
+            values,
+            source,
+            geometry=kvfile.build(DeckGeometry, values, source),
+            placements=placements,
+            curb=kvfile.build(FourCellReading, values, source, "curb_", **asdict(NO_CURB)),
         )
-        curb = FourCellReading(
-            fl_kg=kvfile.get_float(scalars, "curb_fl_kg", source, 0.0),
-            fr_kg=kvfile.get_float(scalars, "curb_fr_kg", source, 0.0),
-            rl_kg=kvfile.get_float(scalars, "curb_rl_kg", source, 0.0),
-            rr_kg=kvfile.get_float(scalars, "curb_rr_kg", source, 0.0),
-        )
-        return cls(
-            geometry=geom,
-            placements=tuple(placements),
-            curb=curb,
-            noise_seed=kvfile.get_int(scalars, "noise_seed", source, 0),
-            temperature_c=kvfile.get_float(scalars, "temperature_c", source, 25.0),
-        )
+        kvfile.reject_unknown(values, source)
+        return scenario
 
 
 def _parse_placement(value: str, source: str) -> Placement:
     try:
         mass_part, pos_part = value.split("@")
         x_part, y_part = pos_part.split(",")
-        return Placement(mass_kg=float(mass_part), x_m=float(x_part), y_m=float(y_part))
     except ValueError:
         raise ConfigError(
             f"{source}: placement must be 'mass_kg @ x_m, y_m', got {value!r}"
         ) from None
+    return Placement(
+        *(kvfile.parse_float(part.strip(), "placement", source) for part in (mass_part, x_part, y_part))
+    )
 
 
 def corner_loads(scenario: Scenario) -> FourCellReading:
@@ -130,10 +120,7 @@ def corner_loads(scenario: Scenario) -> FourCellReading:
 
 
 def total_mass(scenario: Scenario) -> float:
-    curb = scenario.curb
-    return sum(p.mass_kg for p in scenario.placements) + (
-        curb.fl_kg + curb.fr_kg + curb.rl_kg + curb.rr_kg
-    )
+    return sum(p.mass_kg for p in scenario.placements) + sum(scenario.curb.as_tuple())
 
 
 def centroid(scenario: Scenario) -> tuple[float, float]:
@@ -151,7 +138,7 @@ def centroid(scenario: Scenario) -> tuple[float, float]:
         mx += p.mass_kg * p.x_m
         my += p.mass_kg * p.y_m
     curb = scenario.curb
-    curb_total = curb.fl_kg + curb.fr_kg + curb.rl_kg + curb.rr_kg
+    curb_total = sum(curb.as_tuple())
     if curb_total > 0:
         total += curb_total
         mx += (curb.rl_kg + curb.rr_kg) * geom.wheelbase_m
@@ -183,11 +170,7 @@ def run_end_to_end(
         reading = add_noise(reading, spec, rng)
         frame = quantize(reading, adc)
         masses.append(code_to_mass(frame.code, cal).kg)
-    return assess_four_cell(
-        FourCellReading(fl_kg=masses[0], fr_kg=masses[1], rl_kg=masses[2], rr_kg=masses[3]),
-        scenario.geometry,
-        policy,
-    )
+    return assess_four_cell(FourCellReading(*masses), scenario.geometry, policy)
 
 
 def ideal_calibration(

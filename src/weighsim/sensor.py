@@ -44,7 +44,7 @@ implementer-chosen placeholders, not characterized hardware values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,31 +111,12 @@ class LoadCellSpec:
         """Load a spec from a `key = value` file (keys match field names)."""
         source = str(path)
         values = kvfile.as_dict(kvfile.read_kv(path), source)
-        return cls(
-            capacity_kg=kvfile.get_float(values, "capacity_kg", source),
-            rated_output_mv_v=kvfile.get_float(values, "rated_output_mv_v", source, 2.0),
-            excitation_v=kvfile.get_float(values, "excitation_v", source, 5.0),
-            zero_offset_mv=kvfile.get_float(values, "zero_offset_mv", source, 0.0),
-            nonlinearity=kvfile.get_float(values, "nonlinearity", source, 0.0),
-            noise_sigma_mv=kvfile.get_float(values, "noise_sigma_mv", source, 0.0),
-            temp_coeff_zero_mv_c=kvfile.get_float(values, "temp_coeff_zero_mv_c", source, 0.0),
-            temp_coeff_span_per_c=kvfile.get_float(values, "temp_coeff_span_per_c", source, 0.0),
-            reference_temp_c=kvfile.get_float(values, "reference_temp_c", source, 25.0),
-        )
+        spec = kvfile.build(cls, values, source)
+        kvfile.reject_unknown(values, source)
+        return spec
 
     def to_file(self, path: str | Path) -> None:
-        pairs = [
-            ("capacity_kg", repr(self.capacity_kg)),
-            ("rated_output_mv_v", repr(self.rated_output_mv_v)),
-            ("excitation_v", repr(self.excitation_v)),
-            ("zero_offset_mv", repr(self.zero_offset_mv)),
-            ("nonlinearity", repr(self.nonlinearity)),
-            ("noise_sigma_mv", repr(self.noise_sigma_mv)),
-            ("temp_coeff_zero_mv_c", repr(self.temp_coeff_zero_mv_c)),
-            ("temp_coeff_span_per_c", repr(self.temp_coeff_span_per_c)),
-            ("reference_temp_c", repr(self.reference_temp_c)),
-        ]
-        kvfile.write_kv(path, pairs, header="load cell parameters")
+        kvfile.write(path, self, "load cell parameters")
 
 
 #: 5 kg cell of the two-cell deck configuration.
@@ -209,12 +190,7 @@ class AdcFrame:
     @classmethod
     def from_code(cls, code: int, gain: int = 128, channel: str = "A") -> "AdcFrame":
         """Build a frame, deriving the saturation flag from the rails."""
-        return cls(
-            code=code,
-            gain=gain,
-            channel=channel,
-            saturated=code in (CODE_MIN, CODE_MAX),
-        )
+        return cls(code, gain, channel, saturated=code in (CODE_MIN, CODE_MAX))
 
 
 def bridge_output(
@@ -264,11 +240,7 @@ def add_noise(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     noisy = reading.differential_mv + rng.normal(0.0, spec.noise_sigma_mv)
-    return BridgeReading(
-        differential_mv=noisy,
-        temperature_c=reading.temperature_c,
-        timestamp_ms=reading.timestamp_ms,
-    )
+    return BridgeReading(noisy, reading.temperature_c, reading.timestamp_ms)
 
 
 def quantize(reading: BridgeReading, adc: AdcConfig | None = None) -> AdcFrame:

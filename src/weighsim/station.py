@@ -19,8 +19,8 @@ for that line alone. `run_session` reduces each cell's column slice:
 code→mass, then the static-window or WIM mean.
 
 Persisted weigh records are JSON objects, one per line, appended to
-`records.ndjson` in the data directory. Key order is fixed (see
-`WeighRecord.to_line`), floats round-trip exactly through their shortest
+`records.ndjson` in the data directory. Keys follow the dataclass field
+order (`to_json`), floats round-trip exactly through their shortest
 repr, and `started_at_ms`/`ended_at_ms` are taken from the input frames,
 so identical inputs produce byte-identical lines except for the random
 `record_id`. The data directory resolves in this order: explicit
@@ -32,26 +32,18 @@ from __future__ import annotations
 import json
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache, partial
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 # code_to_mass is unused here but stays a module attribute: callers, the
 # benchmark tracer tests among them, look it up on this module.
 from .calibration import CalibrationState, code_to_mass, codes_to_kg  # noqa: F401
-from .cog import (
-    AlertPolicy,
-    DeckGeometry,
-    FourCellReading,
-    LoadAssessment,
-    TwoCellAssessment,
-    TwoCellReading,
-    assess_four_cell,
-    assess_two_cell,
-)
+from .cog import DECKS, AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
 from .compliance import (
     AxleConfiguration,
     ToleranceRule,
@@ -89,6 +81,10 @@ class SensorFrameRecord:
     saturated: bool = False
 
 
+#: The `FrameBatch` columns that hold a `SensorFrameRecord` field as is.
+_COLUMNS = tuple(f.name for f in fields(SensorFrameRecord)[1:])
+
+
 def format_frame_line(rec: SensorFrameRecord) -> str:
     return (
         f"{rec.station_id},{rec.cell_index},{rec.timestamp_ms},"
@@ -122,14 +118,7 @@ def parse_frame_line(line: str, line_no: int | None = None, cell_count: int = 4)
         raise RecordParseError(f"saturated flag must be 0 or 1, got {sat_s}", line_no)
     if not _INT64_MIN <= ts <= _INT64_MAX:
         raise RecordParseError(f"timestamp {ts_s} ms does not fit in 64 bits", line_no)
-    return SensorFrameRecord(
-        station_id=station_id,
-        cell_index=cell,
-        timestamp_ms=ts,
-        adc_code=code,
-        gain=gain,
-        saturated=bool(sat),
-    )
+    return SensorFrameRecord(station_id, cell, ts, code, gain, bool(sat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +143,7 @@ class FrameBatch:
 
     def row(self, i: int) -> SensorFrameRecord:
         return SensorFrameRecord(
-            station_id=self.station_ids[self.station[i]],
-            cell_index=int(self.cell_index[i]),
-            timestamp_ms=int(self.timestamp_ms[i]),
-            adc_code=int(self.adc_code[i]),
-            gain=int(self.gain[i]),
-            saturated=bool(self.saturated[i]),
+            self.station_ids[self.station[i]], *(getattr(self, c)[i].item() for c in _COLUMNS)
         )
 
     @classmethod
@@ -179,11 +163,7 @@ class FrameBatch:
         records = list(records)
         return cls.from_columns(
             [r.station_id for r in records],
-            np.array([r.cell_index for r in records], np.int64),
-            np.array([r.timestamp_ms for r in records], np.int64),
-            np.array([r.adc_code for r in records], np.int64),
-            np.array([r.gain for r in records], np.int64),
-            np.array([r.saturated for r in records], bool),
+            *(np.array([getattr(r, c) for r in records], np.int64) for c in _COLUMNS),
         )
 
     @classmethod
@@ -196,11 +176,10 @@ class FrameBatch:
         station = [
             np.array([index[s] for s in b.station_ids], np.int64)[b.station] for b in batches
         ]
-        columns = ("cell_index", "timestamp_ms", "adc_code", "gain", "saturated")
         return cls(
             ids,
             np.concatenate(station),
-            *(np.concatenate([getattr(b, c) for b in batches]) for c in columns),
+            *(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS),
         )
 
 
@@ -329,39 +308,66 @@ def _line_numbers(stripped: list[str], first_no: int | None) -> list[int | None]
     return [None if first_no is None else first_no + k for k, s in enumerate(stripped) if s]
 
 
-def assessment_dict(a: LoadAssessment | TwoCellAssessment) -> dict:
-    """Assessment as a fixed-key-order JSON-ready dict (the single-line form)."""
-    if isinstance(a, LoadAssessment):
-        return {
-            "kind": "four_cell",
-            "total_kg": a.total_kg,
-            "x_cg_m": a.x_cg_m,
-            "y_cg_m": a.y_cg_m,
-            "centreline_offset_m": a.centreline_offset_m,
-            "front_kg": a.front_kg,
-            "rear_kg": a.rear_kg,
-            "left_kg": a.left_kg,
-            "right_kg": a.right_kg,
-            "quadrant_pct": list(a.quadrant_pct),
-            "overloaded": a.overloaded,
-            "flagged_quadrants": list(a.flagged_quadrants),
-            "front_heavy": a.front_heavy,
-            "rear_heavy": a.rear_heavy,
-            "left_heavy": a.left_heavy,
-            "right_heavy": a.right_heavy,
-        }
-    return {
-        "kind": "two_cell",
-        "total_kg": a.total_kg,
-        "lateral_offset_m": a.lateral_offset_m,
-        "overloaded": a.overloaded,
-        "left_heavy": a.left_heavy,
-        "right_heavy": a.right_heavy,
-    }
+#: The record `kind` of each assessment class, and the class of each kind.
+_KIND = {deck.assessment: deck.kind for deck in DECKS.values()}
+_ASSESSMENT = {deck.kind: deck.assessment for deck in DECKS.values()}
+
+
+def to_json(obj: Any) -> dict:
+    """A dataclass as a JSON-ready dict of its fields in field order (an
+    assessment headed by its `kind`), nested dataclasses as dicts and
+    tuples as lists."""
+    names, converted = _codecs(type(obj))
+    values = [getattr(obj, name) for name in names]
+    for i, encode, _ in converted:
+        values[i] = encode(values[i])
+    out = {"kind": _KIND[type(obj)]} if type(obj) in _KIND else {}
+    out.update(zip(names, values))
+    return out
+
+
+def from_json(cls: type, obj: dict) -> Any:
+    """The `cls` that `to_json` wrote as `obj`. Keys no field names are ignored."""
+    names, converted = _codecs(cls)
+    values = [obj[name] for name in names]
+    for i, _, decode in converted:
+        values[i] = decode(values[i])
+    return cls(*values)
+
+
+@cache
+def _codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, Callable, Callable], ...]]:
+    """The field names of `cls` in order, and (index, encoder, decoder) of
+    each field whose JSON value is not the field value itself."""
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    converted = tuple((i, *codec) for i, name in enumerate(names) if (codec := _codec(hints[name])))
+    return names, converted
+
+
+def _codec(hint: Any) -> tuple[Callable, Callable] | None:
+    if get_origin(hint) is tuple:
+        return list, tuple
+    if is_dataclass(hint):
+        return to_json, partial(from_json, hint)
+    if set(get_args(hint)) == set(_ASSESSMENT.values()):
+        return to_json, _assessment_from_json
+    return None
+
+
+def _assessment_from_json(obj: dict) -> LoadAssessment | TwoCellAssessment:
+    if obj["kind"] not in _ASSESSMENT:
+        raise ValueError(f"unknown assessment kind {obj['kind']!r}")
+    return from_json(_ASSESSMENT[obj["kind"]], obj)
+
+
+def json_line(obj: dict) -> str:
+    """`obj` as one compact JSON line."""
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def assessment_line(a: LoadAssessment | TwoCellAssessment) -> str:
-    return json.dumps(assessment_dict(a), separators=(",", ":"))
+    return json_line(to_json(a))
 
 
 @dataclass(frozen=True)
@@ -382,34 +388,10 @@ class WeighRecord:
 
     def unsafe(self) -> bool:
         """True when the record should exit the CLI with code 2."""
-        if self.assessment.overloaded:
-            return True
-        if isinstance(self.assessment, LoadAssessment) and self.assessment.flagged_quadrants:
-            return True
-        return any(not entry["passed"] for entry in self.compliance)
+        return is_unsafe(self.assessment) or any(not entry["passed"] for entry in self.compliance)
 
     def to_line(self) -> str:
-        obj = {
-            "record_id": self.record_id,
-            "station_id": self.station_id,
-            "started_at_ms": self.started_at_ms,
-            "ended_at_ms": self.ended_at_ms,
-            "mode": self.mode,
-            "cell_masses_kg": list(self.cell_masses_kg),
-            "geometry": {
-                "wheelbase_m": self.geometry.wheelbase_m,
-                "track_m": self.geometry.track_m,
-                "breadth_m": self.geometry.breadth_m,
-            },
-            "policy": {
-                "overload_threshold_kg": self.policy.overload_threshold_kg,
-                "quadrant_threshold_pct": self.policy.quadrant_threshold_pct,
-            },
-            "assessment": assessment_dict(self.assessment),
-            "calibration_fingerprint": self.calibration_fingerprint,
-            "compliance": list(self.compliance),
-        }
-        return json.dumps(obj, separators=(",", ":"))
+        return json_line(to_json(self))
 
     @classmethod
     def from_line(cls, line: str, line_no: int | None = None) -> "WeighRecord":
@@ -418,65 +400,15 @@ class WeighRecord:
         except json.JSONDecodeError as exc:
             raise RecordParseError(f"bad record JSON: {exc}", line_no) from None
         try:
-            a = obj["assessment"]
-            if a["kind"] == "four_cell":
-                assessment: LoadAssessment | TwoCellAssessment = LoadAssessment(
-                    total_kg=a["total_kg"],
-                    x_cg_m=a["x_cg_m"],
-                    y_cg_m=a["y_cg_m"],
-                    centreline_offset_m=a["centreline_offset_m"],
-                    front_kg=a["front_kg"],
-                    rear_kg=a["rear_kg"],
-                    left_kg=a["left_kg"],
-                    right_kg=a["right_kg"],
-                    quadrant_pct=tuple(a["quadrant_pct"]),
-                    overloaded=a["overloaded"],
-                    flagged_quadrants=tuple(a["flagged_quadrants"]),
-                    front_heavy=a["front_heavy"],
-                    rear_heavy=a["rear_heavy"],
-                    left_heavy=a["left_heavy"],
-                    right_heavy=a["right_heavy"],
-                )
-            elif a["kind"] == "two_cell":
-                assessment = TwoCellAssessment(
-                    total_kg=a["total_kg"],
-                    lateral_offset_m=a["lateral_offset_m"],
-                    overloaded=a["overloaded"],
-                    left_heavy=a["left_heavy"],
-                    right_heavy=a["right_heavy"],
-                )
-            else:
-                raise RecordParseError(f"unknown assessment kind {a['kind']!r}", line_no)
-            return cls(
-                record_id=obj["record_id"],
-                station_id=obj["station_id"],
-                started_at_ms=obj["started_at_ms"],
-                ended_at_ms=obj["ended_at_ms"],
-                mode=obj["mode"],
-                cell_masses_kg=tuple(obj["cell_masses_kg"]),
-                geometry=DeckGeometry(
-                    wheelbase_m=obj["geometry"]["wheelbase_m"],
-                    track_m=obj["geometry"]["track_m"],
-                    breadth_m=obj["geometry"]["breadth_m"],
-                ),
-                policy=AlertPolicy(
-                    overload_threshold_kg=obj["policy"]["overload_threshold_kg"],
-                    quadrant_threshold_pct=obj["policy"]["quadrant_threshold_pct"],
-                ),
-                assessment=assessment,
-                calibration_fingerprint=obj["calibration_fingerprint"],
-                compliance=tuple(obj["compliance"]),
-            )
+            return from_json(cls, obj)
         except (KeyError, TypeError) as exc:
             raise RecordParseError(f"record missing field: {exc}", line_no) from None
+        except ValueError as exc:
+            raise RecordParseError(str(exc), line_no) from None
 
     def reassess(self) -> LoadAssessment | TwoCellAssessment:
         """Recompute the assessment from the stored per-cell masses."""
-        if len(self.cell_masses_kg) == 4:
-            reading = FourCellReading(*self.cell_masses_kg)
-            return assess_four_cell(reading, self.geometry, self.policy)
-        reading2 = TwoCellReading(*self.cell_masses_kg)
-        return assess_two_cell(reading2, self.geometry, self.policy)
+        return assess(self.cell_masses_kg, self.geometry, self.policy)
 
 
 def run_session(
@@ -500,8 +432,8 @@ def run_session(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if cell_count not in (2, 4):
-        raise ValueError(f"cell count must be 2 or 4, got {cell_count}")
+    if cell_count not in DECKS:
+        raise ValueError(f"cell count must be one of {sorted(DECKS)}, got {cell_count}")
     if len(calibrations) != cell_count:
         raise ValueError(f"need {cell_count} calibrations, got {len(calibrations)}")
 
@@ -536,27 +468,11 @@ def run_session(
             cell_masses.append(wim_stats(masses)[0])
         lo = hi
 
-    if cell_count == 4:
-        assessment: LoadAssessment | TwoCellAssessment = assess_four_cell(
-            FourCellReading(*cell_masses), geometry, policy
-        )
-    else:
-        assessment = assess_two_cell(TwoCellReading(*cell_masses), geometry, policy)
-
+    assessment = assess(cell_masses, geometry, policy)
     compliance_entries: list[dict] = []
     if tolerance_rule is not None and reference_kg is not None:
         result = check_compliance(assessment.total_kg, reference_kg, tolerance_rule)
-        compliance_entries.append(
-            {
-                "check": "tolerance",
-                "jurisdiction": result.jurisdiction,
-                "verification_kind": result.verification_kind,
-                "reference_kg": result.reference_kg,
-                "error_kg": result.error_kg,
-                "max_error_kg": result.max_error_kg,
-                "passed": result.passed,
-            }
-        )
+        compliance_entries.append({"check": "tolerance", **to_json(result)})
     if axle_config is not None:
         compliance_entries.append(
             {

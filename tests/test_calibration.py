@@ -9,6 +9,7 @@ from weighsim.calibration import (
     tare,
 )
 from weighsim.errors import (
+    ConfigError,
     DegenerateCalibrationError,
     InsufficientSamplesError,
     InvertedWiringError,
@@ -148,3 +149,18 @@ def test_file_round_trip(tmp_path):
     loaded = CalibrationState.from_file(path)
     assert loaded == cal
     assert loaded.fingerprint() == cal.fingerprint()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("ref_code_1 = 200\n", "unknown key 'ref_code_1'"),
+        ("temp_c = 20\n", "unknown key 'temp_c'"),
+        ("ref_mass_kg_1 = 2.0\n", "missing key 'ref_code_1'"),
+    ],
+)
+def test_calibration_file_keys_are_checked(tmp_path, extra, message):
+    path = write_calibration(tmp_path / "cal.cfg", 0)
+    path.write_text(path.read_text() + extra)
+    with pytest.raises(ConfigError, match=message):
+        CalibrationState.from_file(path)

@@ -75,6 +75,33 @@ class TestSimulate:
         # 100 kg curb is overloaded against the 9.5 kg limit
         assert main(["simulate", scenario_file(BALANCED_SCENARIO), "--policy", "prototype1"]) == 2
 
+    def test_non_finite_placement_is_rejected(self, scenario_file, capsys):
+        path = scenario_file("wheelbase_m = 2.0\ntrack_m = 1.5\nplacement = nan @ 1.0, 0.75\n")
+        assert main(["simulate", path]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"weighsim: error: {path}: key 'placement' is not a finite number: 'nan'\n"
+
+    def test_unknown_scenario_key_is_rejected(self, scenario_file, capsys):
+        path = scenario_file(BALANCED_SCENARIO + "curb_fl = 500\n")
+        assert main(["simulate", path]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"weighsim: error: {path}: unknown key 'curb_fl'\n"
+
+    def test_scenario_breadth_must_be_positive(self, scenario_file, capsys):
+        assert main(["simulate", scenario_file(BALANCED_SCENARIO + "breadth_m = -3\n")]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "weighsim: error: breadth_m must be > 0, got -3.0\n"
+
+    def test_config_policy_key_overrides_the_preset(self, scenario_file, capsys):
+        # every quadrant holds 25 %, above a 10 % share limit
+        config = scenario_file("quadrant_threshold_pct = 10\n", "station.cfg")
+        assert main(["simulate", scenario_file(BALANCED_SCENARIO), "--config", config]) == 2
+        assert json.loads(capsys.readouterr().out)["flagged_quadrants"] == ["FL", "FR", "RL", "RR"]
+        assert main(["simulate", scenario_file(BALANCED_SCENARIO), "--config", config, "--policy", "prototype2"]) == 0
+
 
 class TestCalibrateWeighAssess:
     def make_frame_file(self, tmp_path, cal, masses_kg, n=151):
@@ -219,6 +246,56 @@ class TestWeighInput:
         code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000))
         assert code == 0 and json.loads(out.out)["ended_at_ms"] == 15_000
 
+    @pytest.fixture
+    def config(self, tmp_path):
+        def write(text):
+            path = tmp_path / "station.cfg"
+            path.write_text(text)
+            return str(path)
+
+        return write
+
+    def test_config_keys_override_defaults_one_by_one(self, weigh, config):
+        code, out = weigh(self.frames(), extra=("--config", config("track_m = 3\nquadrant_threshold_pct = 31\n")))
+        record = json.loads(out.out)
+        assert code == 0
+        assert record["geometry"] == {"wheelbase_m": 2.0, "track_m": 3.0, "breadth_m": 3.0}
+        assert record["policy"] == {"overload_threshold_kg": 400.0, "quadrant_threshold_pct": 31.0}
+
+    def test_flags_override_config_keys(self, weigh, config):
+        path = config("track_m = 3\nquadrant_threshold_pct = 20\n")
+        code, out = weigh(self.frames(), extra=("--config", path, "--track-m", "1.0", "--policy", "prototype2"))
+        record = json.loads(out.out)
+        assert code == 0
+        assert record["geometry"] == {"wheelbase_m": 2.0, "track_m": 1.0, "breadth_m": 1.0}
+        assert record["policy"]["quadrant_threshold_pct"] == 30.0
+
+    def test_config_breadth_must_be_positive(self, weigh, config):
+        code, out = weigh(self.frames(), extra=("--config", config("breadth_m = -3\n")))
+        assert code == 1 and out.out == ""
+        assert out.err == "weighsim: error: breadth_m must be > 0, got -3.0\n"
+
+    def test_unknown_config_key_is_rejected(self, weigh, config):
+        path = config("wheelbase_m = 2.5\nquadrant_threshold = 10\n")
+        code, out = weigh(self.frames(), extra=("--config", path))
+        assert code == 1 and out.out == ""
+        assert out.err == f"weighsim: error: {path}: unknown key 'quadrant_threshold'\n"
+
+    def test_assess_names_the_field_that_does_not_reproduce(self, weigh, tmp_path, capsys):
+        code, out = weigh(self.frames())
+        assert code == 0
+        assert '"y_cg_m":0.75,' in out.out
+        path = tmp_path / "tampered.ndjson"
+        path.write_text(out.out.replace('"y_cg_m":0.75,', '"y_cg_m":0.8,'))
+        assert main(["assess", str(path)]) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        record_id = json.loads(out.out)["record_id"]
+        assert err.err == (
+            f"weighsim: error: stored assessment for {record_id} does not reproduce:"
+            " y_cg_m is 0.8, recomputed 0.75\n"
+        )
+
 
 _GAIN_CHANNELS = [(128, "A"), (64, "A"), (32, "B")]
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"]
@@ -342,6 +419,23 @@ class TestRules:
 
     def test_unknown_rule_is_error(self, capsys):
         assert main(["rules", "--jurisdiction", "NewZealand", "--kind", "re_verification", "--capacity", "20"]) == 1
+
+    def test_non_finite_axle_limit_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "axles.cfg"
+        path.write_text("7 = 6, nan\n")
+        assert main(["rules", "--axle-config", "7", "--total", "99999", "--axle-file", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"weighsim: error: {path}: key '7' is not a finite number: 'nan'\n"
+
+    def test_non_finite_rule_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "rules.cfg"
+        path.write_text("US/acceptance = percent nan\n")
+        argv = ["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "10"]
+        assert main(argv + ["--rules-file", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"weighsim: error: {path}: key 'US/acceptance' is not a finite number: 'nan'\n"
 
 
 class TestUsageErrors:

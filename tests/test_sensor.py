@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weighsim.errors import MechanicalOverrangeError
+from weighsim.errors import ConfigError, MechanicalOverrangeError
 from weighsim.sensor import (
     AdcConfig,
     AdcFrame,
@@ -178,3 +178,17 @@ def test_spec_file_round_trip(tmp_path):
     path = tmp_path / "cell.cfg"
     spec.to_file(path)
     assert LoadCellSpec.from_file(path) == spec
+
+
+def test_spec_file_rejects_an_unknown_key(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("capacity_kg = 120\nrated_output = 2.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'rated_output'"):
+        LoadCellSpec.from_file(path)
+
+
+def test_spec_file_needs_capacity(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("rated_output_mv_v = 2.0\n")
+    with pytest.raises(ConfigError, match="missing key 'capacity_kg'"):
+        LoadCellSpec.from_file(path)
