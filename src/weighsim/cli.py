@@ -50,10 +50,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
-    """Deck geometry and alert policy: each value from its flag, else from
-    the station config's key of the same name, else from the defaults (a
-    2.0 m x 1.5 m deck, the prototype2 policy). `--policy` replaces the
-    whole policy."""
+    """Deck geometry and alert policy: each value from its flag, else the
+    station config's key, else the default (a 2.0 m x 1.5 m deck, the
+    prototype2 policy). `--policy` replaces the whole policy."""
     source = args.config
     values = kvfile.as_dict(kvfile.read_kv(source), source) if source else {}
     flags = {f.name: v for f in fields(DeckGeometry) if (v := getattr(args, f.name, None)) is not None}

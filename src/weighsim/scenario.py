@@ -14,10 +14,13 @@ mass m at (x, y) on an L×T deck are
     FL  m * (1 - x/L) * (y/T)        FR  m * (1 - x/L) * (1 - y/T)
     RL  m * (x/L)     * (y/T)        RR  m * (x/L)     * (1 - y/T)
 
-Scenario text format (`key = value`, see `Scenario.from_file`):
+Scenario text format (`key = value`, see `Scenario.from_file`); the keys
+are the fields of `DeckGeometry`, of `FourCellReading` prefixed `curb_`
+and of `Scenario`, and any other key is an error:
 
     wheelbase_m = 2.0
     track_m     = 1.5
+    breadth_m   = 1.25        # optional, > 0, default the track
     curb_fl_kg  = 55.0        # optional, default 0 (likewise fr/rl/rr)
     temperature_c = 25.0      # optional
     noise_seed  = 42          # optional
@@ -80,14 +83,9 @@ class Scenario:
         pairs = kvfile.read_kv(path)
         placements = tuple(_parse_placement(v, source) for k, v in pairs if k == "placement")
         values = kvfile.as_dict([(k, v) for k, v in pairs if k != "placement"], source)
-        scenario = kvfile.build(
-            cls,
-            values,
-            source,
-            geometry=kvfile.build(DeckGeometry, values, source),
-            placements=placements,
-            curb=kvfile.build(FourCellReading, values, source, "curb_", **asdict(NO_CURB)),
-        )
+        geometry = kvfile.build(DeckGeometry, values, source)
+        curb = kvfile.build(FourCellReading, values, source, "curb_", **asdict(NO_CURB))
+        scenario = kvfile.build(cls, values, source, geometry=geometry, placements=placements, curb=curb)
         kvfile.reject_unknown(values, source)
         return scenario
 
@@ -120,7 +118,10 @@ def corner_loads(scenario: Scenario) -> FourCellReading:
 
 
 def total_mass(scenario: Scenario) -> float:
-    return sum(p.mass_kg for p in scenario.placements) + sum(scenario.curb.as_tuple())
+    curb = scenario.curb
+    return sum(p.mass_kg for p in scenario.placements) + (
+        curb.fl_kg + curb.fr_kg + curb.rl_kg + curb.rr_kg
+    )
 
 
 def centroid(scenario: Scenario) -> tuple[float, float]:
@@ -138,7 +139,7 @@ def centroid(scenario: Scenario) -> tuple[float, float]:
         mx += p.mass_kg * p.x_m
         my += p.mass_kg * p.y_m
     curb = scenario.curb
-    curb_total = sum(curb.as_tuple())
+    curb_total = curb.fl_kg + curb.fr_kg + curb.rl_kg + curb.rr_kg
     if curb_total > 0:
         total += curb_total
         mx += (curb.rl_kg + curb.rr_kg) * geom.wheelbase_m

@@ -314,9 +314,8 @@ _ASSESSMENT = {deck.kind: deck.assessment for deck in DECKS.values()}
 
 
 def to_json(obj: Any) -> dict:
-    """A dataclass as a JSON-ready dict of its fields in field order (an
-    assessment headed by its `kind`), nested dataclasses as dicts and
-    tuples as lists."""
+    """A dataclass as a JSON-ready dict of its fields in order (an assessment
+    headed by its `kind`), nested dataclasses as dicts, tuples as lists."""
     names, converted = _codecs(type(obj))
     values = [getattr(obj, name) for name in names]
     for i, encode, _ in converted:
