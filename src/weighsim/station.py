@@ -326,7 +326,8 @@ def to_json(obj: Any) -> dict:
 
 
 def from_json(cls: type, obj: dict) -> Any:
-    """The `cls` that `to_json` wrote as `obj`. Keys no field names are ignored."""
+    """The `cls` that `to_json` wrote as `obj`, its fields passed by position
+    (a record class has no keyword-only field). Keys no field names are ignored."""
     names, converted = _codecs(cls)
     values = [obj[name] for name in names]
     for i, _, decode in converted:
