@@ -11,35 +11,36 @@ human-readable multi-line rendering as well.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
+# Only numpy-free modules load here: `replay`, `assess` and `rules` start
+# without numpy, and the commands that need the signal chain import it.
 from . import codec, kvfile
-from .calibration import CalibrationState, calibrate, tare
 from .cog import DECKS, AlertPolicy, DeckGeometry, POLICIES, is_unsafe, policy as named_policy, render_lcd
-from .compliance import (
-    AXLE_CONFIGURATIONS,
-    BUILTIN_RULES,
-    AxleConfiguration,
-    ToleranceRule,
-    check_compliance,
-    load_axle_table,
-    load_tolerance_rules,
-    max_permissible_error,
-    within_gvw_limit,
-)
+from .compliance import AXLE_CONFIGURATIONS, BUILTIN_RULES, AxleConfiguration, ToleranceRule
+from .compliance import check_compliance, load_axle_table, load_tolerance_rules, max_permissible_error
+from .compliance import within_gvw_limit
 from .errors import FrameError, RecordParseError, WeighSimError
-from .scenario import Scenario, ideal_calibration, run_end_to_end
-from .sensor import AdcConfig, FOUR_CELL_120KG, LoadCellSpec, add_noise, bridge_output, quantize
-from .station import FrameBatch, FrameIngestor, RecordStore, WeighRecord, json_line, run_session, to_json
+from .record import RecordStore, WeighRecord, json_line, to_json
 
 EXIT_SAFE = 0
 EXIT_ERROR = 1
 EXIT_UNSAFE = 2
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +66,9 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scenario import Scenario, ideal_calibration, run_end_to_end
+    from .sensor import FOUR_CELL_120KG, LoadCellSpec
+
     scenario = Scenario.from_file(args.scenario)
     spec = LoadCellSpec.from_file(args.cell_spec) if args.cell_spec else FOUR_CELL_120KG
     _, policy = _load_station(args)
@@ -77,6 +81,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .calibration import calibrate, tare
+    from .sensor import AdcConfig, LoadCellSpec, add_noise, bridge_output, quantize
+
     spec = LoadCellSpec.from_file(args.cell_spec)
     adc = AdcConfig()
     rng = np.random.default_rng(args.seed)
@@ -97,6 +106,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_weigh(args: argparse.Namespace) -> int:
+    from .calibration import CalibrationState
+    from .station import FrameBatch, FrameIngestor, run_session
+
     ingestor = FrameIngestor(cell_count=args.cells)
     batches = []
     for path in args.frames:
@@ -139,7 +151,13 @@ def _cmd_assess(args: argparse.Namespace) -> int:
         if record is None:
             raise RecordParseError(f"no record {args.record_id!r} in {path}")
     else:
-        record = RecordStore(args.data_dir).load(args.record)
+        store = RecordStore(args.data_dir)
+        try:
+            record = store.load(args.record)
+        finally:
+            if store.torn_line is not None:
+                warning = f"{store.path}:{store.torn_line}: skipped a torn final line"
+                print(f"weighsim: warning: {warning}", file=sys.stderr)
     recomputed = record.reassess()
     if recomputed != record.assessment:
         stored, again = to_json(record.assessment), to_json(recomputed)
@@ -210,18 +228,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
         if args.total is None:
             raise WeighSimError("--total is required with --axle-config")
         passed = within_gvw_limit(config, args.total)
-        print(
-            json_line(
-                {
-                    "check": "gvw",
-                    "config_code": config.config_code,
-                    "axle_count": config.axle_count,
-                    "gvw_limit_kg": config.gvw_limit_kg,
-                    "measured_kg": args.total,
-                    "passed": passed,
-                }
-            )
-        )
+        print(json_line({"check": "gvw", **to_json(config), "measured_kg": args.total, "passed": passed}))
         return EXIT_SAFE if passed else EXIT_UNSAFE
 
     if not args.jurisdiction:
@@ -229,34 +236,16 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     rule = _tolerance_rule(args)
     if args.measured is not None and args.reference is not None:
         result = check_compliance(args.measured, args.reference, rule)
-        print(
-            json_line(
-                {
-                    "check": "tolerance",
-                    "jurisdiction": result.jurisdiction,
-                    "verification_kind": result.verification_kind,
-                    "reference_kg": result.reference_kg,
-                    "error_kg": result.error_kg,
-                    "max_error_kg": result.max_error_kg,
-                    "margin_kg": result.margin_kg,
-                    "passed": result.passed,
-                }
-            )
-        )
+        # the record's tolerance entry, with the margin before `passed`
+        entry = {"check": "tolerance", **to_json(result)}
+        del entry["passed"]
+        print(json_line({**entry, "margin_kg": result.margin_kg, "passed": result.passed}))
         return EXIT_SAFE if result.passed else EXIT_UNSAFE
     if args.capacity is None:
         raise WeighSimError("need --capacity, or --measured with --reference")
     mpe = max_permissible_error(rule, args.capacity)
-    print(
-        json_line(
-            {
-                "jurisdiction": rule.jurisdiction,
-                "verification_kind": rule.verification_kind,
-                "capacity_t": args.capacity,
-                "max_error_kg": mpe,
-            }
-        )
-    )
+    query = {"jurisdiction": rule.jurisdiction, "verification_kind": rule.verification_kind}
+    print(json_line({**query, "capacity_t": args.capacity, "max_error_kg": mpe}))
     return EXIT_SAFE
 
 
@@ -274,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="derive a calibration against a modeled cell")
     p.add_argument("--cell-spec", required=True, help="load cell spec file")
-    p.add_argument("--known-mass", type=float, required=True, help="reference mass in kg")
+    p.add_argument("--known-mass", type=_finite_float, required=True, help="reference mass in kg")
     p.add_argument("--out", required=True, help="calibration file to write")
     p.add_argument("--samples", type=int, default=16, help="samples averaged per point")
-    p.add_argument("--temperature", type=float, default=25.0, help="ambient °C")
+    p.add_argument("--temperature", type=_finite_float, default=25.0, help="ambient °C")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -288,12 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, choices=sorted(DECKS), default=4)
     p.add_argument("--config", help="station config file (geometry/policy)")
     p.add_argument("--policy", choices=sorted(POLICIES))
-    p.add_argument("--wheelbase-m", type=float)
-    p.add_argument("--track-m", type=float)
-    p.add_argument("--breadth-m", type=float)
+    p.add_argument("--wheelbase-m", type=_finite_float)
+    p.add_argument("--track-m", type=_finite_float)
+    p.add_argument("--breadth-m", type=_finite_float)
     p.add_argument("--jurisdiction", choices=["Kenya", "NewZealand", "US"])
     p.add_argument("--kind", default="re_verification", help="verification kind for --jurisdiction")
-    p.add_argument("--reference", type=float, help="reference mass (kg) for the tolerance check")
+    p.add_argument("--reference", type=_finite_float, help="reference mass (kg) for the tolerance check")
     p.add_argument("--axle-config", help="axle configuration code for the GVW check")
     p.add_argument("--rules-file", help="extra tolerance rules")
     p.add_argument("--axle-file", help="extra axle configurations")
@@ -315,11 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rules", help="tolerance and GVW table queries")
     p.add_argument("--jurisdiction", choices=["Kenya", "NewZealand", "US"])
     p.add_argument("--kind", default="re_verification")
-    p.add_argument("--capacity", type=float, help="capacity/load in tonnes")
-    p.add_argument("--measured", type=float, help="measured mass (kg) for a compliance check")
-    p.add_argument("--reference", type=float, help="reference mass (kg) for a compliance check")
+    p.add_argument("--capacity", type=_finite_float, help="capacity/load in tonnes")
+    p.add_argument("--measured", type=_finite_float, help="measured mass (kg) for a compliance check")
+    p.add_argument("--reference", type=_finite_float, help="reference mass (kg) for a compliance check")
     p.add_argument("--axle-config", help="axle configuration code")
-    p.add_argument("--total", type=float, help="measured total (kg) for the GVW check")
+    p.add_argument("--total", type=_finite_float, help="measured total (kg) for the GVW check")
     p.add_argument("--rules-file")
     p.add_argument("--axle-file")
     p.set_defaults(func=_cmd_rules)

@@ -26,12 +26,20 @@ an axis likewise needs a strict majority (ties report balanced).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import InvalidReadingError, UndefinedCogError
 
 QUADRANT_NAMES = ("FL", "FR", "RL", "RR")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,7 @@ class DeckGeometry:
         if self.breadth_m is None:
             object.__setattr__(self, "breadth_m", self.track_m)
         for name in ("wheelbase_m", "track_m", "breadth_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            _require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,8 @@ class AlertPolicy:
     quadrant_threshold_pct: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.overload_threshold_kg <= 0:
-            raise ValueError(f"overload threshold must be > 0, got {self.overload_threshold_kg}")
-        if self.quadrant_threshold_pct <= 0:
-            raise ValueError(f"quadrant threshold must be > 0, got {self.quadrant_threshold_pct}")
+        _require_positive("overload threshold", self.overload_threshold_kg)
+        _require_positive("quadrant threshold", self.quadrant_threshold_pct)
 
 
 #: Named threshold presets. The two-cell deck used 5 kg cells and alerted

@@ -28,9 +28,7 @@ import bisect
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ConfigError,
@@ -39,6 +37,10 @@ from .errors import (
     UncoveredCapacityError,
 )
 from . import kvfile
+
+# numpy is imported inside the functions that use it, to keep imports fast.
+if TYPE_CHECKING:
+    import numpy as np
 
 JURISDICTIONS = ("Kenya", "NewZealand", "US")
 VERIFICATION_KINDS = ("first_time", "re_verification", "acceptance")
@@ -310,6 +312,8 @@ def wim_stats(masses_kg: np.ndarray) -> tuple[float, float]:
 
 
 def _sample_columns(samples: Sequence[MassSample]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     table = np.array(samples, dtype=float).reshape(-1, 2)
     return table[:, 0], np.ascontiguousarray(table[:, 1])
 
@@ -353,6 +357,8 @@ def simulate_weigh_stream(
         duration, sigma = wim_duration_s, noise_sigma_kg * wim_noise_factor
     else:
         raise ValueError(f"mode must be 'static' or 'wim', got {mode!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate_hz))
     dt = 1.0 / sample_rate_hz

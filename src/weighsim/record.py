@@ -1,0 +1,188 @@
+"""Persisted weigh records: the JSON codec and the append-only store.
+
+Records are JSON objects, one per line, appended to `records.ndjson` in
+the data directory. Keys follow the dataclass field order (`to_json`),
+floats round-trip exactly through their shortest repr, and
+`started_at_ms`/`ended_at_ms` are taken from the input frames, so
+identical inputs produce byte-identical lines except for the random
+`record_id`. The data directory resolves in this order: explicit
+argument, the WEIGHSIM_DATA_DIR environment variable, `./weighsim_records`.
+
+No numpy here: reading and re-assessing a record starts fast.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache, partial
+from pathlib import Path
+from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
+
+from .cog import DECKS, AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
+from .errors import RecordParseError
+
+ENV_DATA_DIR = "WEIGHSIM_DATA_DIR"
+DEFAULT_DATA_DIR = "weighsim_records"
+RECORDS_FILENAME = "records.ndjson"
+
+#: The record `kind` of each assessment class, and the class of each kind.
+_KIND = {deck.assessment: deck.kind for deck in DECKS.values()}
+_ASSESSMENT = {deck.kind: deck.assessment for deck in DECKS.values()}
+
+
+def to_json(obj: Any) -> dict:
+    """A dataclass as a JSON-ready dict of its fields in order (an assessment
+    headed by its `kind`), nested dataclasses as dicts, tuples as lists."""
+    names, converted = _codecs(type(obj))
+    values = [getattr(obj, name) for name in names]
+    for i, encode, _ in converted:
+        values[i] = encode(values[i])
+    out = {"kind": _KIND[type(obj)]} if type(obj) in _KIND else {}
+    out.update(zip(names, values))
+    return out
+
+
+def from_json(cls: type, obj: dict) -> Any:
+    """The `cls` that `to_json` wrote as `obj`, its fields passed by position
+    (a record class has no keyword-only field). Keys no field names are ignored."""
+    names, converted = _codecs(cls)
+    values = [obj[name] for name in names]
+    for i, _, decode in converted:
+        values[i] = decode(values[i])
+    return cls(*values)
+
+
+@cache
+def _codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, Callable, Callable], ...]]:
+    """The field names of `cls` in order, and (index, encoder, decoder) of
+    each field whose JSON value is not the field value itself."""
+    hints = get_type_hints(cls)
+    names = tuple(f.name for f in fields(cls))
+    converted = tuple((i, *codec) for i, name in enumerate(names) if (codec := _codec(hints[name])))
+    return names, converted
+
+
+def _codec(hint: Any) -> tuple[Callable, Callable] | None:
+    if get_origin(hint) is tuple:
+        return list, tuple
+    if is_dataclass(hint):
+        return to_json, partial(from_json, hint)
+    if set(get_args(hint)) == set(_ASSESSMENT.values()):
+        return to_json, _assessment_from_json
+    return None
+
+
+def _assessment_from_json(obj: dict) -> LoadAssessment | TwoCellAssessment:
+    if obj["kind"] not in _ASSESSMENT:
+        raise ValueError(f"unknown assessment kind {obj['kind']!r}")
+    return from_json(_ASSESSMENT[obj["kind"]], obj)
+
+
+def json_line(obj: dict) -> str:
+    """`obj` as one compact JSON line."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def assessment_line(a: LoadAssessment | TwoCellAssessment) -> str:
+    return json_line(to_json(a))
+
+
+@dataclass(frozen=True)
+class WeighRecord:
+    """One persisted weighing."""
+
+    record_id: str
+    station_id: str
+    started_at_ms: int
+    ended_at_ms: int
+    mode: str
+    cell_masses_kg: tuple[float, ...]
+    geometry: DeckGeometry
+    policy: AlertPolicy
+    assessment: LoadAssessment | TwoCellAssessment
+    calibration_fingerprint: str
+    compliance: tuple[dict, ...] = ()
+
+    def unsafe(self) -> bool:
+        """True when the record should exit the CLI with code 2."""
+        return is_unsafe(self.assessment) or any(not entry["passed"] for entry in self.compliance)
+
+    def to_line(self) -> str:
+        return json_line(to_json(self))
+
+    @classmethod
+    def from_line(cls, line: str, line_no: int | None = None) -> "WeighRecord":
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordParseError(f"bad record JSON: {exc}", line_no) from None
+        try:
+            return from_json(cls, obj)
+        except (KeyError, TypeError) as exc:
+            raise RecordParseError(f"record missing field: {exc}", line_no) from None
+        except ValueError as exc:
+            raise RecordParseError(str(exc), line_no) from None
+
+    def reassess(self) -> LoadAssessment | TwoCellAssessment:
+        """Recompute the assessment from the stored per-cell masses."""
+        return assess(self.cell_masses_kg, self.geometry, self.policy)
+
+
+class RecordStore:
+    """Append-only newline-delimited record log.
+
+    A crash mid-append can leave a torn final line: one with no trailing
+    newline that is not valid JSON. Reads skip it and keep its line
+    number in `torn_line`; a bad line anywhere else is a RecordParseError.
+    """
+
+    def __init__(self, data_dir: str | Path | None = None):
+        if data_dir is None:
+            data_dir = os.environ.get(ENV_DATA_DIR, DEFAULT_DATA_DIR)
+        self.data_dir = Path(data_dir)
+        self.path = self.data_dir / RECORDS_FILENAME
+        self.torn_line: int | None = None
+
+    def append(self, record: WeighRecord) -> None:
+        self.data_dir.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a") as fh:
+            fh.write(record.to_line() + "\n")
+
+    def _records(self) -> Iterator[WeighRecord]:
+        """Every record in file order, each parsed as its line is read. Lines
+        are numbered as by `splitlines()` of the whole text, blanks included."""
+        self.torn_line = None
+        if not self.path.exists():
+            return
+        line_no = 0
+        with open(self.path) as fh:
+            for physical in fh:
+                lines = physical.splitlines()
+                for k, line in enumerate(lines, 1):
+                    line_no += 1
+                    if not line.strip():
+                        continue
+                    if k == len(lines) and not physical.endswith("\n") and not _is_json(line):
+                        self.torn_line = line_no
+                        continue
+                    yield WeighRecord.from_line(line, line_no)
+
+    def load_all(self) -> list[WeighRecord]:
+        return list(self._records())
+
+    def load(self, record_id: str) -> WeighRecord:
+        """The first record with `record_id`; the lines after it are not read."""
+        for record in self._records():
+            if record.record_id == record_id:
+                return record
+        raise RecordParseError(f"no record {record_id!r} in {self.path}")
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True

@@ -46,11 +46,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import MechanicalOverrangeError
 from . import kvfile
+
+# numpy is imported inside the functions that use it, to keep imports fast.
+if TYPE_CHECKING:
+    import numpy as np
 
 CODE_MIN = -(2**23)
 CODE_MAX = 2**23 - 1
@@ -237,6 +240,8 @@ def add_noise(
     """
     if spec.noise_sigma_mv == 0.0:
         return reading
+    import numpy as np
+
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     noisy = reading.differential_mv + rng.normal(0.0, spec.noise_sigma_mv)

@@ -1,4 +1,4 @@
-"""Station operations: frame ingestion, weigh sessions, persisted records.
+"""Station operations: frame ingestion and weigh sessions.
 
 Wire format is one ADC frame per line, ASCII, comma-separated:
 
@@ -18,32 +18,23 @@ line in input order raises, with the message `parse_frame_line` gives
 for that line alone. `run_session` reduces each cell's column slice:
 code→mass, then the static-window or WIM mean.
 
-Persisted weigh records are JSON objects, one per line, appended to
-`records.ndjson` in the data directory. Keys follow the dataclass field
-order (`to_json`), floats round-trip exactly through their shortest
-repr, and `started_at_ms`/`ended_at_ms` are taken from the input frames,
-so identical inputs produce byte-identical lines except for the random
-`record_id`. The data directory resolves in this order: explicit
-argument, the WEIGHSIM_DATA_DIR environment variable, `./weighsim_records`.
+Records, their JSON codec and the record store live in `weighsim.record`;
+this module re-exports them.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import uuid
-from dataclasses import dataclass, fields, is_dataclass
-from functools import cache, partial
+from dataclasses import dataclass, fields
 from itertools import islice, repeat
-from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence
 
 import numpy as np
 
 # code_to_mass is unused here but stays a module attribute: callers, the
 # benchmark tracer tests among them, look it up on this module.
 from .calibration import CalibrationState, code_to_mass, codes_to_kg  # noqa: F401
-from .cog import DECKS, AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
+from .cog import DECKS, AlertPolicy, DeckGeometry, assess
 from .compliance import (
     AxleConfiguration,
     ToleranceRule,
@@ -53,11 +44,10 @@ from .compliance import (
     within_gvw_limit,
 )
 from .errors import IncompleteStationError, RecordParseError, SequencingError
+# The record layer's names stay importable from here, where they lived first.
+from .record import DEFAULT_DATA_DIR, ENV_DATA_DIR, RECORDS_FILENAME, RecordStore, WeighRecord  # noqa: F401
+from .record import assessment_line, from_json, json_line, to_json  # noqa: F401
 from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS
-
-ENV_DATA_DIR = "WEIGHSIM_DATA_DIR"
-DEFAULT_DATA_DIR = "weighsim_records"
-RECORDS_FILENAME = "records.ndjson"
 
 MODES = ("static", "wim")
 
@@ -308,109 +298,6 @@ def _line_numbers(stripped: list[str], first_no: int | None) -> list[int | None]
     return [None if first_no is None else first_no + k for k, s in enumerate(stripped) if s]
 
 
-#: The record `kind` of each assessment class, and the class of each kind.
-_KIND = {deck.assessment: deck.kind for deck in DECKS.values()}
-_ASSESSMENT = {deck.kind: deck.assessment for deck in DECKS.values()}
-
-
-def to_json(obj: Any) -> dict:
-    """A dataclass as a JSON-ready dict of its fields in order (an assessment
-    headed by its `kind`), nested dataclasses as dicts, tuples as lists."""
-    names, converted = _codecs(type(obj))
-    values = [getattr(obj, name) for name in names]
-    for i, encode, _ in converted:
-        values[i] = encode(values[i])
-    out = {"kind": _KIND[type(obj)]} if type(obj) in _KIND else {}
-    out.update(zip(names, values))
-    return out
-
-
-def from_json(cls: type, obj: dict) -> Any:
-    """The `cls` that `to_json` wrote as `obj`, its fields passed by position
-    (a record class has no keyword-only field). Keys no field names are ignored."""
-    names, converted = _codecs(cls)
-    values = [obj[name] for name in names]
-    for i, _, decode in converted:
-        values[i] = decode(values[i])
-    return cls(*values)
-
-
-@cache
-def _codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, Callable, Callable], ...]]:
-    """The field names of `cls` in order, and (index, encoder, decoder) of
-    each field whose JSON value is not the field value itself."""
-    hints = get_type_hints(cls)
-    names = tuple(f.name for f in fields(cls))
-    converted = tuple((i, *codec) for i, name in enumerate(names) if (codec := _codec(hints[name])))
-    return names, converted
-
-
-def _codec(hint: Any) -> tuple[Callable, Callable] | None:
-    if get_origin(hint) is tuple:
-        return list, tuple
-    if is_dataclass(hint):
-        return to_json, partial(from_json, hint)
-    if set(get_args(hint)) == set(_ASSESSMENT.values()):
-        return to_json, _assessment_from_json
-    return None
-
-
-def _assessment_from_json(obj: dict) -> LoadAssessment | TwoCellAssessment:
-    if obj["kind"] not in _ASSESSMENT:
-        raise ValueError(f"unknown assessment kind {obj['kind']!r}")
-    return from_json(_ASSESSMENT[obj["kind"]], obj)
-
-
-def json_line(obj: dict) -> str:
-    """`obj` as one compact JSON line."""
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def assessment_line(a: LoadAssessment | TwoCellAssessment) -> str:
-    return json_line(to_json(a))
-
-
-@dataclass(frozen=True)
-class WeighRecord:
-    """One persisted weighing."""
-
-    record_id: str
-    station_id: str
-    started_at_ms: int
-    ended_at_ms: int
-    mode: str
-    cell_masses_kg: tuple[float, ...]
-    geometry: DeckGeometry
-    policy: AlertPolicy
-    assessment: LoadAssessment | TwoCellAssessment
-    calibration_fingerprint: str
-    compliance: tuple[dict, ...] = ()
-
-    def unsafe(self) -> bool:
-        """True when the record should exit the CLI with code 2."""
-        return is_unsafe(self.assessment) or any(not entry["passed"] for entry in self.compliance)
-
-    def to_line(self) -> str:
-        return json_line(to_json(self))
-
-    @classmethod
-    def from_line(cls, line: str, line_no: int | None = None) -> "WeighRecord":
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(f"bad record JSON: {exc}", line_no) from None
-        try:
-            return from_json(cls, obj)
-        except (KeyError, TypeError) as exc:
-            raise RecordParseError(f"record missing field: {exc}", line_no) from None
-        except ValueError as exc:
-            raise RecordParseError(str(exc), line_no) from None
-
-    def reassess(self) -> LoadAssessment | TwoCellAssessment:
-        """Recompute the assessment from the stored per-cell masses."""
-        return assess(self.cell_masses_kg, self.geometry, self.policy)
-
-
 def run_session(
     frames: FrameBatch | Iterable[SensorFrameRecord],
     calibrations: Sequence[CalibrationState],
@@ -497,30 +384,3 @@ def run_session(
         calibration_fingerprint="+".join(c.fingerprint() for c in calibrations),
         compliance=tuple(compliance_entries),
     )
-
-
-class RecordStore:
-    """Append-only newline-delimited record log."""
-
-    def __init__(self, data_dir: str | Path | None = None):
-        if data_dir is None:
-            data_dir = os.environ.get(ENV_DATA_DIR, DEFAULT_DATA_DIR)
-        self.data_dir = Path(data_dir)
-        self.path = self.data_dir / RECORDS_FILENAME
-
-    def append(self, record: WeighRecord) -> None:
-        self.data_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(record.to_line() + "\n")
-
-    def load_all(self) -> list[WeighRecord]:
-        if not self.path.exists():
-            return []
-        lines = self.path.read_text().splitlines()
-        return [WeighRecord.from_line(line, i) for i, line in enumerate(lines, 1) if line.strip()]
-
-    def load(self, record_id: str) -> WeighRecord:
-        for record in self.load_all():
-            if record.record_id == record_id:
-                return record
-        raise RecordParseError(f"no record {record_id!r} in {self.path}")

@@ -448,3 +448,66 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 1
+
+
+class TestNonFiniteFlags:
+    """Every float flag rejects nan and inf as a usage error (exit 1)."""
+
+    WEIGH = ["weigh", "--mode", "static", "--frames", "f.txt", "--cal", "c.cfg"]
+    CALIBRATE = ["calibrate", "--cell-spec", "s.cfg", "--out", "c.cfg"]
+    RULES = ["rules", "--jurisdiction", "US"]
+    FLAGS = [
+        (WEIGH, "--wheelbase-m"),
+        (WEIGH, "--track-m"),
+        (WEIGH, "--breadth-m"),
+        (WEIGH, "--reference"),
+        (CALIBRATE + ["--known-mass", "1"], "--temperature"),
+        (CALIBRATE, "--known-mass"),
+        (RULES, "--capacity"),
+        (RULES, "--measured"),
+        (RULES, "--reference"),
+        (RULES, "--total"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", FLAGS, ids=[argv[0] + flag for argv, flag in FLAGS])
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity"])
+    def test_flag_rejects_non_finite(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"error: argument {flag}: not a finite number: {value!r}\n")
+
+    def test_non_numeric_flag_message_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rules", "--jurisdiction", "US", "--capacity", "abc"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith("error: argument --capacity: invalid float value: 'abc'\n")
+
+    def test_weigh_breadth_nan_stores_nothing(self, tmp_path, capsys):
+        # used to exit 0 and store "breadth_m":NaN, which is not JSON
+        frames = tmp_path / "frames.txt"
+        frames.write_text("".join(f"st9,{c},{t},10000,128,0\n" for t in range(0, 15_001, 100) for c in range(2)))
+        cal = tmp_path / "cal.cfg"
+        from weighsim.calibration import CalibrationState
+
+        CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),)).to_file(cal)
+        argv = ["weigh", "--mode", "static", "--cells", "2", "--frames", str(frames), "--cal", str(cal), str(cal)]
+        argv += ["--data-dir", str(tmp_path / "records")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--breadth-m", "nan"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
+        assert len((tmp_path / "records" / "records.ndjson").read_text().splitlines()) == 1
+
+    def test_rules_total_nan(self, capsys):
+        # used to print "measured_kg":NaN and exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["rules", "--axle-config", "7", "--total", "nan"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith("error: argument --total: not a finite number: 'nan'\n")

@@ -210,3 +210,15 @@ def test_geometry_validation():
         DeckGeometry(0.0, 1.5)
     with pytest.raises(ValueError):
         AlertPolicy(overload_threshold_kg=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_geometry_and_policy_are_rejected(value):
+    # nan <= 0 is False, so a plain sign check let these through
+    for name in ("wheelbase_m", "track_m", "breadth_m"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DeckGeometry(**{"wheelbase_m": 2.0, "track_m": 1.5, name: value})
+    with pytest.raises(ValueError, match="overload threshold must be finite"):
+        AlertPolicy(overload_threshold_kg=value)
+    with pytest.raises(ValueError, match="quadrant threshold must be finite"):
+        AlertPolicy(overload_threshold_kg=400.0, quadrant_threshold_pct=value)

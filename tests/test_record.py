@@ -1,0 +1,133 @@
+"""The record store: streaming lookups and the torn final line."""
+
+import json
+
+import pytest
+
+from weighsim.calibration import CalibrationState
+from weighsim.cli import main
+from weighsim.cog import DeckGeometry, POLICIES
+from weighsim.errors import RecordParseError
+from weighsim.station import RecordStore, SensorFrameRecord, WeighRecord, run_session
+
+CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),))
+
+
+def make_record(code=100_000):
+    frames = [SensorFrameRecord("st1", cell, i * 100, code) for cell in range(4) for i in range(151)]
+    return run_session(frames, [CAL] * 4, "static", POLICIES["prototype2"], DeckGeometry(2.0, 1.5))
+
+
+@pytest.fixture
+def store(tmp_path):
+    """A store holding three records."""
+    store = RecordStore(tmp_path / "data")
+    for code in (100_000, 110_000, 120_000):
+        store.append(make_record(code))
+    return store
+
+
+def ids(store):
+    return [json.loads(line)["record_id"] for line in store.path.read_text().splitlines()]
+
+
+def tear(store):
+    """Append the first half of a record without its newline, as a crash mid-append leaves it."""
+    with open(store.path, "a") as fh:
+        fh.write(make_record().to_line()[:200])
+
+
+class TestTornFinalLine:
+    def test_load_all_and_load_skip_it(self, store):
+        records = store.load_all()
+        tear(store)
+        assert store.load_all() == records
+        assert store.torn_line == 4
+        assert store.load(records[-1].record_id) == records[-1]
+
+    def test_missing_id_still_fails(self, store):
+        tear(store)
+        with pytest.raises(RecordParseError, match="no record 'deadbeef'"):
+            store.load("deadbeef")
+        assert store.torn_line == 4
+
+    def test_torn_line_after_blank_lines_is_numbered_in_the_file(self, store):
+        with open(store.path, "a") as fh:
+            fh.write("\n\n{\"record_id\": ")
+        assert len(store.load_all()) == 3
+        assert store.torn_line == 6
+
+    def test_clean_store_has_no_torn_line(self, store):
+        store.load_all()
+        assert store.torn_line is None
+
+    @pytest.mark.parametrize(
+        "tail, line_no",
+        [
+            ("not json\n", 4),  # a bad line that ends in a newline was written whole
+            ('{"record_id": "x"}', 4),  # valid JSON, so not torn: a bad record
+            ("not json\n" + "{}", 4),  # the bad line is not the last one
+        ],
+    )
+    def test_other_bad_lines_still_raise(self, store, tail, line_no):
+        with open(store.path, "a") as fh:
+            fh.write(tail)
+        with pytest.raises(RecordParseError, match=f"^line {line_no}: "):
+            store.load_all()
+
+    def test_bad_middle_line_raises(self, store):
+        lines = store.path.read_text().splitlines()
+        store.path.write_text("\n".join([lines[0], lines[1][:100], lines[2]]))
+        with pytest.raises(RecordParseError, match="^line 2: bad record JSON"):
+            store.load_all()
+
+    def test_assess_output_is_unchanged_by_a_torn_line(self, store, capsys):
+        argv = ["assess", ids(store)[2], "--data-dir", str(store.data_dir)]
+        code = main(argv)
+        clean = capsys.readouterr()
+        tear(store)
+        assert main(argv) == code
+        assert capsys.readouterr() == clean
+
+    def test_assess_reports_the_torn_line_it_reads(self, store, capsys):
+        tear(store)
+        assert main(["assess", "deadbeef", "--data-dir", str(store.data_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"weighsim: warning: {store.path}:4: skipped a torn final line\n"
+            f"weighsim: error: no record 'deadbeef' in {store.path}\n"
+        )
+
+
+class TestStreamingLookup:
+    def test_parses_only_up_to_the_match(self, store, monkeypatch):
+        parsed = []
+        real = WeighRecord.from_line.__func__
+
+        def counting(cls, line, line_no=None):
+            parsed.append(line_no)
+            return real(cls, line, line_no)
+
+        monkeypatch.setattr(WeighRecord, "from_line", classmethod(counting))
+        assert store.load(ids(store)[1]).record_id == ids(store)[1]
+        assert parsed == [1, 2]
+
+    def test_corrupt_line_after_the_match_is_not_read(self, store):
+        first = ids(store)[0]
+        with open(store.path, "a") as fh:
+            fh.write("not json\n")
+        assert store.load(first).record_id == first
+        with pytest.raises(RecordParseError, match="^line 4: "):
+            store.load("deadbeef")
+
+    def test_corrupt_line_before_the_match_raises(self, store):
+        lines = store.path.read_text().splitlines()
+        store.path.write_text("\n".join([lines[0], "not json", lines[1], ""]))
+        with pytest.raises(RecordParseError, match="^line 2: "):
+            store.load(json.loads(lines[1])["record_id"])
+
+    def test_line_numbers_match_splitlines_of_the_whole_text(self, store):
+        # \x1c separates lines for str.splitlines, though not for file iteration
+        lines = store.path.read_text().splitlines()
+        store.path.write_text(lines[0] + "\x1c\n" + lines[1] + "\x1cnot json\n")
+        with pytest.raises(RecordParseError, match="^line 4: "):
+            store.load_all()
