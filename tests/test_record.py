@@ -131,3 +131,38 @@ class TestStreamingLookup:
         store.path.write_text(lines[0] + "\x1c\n" + lines[1] + "\x1cnot json\n")
         with pytest.raises(RecordParseError, match="^line 4: "):
             store.load_all()
+
+
+class TestAssessFile:
+    """`assess PATH`: a record file named on the command line."""
+
+    @pytest.fixture
+    def lines(self, store):
+        # totals 400 kg (safe), 440 and 480 kg (overloaded)
+        return store.path.read_text().splitlines()
+
+    def assess(self, capsys, *argv):
+        code = main(["assess", *map(str, argv)])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_one_record(self, tmp_path, lines, capsys):
+        path = tmp_path / "one.ndjson"
+        path.write_text(lines[0] + "\n")
+        assert self.assess(capsys, path) == (0, lines[0] + "\n", "")
+
+    def test_several_records_print_the_last(self, store, lines, capsys):
+        assert self.assess(capsys, store.path) == (2, lines[2] + "\n", "")
+
+    def test_record_id_picks_its_record(self, store, lines, capsys):
+        assert self.assess(capsys, store.path, "--record-id", ids(store)[0]) == (0, lines[0] + "\n", "")
+
+    def test_unknown_record_id(self, store, capsys):
+        assert self.assess(capsys, store.path, "--record-id", "deadbeef") == (
+            1, "", f"weighsim: error: no record 'deadbeef' in {store.path}\n"
+        )
+
+    def test_file_without_records(self, tmp_path, capsys):
+        path = tmp_path / "empty.ndjson"
+        path.write_text("\n  \n")
+        assert self.assess(capsys, path) == (1, "", f"weighsim: error: {path} holds no records\n")
