@@ -42,7 +42,9 @@ for code, total in [("2", 17_500.0), ("2A", 18_000.0), ("7", 56_000.0), ("7", 56
 print("\nstatic vs weigh-in-motion, 50 paired seeded runs, true mass 12,000 kg:")
 static_errs, wim_errs = [], []
 for seed in range(50):
-    static_errs.append(abs(static_weigh(simulate_weigh_stream(12_000.0, "static", 1.0, seed)) - 12_000.0))
-    wim_errs.append(abs(wim_weigh(simulate_weigh_stream(12_000.0, "wim", 1.0, seed + 999))[0] - 12_000.0))
+    times_s, masses_kg = simulate_weigh_stream(12_000.0, "static", 1.0, seed)
+    static_errs.append(abs(static_weigh(times_s, masses_kg) - 12_000.0))
+    _, masses_kg = simulate_weigh_stream(12_000.0, "wim", 1.0, seed + 999)
+    wim_errs.append(abs(wim_weigh(masses_kg)[0] - 12_000.0))
 print(f"  mean |error| static: {np.mean(static_errs):.3f} kg")
 print(f"  mean |error| wim:    {np.mean(wim_errs):.3f} kg")

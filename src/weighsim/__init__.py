@@ -16,14 +16,14 @@ from importlib import import_module
 _NAMES = {
     "errors": "WeighSimError",
     "sensor": "AdcConfig AdcFrame BridgeReading FOUR_CELL_120KG LoadCellSpec TWO_CELL_5KG"
-    " add_noise bridge_output dequantize quantize",
+    " add_noise bridge_output quantize",
     "codec": "BitTrace decode_frame encode_frame",
     "calibration": "CalibrationState MassReading calibrate code_to_mass tare",
     "cog": "AlertPolicy DeckGeometry FourCellReading LoadAssessment POLICIES TwoCellAssessment"
     " TwoCellReading assess_four_cell assess_two_cell classify lateral_offset_two_cell policy"
     " render_lcd total_weight_two_cell",
     "compliance": "AXLE_CONFIGURATIONS AxleConfiguration ComplianceResult KENYA_FIRST_TIME"
-    " KENYA_REVERIFICATION NZ_BAND ToleranceRule US_HANDBOOK44 builtin_rule check_compliance"
+    " KENYA_REVERIFICATION NZ_BAND ToleranceRule US_HANDBOOK44 check_compliance"
     " max_permissible_error simulate_weigh_stream static_weigh wim_weigh within_gvw_limit",
     "scenario": "Placement Scenario centroid corner_loads ideal_calibration run_end_to_end total_mass",
     "record": "RecordStore WeighRecord",

@@ -14,6 +14,7 @@ alarm band ±10 °C).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -25,6 +26,7 @@ from .errors import (
     InsufficientSamplesError,
     InvertedWiringError,
     TareRangeError,
+    require_positive,
 )
 from .sensor import CODE_MAX, CODE_MIN, AdcFrame
 from . import kvfile
@@ -48,8 +50,9 @@ class CalibrationState:
     def __post_init__(self) -> None:
         if not CODE_MIN <= self.tare_code <= CODE_MAX:
             raise TareRangeError(f"tare code {self.tare_code} outside signed 24-bit range")
-        if self.scale_kg_per_lsb <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale_kg_per_lsb}")
+        require_positive("scale", self.scale_kg_per_lsb)
+        if not math.isfinite(self.calibrated_at_temp_c):
+            raise ValueError(f"calibration temperature must be finite, got {self.calibrated_at_temp_c}")
         if len(self.reference_points) < 1:
             raise ValueError("need at least one reference point beyond tare")
 

@@ -25,7 +25,7 @@ from .compliance import AXLE_CONFIGURATIONS, BUILTIN_RULES, AxleConfiguration, T
 from .compliance import check_compliance, load_axle_table, load_tolerance_rules, max_permissible_error
 from .compliance import within_gvw_limit
 from .errors import FrameError, RecordParseError, WeighSimError
-from .record import RecordStore, WeighRecord, json_line, to_json
+from .record import RecordStore, json_line, to_json
 
 EXIT_SAFE = 0
 EXIT_ERROR = 1
@@ -138,26 +138,23 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
+    # An existing path is a record file: its last record, or the last with --record-id.
     path = Path(args.record)
-    if path.exists():
-        lines = [l for l in path.read_text().splitlines() if l.strip()]
-        if not lines:
-            raise RecordParseError(f"{path} holds no records")
-        record = None
-        for i, line in enumerate(lines, 1):
-            candidate = WeighRecord.from_line(line, i)
-            if args.record_id is None or candidate.record_id == args.record_id:
-                record = candidate
-        if record is None:
-            raise RecordParseError(f"no record {args.record_id!r} in {path}")
-    else:
-        store = RecordStore(args.data_dir)
-        try:
+    is_file = path.exists()
+    store = RecordStore(path.parent, path.name) if is_file else RecordStore(args.data_dir)
+    try:
+        if not is_file:
             record = store.load(args.record)
-        finally:
-            if store.torn_line is not None:
-                warning = f"{store.path}:{store.torn_line}: skipped a torn final line"
-                print(f"weighsim: warning: {warning}", file=sys.stderr)
+        elif not (records := store.load_all()):
+            raise RecordParseError(f"{path} holds no records")
+        elif not (matches := [r for r in records if args.record_id in (None, r.record_id)]):
+            raise RecordParseError(f"no record {args.record_id!r} in {path}")
+        else:
+            record = matches[-1]
+    finally:
+        if store.torn_line is not None:
+            warning = f"{store.path}:{store.torn_line}: skipped a torn final line"
+            print(f"weighsim: warning: {warning}", file=sys.stderr)
     recomputed = record.reassess()
     if recomputed != record.assessment:
         stored, again = to_json(record.assessment), to_json(recomputed)

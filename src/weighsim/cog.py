@@ -26,20 +26,12 @@ an axis likewise needs a strict majority (ties report balanced).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import InvalidReadingError, UndefinedCogError
+from .errors import InvalidReadingError, UndefinedCogError, require_positive
 
 QUADRANT_NAMES = ("FL", "FR", "RL", "RR")
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,7 @@ class DeckGeometry:
         if self.breadth_m is None:
             object.__setattr__(self, "breadth_m", self.track_m)
         for name in ("wheelbase_m", "track_m", "breadth_m"):
-            _require_positive(name, getattr(self, name))
+            require_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -105,8 +97,8 @@ class AlertPolicy:
     quadrant_threshold_pct: float = 30.0
 
     def __post_init__(self) -> None:
-        _require_positive("overload threshold", self.overload_threshold_kg)
-        _require_positive("quadrant threshold", self.quadrant_threshold_pct)
+        require_positive("overload threshold", self.overload_threshold_kg)
+        require_positive("quadrant threshold", self.quadrant_threshold_pct)
 
 
 #: Named threshold presets. The two-cell deck used 5 kg cells and alerted
@@ -199,7 +191,7 @@ def assess_four_cell(r: FourCellReading, geom: DeckGeometry, policy: AlertPolicy
 
     The total is formed from the front/rear sector sums so that the
     front+rear identity holds bit-exactly; the left/right grouping agrees
-    to the last unit of floating-point precision.
+    to within 2 units in the last place.
     """
     front = r.fl_kg + r.fr_kg
     rear = r.rl_kg + r.rr_kg

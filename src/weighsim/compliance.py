@@ -28,13 +28,14 @@ import bisect
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
     InsufficientDurationError,
     NoVehicleError,
     UncoveredCapacityError,
+    require_positive,
 )
 from . import kvfile
 
@@ -51,10 +52,6 @@ STATIC_WINDOW_S = 15.0
 #: WIM simulation defaults: pass-over duration and noise amplification.
 WIM_PASS_DURATION_S = 1.5
 WIM_NOISE_FACTOR = 5.0
-
-#: A timestamped mass sample: (time in seconds, mass in kg).
-MassSample = tuple[float, float]
-
 
 @dataclass(frozen=True)
 class ToleranceRule:
@@ -86,14 +83,21 @@ class ToleranceRule:
         )
         if shapes != 1:
             raise ValueError("exactly one of anchors / band / percent must be given")
-        if self.anchor_points_t_kg:
-            caps = [c for c, _ in self.anchor_points_t_kg]
-            if sorted(set(caps)) != caps:
-                raise ValueError("anchor capacities must be strictly increasing")
-            if any(err <= 0 for _, err in self.anchor_points_t_kg):
-                raise ValueError("anchor max errors must be > 0")
-        if self.band_t is not None and self.band_error_kg is None:
-            raise ValueError("band rules need band_error_kg")
+        for cap, err in self.anchor_points_t_kg:
+            require_positive("anchor capacity", cap)
+            require_positive("anchor max error", err)
+        caps = [c for c, _ in self.anchor_points_t_kg]
+        if sorted(set(caps)) != caps:
+            raise ValueError("anchor capacities must be strictly increasing")
+        if self.band_t is not None:
+            if self.band_error_kg is None:
+                raise ValueError("band rules need band_error_kg")
+            require_positive("band max error", self.band_error_kg)
+            lo, hi = self.band_t
+            if not 0 <= lo <= hi:
+                raise ValueError(f"band must satisfy 0 <= low <= high, got {self.band_t}")
+        if self.percent_of_load is not None:
+            require_positive("percent of load", self.percent_of_load)
 
 
 KENYA_REVERIFICATION = ToleranceRule(
@@ -124,16 +128,6 @@ BUILTIN_RULES = {
     ("NewZealand", "acceptance"): NZ_BAND,
     ("US", "acceptance"): US_HANDBOOK44,
 }
-
-
-def builtin_rule(jurisdiction: str, verification_kind: str) -> ToleranceRule:
-    try:
-        return BUILTIN_RULES[(jurisdiction, verification_kind)]
-    except KeyError:
-        known = ", ".join(f"{j}/{k}" for j, k in sorted(BUILTIN_RULES))
-        raise ValueError(
-            f"no built-in rule for {jurisdiction}/{verification_kind}; known: {known}"
-        ) from None
 
 
 def max_permissible_error(rule: ToleranceRule, capacity_or_load_t: float) -> float:
@@ -211,8 +205,7 @@ class AxleConfiguration:
     gvw_limit_kg: float
 
     def __post_init__(self) -> None:
-        if self.gvw_limit_kg <= 0:
-            raise ValueError(f"GVW limit must be > 0, got {self.gvw_limit_kg}")
+        require_positive("GVW limit", self.gvw_limit_kg)
         if self.axle_count < 2:
             raise ValueError(f"axle count must be >= 2, got {self.axle_count}")
 
@@ -290,8 +283,15 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
 # -- weighing modes ----------------------------------------------------------
 
 
-def static_mean(times_s: np.ndarray, masses_kg: np.ndarray, window_s: float = STATIC_WINDOW_S) -> float:
-    """`static_weigh` over time-ordered columns of sample times and masses."""
+def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray, window_s: float = STATIC_WINDOW_S) -> float:
+    """Mean of the samples in the trailing window of a static weighing.
+
+    Samples are columns of times (s) and masses (kg) and must be
+    time-ordered (the ingestion path guarantees this).
+    The stream must span at least the window. The window is half-open,
+    (t_end - window, t_end], so a stream spanning exactly the window
+    contributes everything after its first sample.
+    """
     if not len(times_s):
         raise InsufficientDurationError("empty stream")
     span = times_s[-1] - times_s[0]
@@ -302,36 +302,13 @@ def static_mean(times_s: np.ndarray, masses_kg: np.ndarray, window_s: float = ST
     return float(masses_kg[times_s > times_s[-1] - window_s].mean())
 
 
-def wim_stats(masses_kg: np.ndarray) -> tuple[float, float]:
-    """`wim_weigh` over a column of sample masses."""
+def wim_weigh(masses_kg: np.ndarray) -> tuple[float, float]:
+    """Mean and sample variance over a column of pass-over segment masses."""
     if not len(masses_kg):
         raise NoVehicleError("no samples in the pass-over segment")
     mean = float(masses_kg.mean())
     var = float(masses_kg.var(ddof=1)) if len(masses_kg) > 1 else 0.0
     return mean, var
-
-
-def _sample_columns(samples: Sequence[MassSample]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    table = np.array(samples, dtype=float).reshape(-1, 2)
-    return table[:, 0], np.ascontiguousarray(table[:, 1])
-
-
-def static_weigh(samples: Sequence[MassSample], window_s: float = STATIC_WINDOW_S) -> float:
-    """Mean of the samples in the trailing window of a static weighing.
-
-    Samples must be time-ordered (the ingestion path guarantees this).
-    The stream must span at least the window. The window is half-open,
-    (t_end - window, t_end], so a stream spanning exactly the window
-    contributes everything after its first sample.
-    """
-    return static_mean(*_sample_columns(samples), window_s)
-
-
-def wim_weigh(samples: Sequence[MassSample]) -> tuple[float, float]:
-    """Mean and sample variance over a pass-over segment."""
-    return wim_stats(_sample_columns(samples)[1])
 
 
 def simulate_weigh_stream(
@@ -343,8 +320,9 @@ def simulate_weigh_stream(
     static_duration_s: float = STATIC_WINDOW_S,
     wim_duration_s: float = WIM_PASS_DURATION_S,
     wim_noise_factor: float = WIM_NOISE_FACTOR,
-) -> list[MassSample]:
-    """Synthesize the per-mode measurement stream for one vehicle.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesize the per-mode measurement stream for one vehicle, as
+    columns of sample times (s) and masses (kg).
 
     Static mode: `static_duration_s` of samples at `noise_sigma_kg`.
     WIM mode: a short `wim_duration_s` pass with noise amplified by
@@ -363,4 +341,4 @@ def simulate_weigh_stream(
     n = int(round(duration * sample_rate_hz))
     dt = 1.0 / sample_rate_hz
     noise = rng.normal(0.0, sigma, size=n + 1) if sigma > 0 else np.zeros(n + 1)
-    return [(i * dt, true_mass_kg + noise[i]) for i in range(n + 1)]
+    return np.arange(n + 1) * dt, true_mass_kg + noise

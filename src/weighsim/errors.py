@@ -1,8 +1,18 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the finite-and-positive check of the dataclasses.
 
 Every failure the library signals deliberately derives from WeighSimError,
 so callers (and the CLI, which maps them to exit code 1) can catch one type.
 """
+
+import math
+
+
+def require_positive(name: str, value: float, error: type[Exception] = ValueError) -> None:
+    """Raise `error` unless `value` is a finite number > 0 (NaN fails both)."""
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise error(f"{name} must be > 0, got {value}")
 
 
 class WeighSimError(Exception):

@@ -131,18 +131,18 @@ class WeighRecord:
 
 
 class RecordStore:
-    """Append-only newline-delimited record log.
+    """Append-only newline-delimited record log, `filename` in `data_dir`.
 
     A crash mid-append can leave a torn final line: one with no trailing
     newline that is not valid JSON. Reads skip it and keep its line
     number in `torn_line`; a bad line anywhere else is a RecordParseError.
     """
 
-    def __init__(self, data_dir: str | Path | None = None):
+    def __init__(self, data_dir: str | Path | None = None, filename: str = RECORDS_FILENAME):
         if data_dir is None:
             data_dir = os.environ.get(ENV_DATA_DIR, DEFAULT_DATA_DIR)
         self.data_dir = Path(data_dir)
-        self.path = self.data_dir / RECORDS_FILENAME
+        self.path = self.data_dir / filename
         self.torn_line: int | None = None
 
     def append(self, record: WeighRecord) -> None:

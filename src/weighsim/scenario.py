@@ -36,7 +36,7 @@ import numpy as np
 
 from .calibration import CalibrationState, calibrate, code_to_mass, tare
 from .cog import AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
-from .errors import ConfigError, InvalidPlacementError, UndefinedCentroidError
+from .errors import ConfigError, InvalidPlacementError, UndefinedCentroidError, require_positive
 from .sensor import AdcConfig, LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
@@ -66,8 +66,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for p in self.placements:
-            if p.mass_kg <= 0:
-                raise InvalidPlacementError(f"placement mass must be > 0, got {p.mass_kg}")
+            require_positive("placement mass", p.mass_kg, InvalidPlacementError)
             if not 0.0 <= p.x_m <= self.geometry.wheelbase_m:
                 raise InvalidPlacementError(
                     f"x={p.x_m} m outside deck [0, {self.geometry.wheelbase_m}]"

@@ -44,11 +44,12 @@ implementer-chosen placeholders, not characterized hardware values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import MechanicalOverrangeError
+from .errors import MechanicalOverrangeError, require_positive
 from . import kvfile
 
 # numpy is imported inside the functions that use it, to keep imports fast.
@@ -93,12 +94,12 @@ class LoadCellSpec:
     reference_temp_c: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.capacity_kg <= 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity_kg}")
-        if self.excitation_v <= 0:
-            raise ValueError(f"excitation must be > 0, got {self.excitation_v}")
-        if self.rated_output_mv_v <= 0:
-            raise ValueError(f"rated output must be > 0, got {self.rated_output_mv_v}")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        require_positive("capacity", self.capacity_kg)
+        require_positive("excitation", self.excitation_v)
+        require_positive("rated output", self.rated_output_mv_v)
         if self.noise_sigma_mv < 0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_mv}")
         if abs(self.nonlinearity) >= 0.05:
@@ -138,6 +139,14 @@ class BridgeReading:
     timestamp_ms: int = 0
 
 
+def _check_gain_channel(gain: int, channel: str) -> None:
+    """Raise unless (gain, channel) is one of the converter's three settings."""
+    if gain not in GAIN_CHANNELS:
+        raise ValueError(f"gain must be one of {sorted(GAIN_CHANNELS)}, got {gain}")
+    if GAIN_CHANNELS[gain] != channel:
+        raise ValueError(f"gain {gain} is only valid on channel {GAIN_CHANNELS[gain]!r}, got {channel!r}")
+
+
 @dataclass(frozen=True)
 class AdcConfig:
     """Converter configuration for one conversion.
@@ -151,15 +160,9 @@ class AdcConfig:
     sample_rate_hz: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.gain not in GAIN_CHANNELS:
-            raise ValueError(f"gain must be one of {sorted(GAIN_CHANNELS)}, got {self.gain}")
-        if GAIN_CHANNELS[self.gain] != self.channel:
-            raise ValueError(
-                f"gain {self.gain} is only valid on channel {GAIN_CHANNELS[self.gain]!r},"
-                f" got {self.channel!r}"
-            )
-        if self.vref_v <= 0:
-            raise ValueError(f"vref must be > 0, got {self.vref_v}")
+        _check_gain_channel(self.gain, self.channel)
+        require_positive("vref", self.vref_v)
+        require_positive("sample rate", self.sample_rate_hz)
 
     @property
     def full_scale_mv(self) -> float:
@@ -183,12 +186,7 @@ class AdcFrame:
     def __post_init__(self) -> None:
         if not CODE_MIN <= self.code <= CODE_MAX:
             raise ValueError(f"code {self.code} outside signed 24-bit range")
-        if self.gain not in GAIN_CHANNELS:
-            raise ValueError(f"gain must be one of {sorted(GAIN_CHANNELS)}, got {self.gain}")
-        if GAIN_CHANNELS[self.gain] != self.channel:
-            raise ValueError(
-                f"gain {self.gain} is only valid on channel {GAIN_CHANNELS[self.gain]!r}"
-            )
+        _check_gain_channel(self.gain, self.channel)
 
     @classmethod
     def from_code(cls, code: int, gain: int = 128, channel: str = "A") -> "AdcFrame":
@@ -260,12 +258,3 @@ def quantize(reading: BridgeReading, adc: AdcConfig | None = None) -> AdcFrame:
     code = max(CODE_MIN, min(CODE_MAX, code))
     return AdcFrame.from_code(code, gain=adc.gain, channel=adc.channel)
 
-
-def dequantize(frame: AdcFrame, adc: AdcConfig) -> float:
-    """Voltage (mV) a code corresponds to; inverse of `quantize` up to 1 LSB."""
-    return frame.code / 2**23 * adc.full_scale_mv
-
-
-def lsb_mv(adc: AdcConfig) -> float:
-    """Size of one quantization step in mV."""
-    return adc.full_scale_mv / 2**23

@@ -18,8 +18,7 @@ line in input order raises, with the message `parse_frame_line` gives
 for that line alone. `run_session` reduces each cell's column slice:
 code→mass, then the static-window or WIM mean.
 
-Records, their JSON codec and the record store live in `weighsim.record`;
-this module re-exports them.
+Records, their JSON codec and the record store live in `weighsim.record`.
 """
 
 from __future__ import annotations
@@ -31,22 +30,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# code_to_mass is unused here but stays a module attribute: callers, the
-# benchmark tracer tests among them, look it up on this module.
+# code_to_mass, RecordStore and assessment_line are unused here but stay module
+# attributes: callers, the benchmark among them, look them up on this module.
 from .calibration import CalibrationState, code_to_mass, codes_to_kg  # noqa: F401
 from .cog import DECKS, AlertPolicy, DeckGeometry, assess
 from .compliance import (
     AxleConfiguration,
     ToleranceRule,
     check_compliance,
-    static_mean,
-    wim_stats,
+    static_weigh,
+    wim_weigh,
     within_gvw_limit,
 )
 from .errors import IncompleteStationError, RecordParseError, SequencingError
-# The record layer's names stay importable from here, where they lived first.
-from .record import DEFAULT_DATA_DIR, ENV_DATA_DIR, RECORDS_FILENAME, RecordStore, WeighRecord  # noqa: F401
-from .record import assessment_line, from_json, json_line, to_json  # noqa: F401
+from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
 from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS
 
 MODES = ("static", "wim")
@@ -131,11 +128,6 @@ class FrameBatch:
     def __len__(self) -> int:
         return len(self.station)
 
-    def row(self, i: int) -> SensorFrameRecord:
-        return SensorFrameRecord(
-            self.station_ids[self.station[i]], *(getattr(self, c)[i].item() for c in _COLUMNS)
-        )
-
     @classmethod
     def from_columns(cls, stations: Sequence[str], *columns: np.ndarray) -> "FrameBatch":
         """Batch from per-row station ids and the other five columns in field order."""
@@ -183,13 +175,6 @@ class FrameIngestor:
     def __init__(self, cell_count: int = 4):
         self.cell_count = cell_count
         self._last_ts: dict[tuple[str, int], int] = {}
-
-    def ingest(self, line: str, line_no: int | None = None) -> SensorFrameRecord:
-        """Ingest one non-blank line."""
-        batch = self.ingest_lines([line], line_no)
-        if not len(batch):
-            parse_frame_line(line, line_no, self.cell_count)  # raises for the blank line
-        return batch.row(0)
 
     def ingest_lines(self, lines: Iterable[str], start: int | None = 1) -> FrameBatch:
         """Parse and order-check `lines` (any iterable, e.g. an open file).
@@ -350,9 +335,9 @@ def run_session(
         hi = lo + count
         masses = codes_to_kg(codes[lo:hi], cal)
         if mode == "static":
-            cell_masses.append(static_mean(times_s[lo:hi], masses))
+            cell_masses.append(static_weigh(times_s[lo:hi], masses))
         else:
-            cell_masses.append(wim_stats(masses)[0])
+            cell_masses.append(wim_weigh(masses)[0])
         lo = hi
 
     assessment = assess(cell_masses, geometry, policy)

@@ -174,14 +174,14 @@ def test_criterion_8_static_beats_wim():
     static_errs, wim_errs = [], []
     for seed in range(120):
         true = float(600.0 + 37.0 * seed % 4000)
-        static = static_weigh(simulate_weigh_stream(true, "static", 1.0, seed))
-        wim, _ = wim_weigh(simulate_weigh_stream(true, "wim", 1.0, seed + 500_000))
+        static = static_weigh(*simulate_weigh_stream(true, "static", 1.0, seed))
+        wim, _ = wim_weigh(simulate_weigh_stream(true, "wim", 1.0, seed + 500_000)[1])
         static_errs.append(abs(static - true))
         wim_errs.append(abs(wim - true))
     assert float(np.mean(static_errs)) < float(np.mean(wim_errs))
     # static mode refuses anything shorter than its 15 s window
     with pytest.raises(InsufficientDurationError):
-        static_weigh([(t / 10.0, 500.0) for t in range(100)])
+        static_weigh(np.arange(100) / 10.0, np.full(100, 500.0))
     report(
         8,
         f"mean |err| static {np.mean(static_errs):.3f} kg < wim {np.mean(wim_errs):.3f} kg;"

@@ -121,6 +121,14 @@ def test_state_validation():
         CalibrationState(tare_code=0, scale_kg_per_lsb=1e-4, reference_points=())
 
 
+@pytest.mark.parametrize("field", ["scale_kg_per_lsb", "calibrated_at_temp_c"])
+def test_state_rejects_nan(field):
+    # a NaN scale passed `<= 0` and turned every code into a NaN mass
+    kwargs = {"tare_code": 0, "scale_kg_per_lsb": 1e-4, "reference_points": ((1.0, 100),), field: float("nan")}
+    with pytest.raises(ValueError, match="must be finite, got nan"):
+        CalibrationState(**kwargs)
+
+
 def write_calibration(path, tare_code):
     path.write_text(f"tare_code = {tare_code}\nscale_kg_per_lsb = 1e-4\nref_mass_kg_0 = 1.0\nref_code_0 = 100\n")
     return path

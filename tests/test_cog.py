@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weighsim.cog import (
     AlertPolicy,
@@ -111,11 +111,23 @@ class TestFourCell:
             FourCellReading(1.0, 1.0, -0.5, 1.0)
 
     @given(masses, masses, masses, masses)
+    @example(319.4994880988804, 704.5200639178316, 705.300069472294, 0.0)  # 2 ulp apart
     def test_sector_consistency(self, fl, fr, rl, rr):
         a = assess_four_cell(FourCellReading(fl, fr, rl, rr), GEOM, P2)
         assert a.front_kg + a.rear_kg == a.total_kg
-        # the left/right grouping agrees to the last float ulp
-        assert abs((a.left_kg + a.right_kg) - a.total_kg) <= math.ulp(a.total_kg)
+        # The two groupings T = (fl+fr)+(rl+rr) and S = (fl+rl)+(fr+rr) of four
+        # doubles >= 0, rounded to nearest without underflow. Let s be the exact
+        # sum, 2**e <= s < 2**(e+1), and q = 2**(e-52) the ulp of that binade.
+        # - The pair sums are each <= s, so each rounds by at most q/2; they
+        #   cannot both be >= 2**e, so one rounds by at most q/4: 3q/4 together.
+        # - Rounding the final sum adds at most q/2. So each grouping lies
+        #   within 5q/4 of s, and one below 2**e (spacing q/2) within q.
+        # - If S and T are both >= 2**e they are multiples of q, and
+        #   |S - T| <= 5q/2 gives <= 2q. If one is below, |S - T| <= 9q/4 is a
+        #   multiple of q/2, so again <= 2q. If both are below, |S - T| < q.
+        # In every case |S - T| <= 2 ulp(max(S, T)), and the example reaches it.
+        lr_total = a.left_kg + a.right_kg
+        assert abs(lr_total - a.total_kg) <= 2 * math.ulp(max(lr_total, a.total_kg))
 
     @given(masses, masses, masses, masses)
     def test_percentages_sum_to_100(self, fl, fr, rl, rr):

@@ -4,12 +4,13 @@ from hypothesis import given, strategies as st
 
 from weighsim.compliance import (
     AXLE_CONFIGURATIONS,
+    AxleConfiguration,
+    BUILTIN_RULES,
     KENYA_FIRST_TIME,
     KENYA_REVERIFICATION,
     NZ_BAND,
     ToleranceRule,
     US_HANDBOOK44,
-    builtin_rule,
     check_compliance,
     load_axle_table,
     load_tolerance_rules,
@@ -67,9 +68,8 @@ class TestToleranceFigures:
         )
 
     def test_builtin_lookup(self):
-        assert builtin_rule("Kenya", "re_verification") is KENYA_REVERIFICATION
-        with pytest.raises(ValueError):
-            builtin_rule("Kenya", "acceptance")
+        assert BUILTIN_RULES[("Kenya", "re_verification")] is KENYA_REVERIFICATION
+        assert ("Kenya", "acceptance") not in BUILTIN_RULES
 
 
 class TestCheckCompliance:
@@ -141,61 +141,101 @@ def test_rule_validation():
         ToleranceRule("Elsewhere", "acceptance", percent_of_load=0.001)
 
 
+TIMES_S = np.arange(151) * 0.1
+
+
 class TestStaticWeigh:
     def test_constant_stream(self):
-        stream = [(t * 0.1, 500.0) for t in range(151)]
-        assert static_weigh(stream) == 500.0
+        assert static_weigh(TIMES_S, np.full(151, 500.0)) == 500.0
 
     def test_alternating_symmetric_mean(self):
         # 150 samples inside the trailing 15 s window, half 499, half 501
-        stream = [(t * 0.1, 499.0 if t % 2 else 501.0) for t in range(151)]
-        assert static_weigh(stream) == 500.0
+        assert static_weigh(TIMES_S, np.where(np.arange(151) % 2, 499.0, 501.0)) == 500.0
 
     def test_noisy_stream_statistical_oracle(self):
         rng = np.random.default_rng(99)
-        stream = [(t * 0.1, 500.0 + rng.normal(0.0, 1.0)) for t in range(151)]
-        assert abs(static_weigh(stream) - 500.0) <= 3.0 / np.sqrt(150)
+        masses = np.array([500.0 + rng.normal(0.0, 1.0) for _ in range(151)])
+        assert abs(static_weigh(TIMES_S, masses) - 500.0) <= 3.0 / np.sqrt(150)
 
     def test_short_stream_rejected(self):
-        stream = [(t * 0.1, 500.0) for t in range(100)]  # 9.9 s
         with pytest.raises(InsufficientDurationError):
-            static_weigh(stream)
+            static_weigh(TIMES_S[:100], np.full(100, 500.0))  # 9.9 s
         with pytest.raises(InsufficientDurationError):
-            static_weigh([])
+            static_weigh(np.array([]), np.array([]))
+
+    def test_window_is_half_open(self):
+        # times 0 to 18.75 s: the sample at exactly t_end - 15 s = 3.75 s is left out
+        times = np.arange(151) * 0.125
+        assert static_weigh(times, np.where(times <= 3.75, 1000.0, 500.0)) == 500.0
 
 
 class TestWimWeigh:
     def test_zero_noise_matches_static(self):
         static_stream = simulate_weigh_stream(500.0, "static", 0.0, seed=1)
-        wim_stream = simulate_weigh_stream(500.0, "wim", 0.0, seed=1)
-        assert wim_weigh(wim_stream)[0] == static_weigh(static_stream) == 500.0
+        _, wim_masses = simulate_weigh_stream(500.0, "wim", 0.0, seed=1)
+        assert wim_weigh(wim_masses)[0] == static_weigh(*static_stream) == 500.0
 
     def test_empty_segment(self):
         with pytest.raises(NoVehicleError):
-            wim_weigh([])
+            wim_weigh(np.array([]))
 
     def test_seeded_determinism(self):
-        a = wim_weigh(simulate_weigh_stream(500.0, "wim", 1.0, seed=7))
-        b = wim_weigh(simulate_weigh_stream(500.0, "wim", 1.0, seed=7))
+        a = wim_weigh(simulate_weigh_stream(500.0, "wim", 1.0, seed=7)[1])
+        b = wim_weigh(simulate_weigh_stream(500.0, "wim", 1.0, seed=7)[1])
         assert a == b
 
     def test_wim_variance_exceeds_static(self):
         # paired-simulation oracle: same vehicle, same seed family
-        static_stream = simulate_weigh_stream(500.0, "static", 1.0, seed=3)
-        wim_stream = simulate_weigh_stream(500.0, "wim", 1.0, seed=3)
-        static_var = float(np.var([m for _, m in static_stream], ddof=1))
-        _, wim_var = wim_weigh(wim_stream)
+        _, static_masses = simulate_weigh_stream(500.0, "static", 1.0, seed=3)
+        _, wim_masses = simulate_weigh_stream(500.0, "wim", 1.0, seed=3)
+        static_var = float(np.var(static_masses, ddof=1))
+        _, wim_var = wim_weigh(wim_masses)
         assert wim_var > static_var
 
     def test_static_beats_wim_over_paired_runs(self):
         static_errs, wim_errs = [], []
         for seed in range(100):
             true = 400.0 + 200.0 * (seed % 7)
-            static_errs.append(abs(static_weigh(simulate_weigh_stream(true, "static", 1.0, seed)) - true))
-            wim_errs.append(abs(wim_weigh(simulate_weigh_stream(true, "wim", 1.0, seed + 10_000))[0] - true))
+            static_errs.append(abs(static_weigh(*simulate_weigh_stream(true, "static", 1.0, seed)) - true))
+            _, wim_masses = simulate_weigh_stream(true, "wim", 1.0, seed + 10_000)
+            wim_errs.append(abs(wim_weigh(wim_masses)[0] - true))
         assert np.mean(static_errs) < np.mean(wim_errs)
 
 
 def test_simulate_stream_rejects_unknown_mode():
     with pytest.raises(ValueError):
         simulate_weigh_stream(1.0, "rolling", 0.0, seed=0)
+
+
+NAN = float("nan")
+
+
+def test_axle_configuration_rejects_nan():
+    with pytest.raises(ValueError, match="^GVW limit must be finite, got nan"):
+        AxleConfiguration("9", axle_count=9, gvw_limit_kg=NAN)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"anchor_points_t_kg": ((NAN, 20.0), (400.0, 80.0))},
+        {"anchor_points_t_kg": ((80.0, NAN), (400.0, 80.0))},
+        {"band_t": (10.0, 40.0), "band_error_kg": NAN},
+        {"band_t": (NAN, 40.0), "band_error_kg": 40.0},
+        {"band_t": (10.0, NAN), "band_error_kg": 40.0},
+        {"percent_of_load": NAN},
+    ],
+)
+def test_tolerance_rule_rejects_nan(shape):
+    # each of these was accepted and made every check fail (or pass nothing)
+    with pytest.raises(ValueError, match="nan"):
+        ToleranceRule("US", "acceptance", **shape)
+
+
+def test_tolerance_rule_rejects_non_positive_numbers():
+    with pytest.raises(ValueError, match="^percent of load must be > 0, got -0.001$"):
+        ToleranceRule("US", "acceptance", percent_of_load=-0.001)
+    with pytest.raises(ValueError, match="^anchor capacity must be > 0, got 0.0$"):
+        ToleranceRule("Kenya", "first_time", anchor_points_t_kg=((0.0, 10.0), (400.0, 40.0)))
+    with pytest.raises(ValueError, match=r"^band must satisfy 0 <= low <= high, got \(40.0, 10.0\)$"):
+        ToleranceRule("NewZealand", "acceptance", band_t=(40.0, 10.0), band_error_kg=40.0)

@@ -166,3 +166,27 @@ class TestAssessFile:
         path = tmp_path / "empty.ndjson"
         path.write_text("\n  \n")
         assert self.assess(capsys, path) == (1, "", f"weighsim: error: {path} holds no records\n")
+
+    def test_errors_name_the_physical_line(self, tmp_path, lines, capsys):
+        path = tmp_path / "blank.ndjson"
+        path.write_text(lines[0] + "\n\nnot json\n")
+        code, out, err = self.assess(capsys, path)
+        assert (code, out) == (1, "")
+        assert err.startswith("weighsim: error: line 3: bad record JSON")
+
+    def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path, lines, capsys):
+        path = tmp_path / "torn.ndjson"
+        path.write_text(lines[0] + "\n" + lines[1] + "\n" + lines[2][:200])
+        assert self.assess(capsys, path) == (
+            2, lines[1] + "\n", f"weighsim: warning: {path}:3: skipped a torn final line\n"
+        )
+
+    def test_torn_final_line_is_reported_when_no_record_matches(self, tmp_path, lines, capsys):
+        path = tmp_path / "torn.ndjson"
+        path.write_text(lines[0] + "\n" + lines[1][:200])
+        assert self.assess(capsys, path, "--record-id", "deadbeef") == (
+            1,
+            "",
+            f"weighsim: warning: {path}:2: skipped a torn final line\n"
+            f"weighsim: error: no record 'deadbeef' in {path}\n",
+        )

@@ -74,6 +74,13 @@ class TestCornerLoads:
         with pytest.raises(InvalidPlacementError):
             scenario(Placement(0.0, 1.0, 0.5))
 
+    def test_nan_placement_is_rejected(self):
+        # a NaN mass passed `<= 0`; NaN coordinates already failed the bounds
+        with pytest.raises(InvalidPlacementError, match="^placement mass must be finite, got nan$"):
+            scenario(Placement(float("nan"), 1.0, 0.5))
+        with pytest.raises(InvalidPlacementError):
+            scenario(Placement(10.0, float("nan"), 0.5))
+
 
 class TestCentroid:
     def test_single_placement_is_its_position(self):

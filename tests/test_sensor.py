@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +13,6 @@ from weighsim.sensor import (
     LoadCellSpec,
     add_noise,
     bridge_output,
-    dequantize,
-    lsb_mv,
     quantize,
 )
 
@@ -114,10 +114,11 @@ class TestQuantize:
         assert a == b
 
     @given(st.floats(min_value=0.0, max_value=120.0, allow_nan=False))
-    def test_dequantize_within_one_lsb(self, mass):
+    def test_code_within_one_lsb_of_the_voltage(self, mass):
         r = bridge_output(IDEAL_120, mass)
         frame = quantize(r, ADC)
-        assert abs(dequantize(frame, ADC) - r.differential_mv) <= lsb_mv(ADC)
+        lsb_mv = ADC.full_scale_mv / 2**23
+        assert abs(frame.code * lsb_mv - r.differential_mv) <= lsb_mv
 
     @given(
         st.floats(min_value=0.0, max_value=120.0, allow_nan=False),
@@ -192,3 +193,33 @@ def test_spec_file_needs_capacity(tmp_path):
     path.write_text("rated_output_mv_v = 2.0\n")
     with pytest.raises(ConfigError, match="missing key 'capacity_kg'"):
         LoadCellSpec.from_file(path)
+
+
+SPEC_FIELDS = [
+    "capacity_kg", "rated_output_mv_v", "excitation_v", "zero_offset_mv", "nonlinearity",
+    "noise_sigma_mv", "temp_coeff_zero_mv_c", "temp_coeff_span_per_c", "reference_temp_c",
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", SPEC_FIELDS)
+def test_spec_rejects_a_non_finite_field(field, value):
+    # NaN passed every `<= 0` check and failed only later, in quantize
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        LoadCellSpec(**{"capacity_kg": 120.0, field: value})
+
+
+@pytest.mark.parametrize("field, name", [("vref_v", "vref"), ("sample_rate_hz", "sample rate")])
+def test_adc_config_rejects_non_finite_and_non_positive(field, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got nan"):
+        AdcConfig(**{field: float("nan")})
+    with pytest.raises(ValueError, match=f"^{name} must be > 0, got 0.0"):
+        AdcConfig(**{field: 0.0})
+
+
+def test_frame_and_config_share_the_gain_channel_check():
+    for make in (AdcConfig, partial(AdcFrame, 0)):
+        with pytest.raises(ValueError, match="^gain 32 is only valid on channel 'B', got 'A'$"):
+            make(gain=32, channel="A")
+        with pytest.raises(ValueError, match=r"^gain must be one of \[32, 64, 128\], got 100$"):
+            make(gain=100, channel="A")

@@ -32,6 +32,15 @@ P2 = POLICIES["prototype2"]
 CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),))
 
 
+def rows(batch):
+    """Each row of a FrameBatch as a SensorFrameRecord."""
+    columns = (batch.cell_index, batch.timestamp_ms, batch.adc_code, batch.gain, batch.saturated)
+    return [
+        SensorFrameRecord(batch.station_ids[s], *values)
+        for s, *values in zip(batch.station.tolist(), *(c.tolist() for c in columns))
+    ]
+
+
 def cell_frames(cell, code, n=151, station="st1", t0=0, dt_ms=100):
     return [
         SensorFrameRecord(station, cell, t0 + i * dt_ms, code)
@@ -102,11 +111,11 @@ class TestParseFrameLine:
 class TestIngestor:
     def test_rejects_time_regression_per_cell(self):
         ing = FrameIngestor()
-        ing.ingest("st1,0,1000,1,128,0")
-        ing.ingest("st1,1,500,1,128,0")  # other cell: independent clock
-        ing.ingest("st1,0,1000,2,128,0")  # equal timestamp is fine
+        ing.ingest_lines(["st1,0,1000,1,128,0"])
+        ing.ingest_lines(["st1,1,500,1,128,0"])  # other cell: independent clock
+        ing.ingest_lines(["st1,0,1000,2,128,0"])  # equal timestamp is fine
         with pytest.raises(SequencingError):
-            ing.ingest("st1,0,999,3,128,0")
+            ing.ingest_lines(["st1,0,999,3,128,0"])
 
     def test_ingest_lines_numbers_errors(self):
         ing = FrameIngestor()
@@ -122,17 +131,18 @@ class TestIngestor:
         assert isinstance(batch, FrameBatch) and len(batch) == 3
         assert batch.station_ids == ("st1", "st2")
         assert batch.timestamp_ms.dtype == np.int64 and batch.saturated.dtype == bool
-        assert [batch.row(i) for i in range(3)] == [
+        assert rows(batch) == [
             SensorFrameRecord("st1", 0, 1000, -5, 128, False),
             SensorFrameRecord("st2", 1, 900, 7, 32, True),
             SensorFrameRecord("st1", 0, 1000, 3, 64, False),
         ]
 
-    def test_ingest_returns_one_record(self):
+    def test_one_line_is_one_row(self):
         ing = FrameIngestor()
-        assert ing.ingest("st1,2,5,6,128,1") == SensorFrameRecord("st1", 2, 5, 6, 128, True)
+        assert rows(ing.ingest_lines(["st1,2,5,6,128,1"])) == [SensorFrameRecord("st1", 2, 5, 6, 128, True)]
+        assert len(ing.ingest_lines(["   "])) == 0  # blank lines are skipped
         with pytest.raises(RecordParseError, match="expected 6 fields, got 1"):
-            ing.ingest("   ")
+            parse_frame_line("   ")
 
     def test_int64_overflow_is_a_parse_error(self):
         lines = ["st1,0,1000,1,128,0", f"st1,0,{10**400},1,128,0"]
@@ -182,7 +192,7 @@ class TestIngestor:
         b = FrameBatch.from_records([SensorFrameRecord("s1", 2, 3, 4, 64, True)])
         both = FrameBatch.concat([a, b])
         assert both.station_ids == ("s2", "s1")
-        assert [both.row(i) for i in range(3)] == [a.row(0), a.row(1), b.row(0)]
+        assert rows(both) == rows(a) + rows(b)
 
 
 class TestRunSession:
