@@ -286,11 +286,11 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
 def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray, window_s: float = STATIC_WINDOW_S) -> float:
     """Mean of the samples in the trailing window of a static weighing.
 
-    Samples are columns of times (s) and masses (kg) and must be
-    time-ordered (the ingestion path guarantees this).
-    The stream must span at least the window. The window is half-open,
-    (t_end - window, t_end], so a stream spanning exactly the window
-    contributes everything after its first sample.
+    The samples are columns of times (s) and masses (kg), time-ordered
+    (the ingestion path guarantees this). The stream must span at least
+    the window. The window is half-open, (t_end - window, t_end], so a
+    stream spanning exactly the window contributes everything after its
+    first sample.
     """
     if not len(times_s):
         raise InsufficientDurationError("empty stream")

@@ -257,4 +257,3 @@ def quantize(reading: BridgeReading, adc: AdcConfig | None = None) -> AdcFrame:
     code = round(reading.differential_mv / adc.full_scale_mv * 2**23)
     code = max(CODE_MIN, min(CODE_MAX, code))
     return AdcFrame.from_code(code, gain=adc.gain, channel=adc.channel)
-
