@@ -227,7 +227,8 @@ def test_axle_configuration_rejects_nan():
     ],
 )
 def test_tolerance_rule_rejects_nan(shape):
-    # each of these was accepted and made every check fail (or pass nothing)
+    # each was accepted: a NaN anchor or band bound left every load uncovered,
+    # a NaN error or percent failed every check
     with pytest.raises(ValueError, match="nan"):
         ToleranceRule("US", "acceptance", **shape)
 
