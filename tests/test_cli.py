@@ -209,9 +209,9 @@ class TestWeighInput:
         return run
 
     @staticmethod
-    def frames(t_from=0, t_to=15_000, step=100):
+    def frames(t_from=0, t_to=15_000, step=100, station="st9"):
         return "".join(
-            f"st9,{cell},{t},10000,128,0\n" for t in range(t_from, t_to + 1, step) for cell in range(4)
+            f"{station},{cell},{t},10000,128,0\n" for t in range(t_from, t_to + 1, step) for cell in range(4)
         )
 
     def test_valid_frames_exit_0(self, weigh):
@@ -245,6 +245,12 @@ class TestWeighInput:
     def test_frames_split_across_files(self, weigh):
         code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000))
         assert code == 0 and json.loads(out.out)["ended_at_ms"] == 15_000
+
+    def test_frames_files_from_two_stations(self, weigh, tmp_path):
+        code, out = weigh(self.frames(station="ws"), self.frames(15_100, 16_000, station="ws2"))
+        assert code == 1 and out.out == ""
+        assert out.err == "weighsim: error: frames span multiple stations: ['ws', 'ws2']\n"
+        assert not (tmp_path / "records").exists()
 
     @pytest.fixture
     def config(self, tmp_path):
