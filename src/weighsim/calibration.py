@@ -31,9 +31,6 @@ from .errors import (
 from .sensor import CODE_MAX, CODE_MIN, AdcFrame
 from . import kvfile
 
-#: Samples averaged for a tare when the caller does not say otherwise.
-DEFAULT_TARE_SAMPLES = 16
-
 #: Warn when operating this many °C away from the calibration temperature.
 DEFAULT_TEMP_DELTA_C = 10.0
 
@@ -55,6 +52,8 @@ class CalibrationState:
             raise ValueError(f"calibration temperature must be finite, got {self.calibrated_at_temp_c}")
         if len(self.reference_points) < 1:
             raise ValueError("need at least one reference point beyond tare")
+        for mass, _ in self.reference_points:
+            require_positive("reference mass", mass)
 
     def temperature_warning(self, operating_temp_c: float, max_delta_c: float = DEFAULT_TEMP_DELTA_C) -> bool:
         """True when the operating temperature is outside the trusted band."""

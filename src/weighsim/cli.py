@@ -23,7 +23,7 @@ from . import codec, kvfile
 from .cog import DECKS, AlertPolicy, DeckGeometry, POLICIES, is_unsafe, policy as named_policy, render_lcd
 from .compliance import AXLE_CONFIGURATIONS, BUILTIN_RULES, AxleConfiguration, ToleranceRule
 from .compliance import check_compliance, load_axle_table, load_tolerance_rules, max_permissible_error
-from .compliance import within_gvw_limit
+from .compliance import JURISDICTIONS, within_gvw_limit
 from .errors import FrameError, RecordParseError, WeighSimError
 from .record import RecordStore, json_line, to_json
 
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wheelbase-m", type=_finite_float)
     p.add_argument("--track-m", type=_finite_float)
     p.add_argument("--breadth-m", type=_finite_float)
-    p.add_argument("--jurisdiction", choices=["Kenya", "NewZealand", "US"])
+    p.add_argument("--jurisdiction", choices=JURISDICTIONS)
     p.add_argument("--kind", default="re_verification", help="verification kind for --jurisdiction")
     p.add_argument("--reference", type=_finite_float, help="reference mass (kg) for the tolerance check")
     p.add_argument("--axle-config", help="axle configuration code for the GVW check")
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_replay)
 
     p = sub.add_parser("rules", help="tolerance and GVW table queries")
-    p.add_argument("--jurisdiction", choices=["Kenya", "NewZealand", "US"])
+    p.add_argument("--jurisdiction", choices=JURISDICTIONS)
     p.add_argument("--kind", default="re_verification")
     p.add_argument("--capacity", type=_finite_float, help="capacity/load in tonnes")
     p.add_argument("--measured", type=_finite_float, help="measured mass (kg) for a compliance check")

@@ -39,7 +39,7 @@ CONFIG_PULSES = {(128, "A"): 1, (32, "B"): 2, (64, "A"): 3}
 #: Total pulse count → (gain, channel). Bijective with CONFIG_PULSES.
 PULSE_COUNT_GAIN = {DATA_BITS + n: gc for gc, n in CONFIG_PULSES.items()}
 
-#: Trace lines decoded per chunk by `decode_lines`. It bounds the per-line
+#: Lines read per chunk by `numbered_chunks`. It bounds the per-line
 #: Python objects alive at once while keeping the per-chunk cost small.
 CHUNK_LINES = 4096
 
@@ -100,22 +100,30 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
     return AdcFrame.from_code(_data_code(trace.bits), gain=gain, channel=channel)
 
 
-def decode_lines(lines: Iterable[str]) -> Iterator[list[TraceRow]]:
-    """Decode trace lines (any iterable, e.g. an open file) chunk by chunk.
+def numbered_chunks(lines: Iterable[str]) -> Iterator[tuple[list[str], list[int]]]:
+    """Read `lines` (any iterable, e.g. an open file) `CHUNK_LINES` at a time.
 
-    Yields, for each chunk of `CHUNK_LINES` lines, one row
-    (line_no, code, gain, channel, saturated) per non-blank line, each
-    equal to the fields of `decode_frame(line)`. Lines are numbered from 1,
-    blank lines included. At the first invalid line, the rows of
-    the lines before it are yielded, then the FrameError `decode_frame`
-    raises for that line propagates with its `line_no` set.
+    Yields, per chunk, its stripped non-blank lines and their line numbers,
+    counted from 1 with blank lines included.
     """
     it = iter(lines)
     first_no = 1
     while chunk := list(islice(it, CHUNK_LINES)):
         stripped = list(map(str.strip, chunk))
-        kept = list(filter(None, stripped))
-        numbers = list(compress(count(first_no), stripped))
+        yield list(filter(None, stripped)), list(compress(count(first_no), stripped))
+        first_no += len(chunk)
+
+
+def decode_lines(lines: Iterable[str]) -> Iterator[list[TraceRow]]:
+    """Decode trace lines (any iterable, e.g. an open file) chunk by chunk.
+
+    Yields, for each chunk of `numbered_chunks`, one row
+    (line_no, code, gain, channel, saturated) per non-blank line, each
+    equal to the fields of `decode_frame(line)`. At the first invalid
+    line, the rows of the lines before it are yielded, then the FrameError
+    `decode_frame` raises for that line propagates with its `line_no` set.
+    """
+    for kept, numbers in numbered_chunks(lines):
         configs = list(map(PULSE_COUNT_GAIN.get, map(len, kept)))
         bad = None
         if None in configs or "".join(kept).translate(_DROP_BITS):
@@ -136,7 +144,6 @@ def decode_lines(lines: Iterable[str]) -> Iterator[list[TraceRow]]:
                 exc.line_no = numbers[bad]
                 raise
             raise AssertionError(f"line {numbers[bad]} rejected although it decodes")
-        first_no += len(chunk)
 
 
 def _data_code(bits: str) -> int:

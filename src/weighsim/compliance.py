@@ -25,6 +25,7 @@ comparison are boundary-inclusive.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -49,7 +50,9 @@ VERIFICATION_KINDS = ("first_time", "re_verification", "acceptance")
 #: Static-mode averaging window, seconds.
 STATIC_WINDOW_S = 15.0
 
-#: WIM simulation defaults: pass-over duration and noise amplification.
+#: Weigh stream simulation: sample rate, WIM pass-over duration and WIM
+#: noise amplification.
+SIMULATED_RATE_HZ = 10.0
 WIM_PASS_DURATION_S = 1.5
 WIM_NOISE_FACTOR = 5.0
 
@@ -283,8 +286,9 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
 # -- weighing modes ----------------------------------------------------------
 
 
-def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray, window_s: float = STATIC_WINDOW_S) -> float:
-    """Mean of the samples in the trailing window of a static weighing.
+def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray) -> float:
+    """Mean of the samples in the trailing `STATIC_WINDOW_S` window of a
+    static weighing.
 
     The samples are columns of times (s) and masses (kg), time-ordered
     (the ingestion path guarantees this). The stream must span at least
@@ -295,11 +299,11 @@ def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray, window_s: float = S
     if not len(times_s):
         raise InsufficientDurationError("empty stream")
     span = times_s[-1] - times_s[0]
-    if span < window_s:
+    if span < STATIC_WINDOW_S:
         raise InsufficientDurationError(
-            f"stream spans {span:.3f} s, static weighing needs {window_s:.3f} s"
+            f"stream spans {span:.3f} s, static weighing needs {STATIC_WINDOW_S:.3f} s"
         )
-    return float(masses_kg[times_s > times_s[-1] - window_s].mean())
+    return float(masses_kg[times_s > times_s[-1] - STATIC_WINDOW_S].mean())
 
 
 def wim_weigh(masses_kg: np.ndarray) -> tuple[float, float]:
@@ -312,33 +316,28 @@ def wim_weigh(masses_kg: np.ndarray) -> tuple[float, float]:
 
 
 def simulate_weigh_stream(
-    true_mass_kg: float,
-    mode: str,
-    noise_sigma_kg: float,
-    seed: int,
-    sample_rate_hz: float = 10.0,
-    static_duration_s: float = STATIC_WINDOW_S,
-    wim_duration_s: float = WIM_PASS_DURATION_S,
-    wim_noise_factor: float = WIM_NOISE_FACTOR,
+    true_mass_kg: float, mode: str, noise_sigma_kg: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the per-mode measurement stream for one vehicle, as
-    columns of sample times (s) and masses (kg).
+    columns of sample times (s) and masses (kg), at `SIMULATED_RATE_HZ`.
 
-    Static mode: `static_duration_s` of samples at `noise_sigma_kg`.
-    WIM mode: a short `wim_duration_s` pass with noise amplified by
-    `wim_noise_factor`, the fewer-samples-more-noise model of weighing a
+    Static mode: `STATIC_WINDOW_S` of samples at `noise_sigma_kg`.
+    WIM mode: a short `WIM_PASS_DURATION_S` pass with noise amplified by
+    `WIM_NOISE_FACTOR`, the fewer-samples-more-noise model of weighing a
     moving vehicle.
     """
+    if not (math.isfinite(noise_sigma_kg) and noise_sigma_kg >= 0):
+        raise ValueError(f"noise_sigma_kg must be finite and >= 0, got {noise_sigma_kg}")
     if mode == "static":
-        duration, sigma = static_duration_s, noise_sigma_kg
+        duration, sigma = STATIC_WINDOW_S, noise_sigma_kg
     elif mode == "wim":
-        duration, sigma = wim_duration_s, noise_sigma_kg * wim_noise_factor
+        duration, sigma = WIM_PASS_DURATION_S, noise_sigma_kg * WIM_NOISE_FACTOR
     else:
         raise ValueError(f"mode must be 'static' or 'wim', got {mode!r}")
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    n = int(round(duration * sample_rate_hz))
-    dt = 1.0 / sample_rate_hz
+    n = int(round(duration * SIMULATED_RATE_HZ))
+    dt = 1.0 / SIMULATED_RATE_HZ
     noise = rng.normal(0.0, sigma, size=n + 1) if sigma > 0 else np.zeros(n + 1)
     return np.arange(n + 1) * dt, true_mass_kg + noise

@@ -7,16 +7,19 @@ Wire format is one ADC frame per line, ASCII, comma-separated:
 `station_id` is any non-empty comma-free token, `cell_index` counts from
 0 (FL, FR, RL, RR on a four-cell station; left, right in two-cell mode),
 `gain` is one of 128/64/32 and `saturated` is 0 or 1. Timestamps are
-signed 64-bit and must be non-decreasing per (station, cell); the
-ingestor rejects regressions with a SequencingError.
+signed 64-bit and must be non-decreasing per cell.
 
-Frames travel as a `FrameBatch`: one numpy column per wire field, one row
-per frame in input order. `FrameIngestor.ingest_lines` parses any
-iterable of lines (an open file included) in chunks of `CHUNK_LINES`, so
-the per-line strings of one chunk at a time are alive. The first failing
-line in input order raises, with the message `parse_frame_line` gives
-for that line alone. `run_session` reduces each cell's column slice:
-code→mass, then the static-window or WIM mean.
+One weighing is one vehicle on one deck, so a `FrameBatch` holds one
+station's frames: its `station_id` and a numpy column per other wire
+field, one row per frame in input order. `FrameIngestor.ingest_lines`
+parses any iterable of lines (an open file included) in the chunks of
+`codec.numbered_chunks`, so the strings of one chunk at a time are alive.
+It raises a RecordParseError with `parse_frame_line`'s message, a
+SequencingError on a timestamp regression, or an IncompleteStationError
+on a frame of a second station: the first in input order, except that
+within a chunk a second station comes before a regression. `run_session`
+reduces each cell's column slice: code→mass, then the static-window or
+WIM mean.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +36,7 @@ import numpy as np
 # code_to_mass, RecordStore and assessment_line are unused here but stay module
 # attributes: callers, the benchmark among them, look them up on this module.
 from .calibration import CalibrationState, code_to_mass, codes_to_kg  # noqa: F401
+from .codec import numbered_chunks
 from .cog import DECKS, AlertPolicy, DeckGeometry, assess
 from .compliance import (
     AxleConfiguration,
@@ -47,10 +51,6 @@ from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: 
 from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS
 
 MODES = ("static", "wim")
-
-#: Wire lines parsed per chunk. It bounds the per-line Python objects
-#: alive at once while keeping numpy's per-call cost small per line.
-CHUNK_LINES = 4096
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _GAINS = np.array(sorted(GAIN_CHANNELS), dtype=np.int64)
@@ -110,15 +110,14 @@ def parse_frame_line(line: str, line_no: int | None = None, cell_count: int = 4)
 
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
-    """Wire frames as columns, one row per frame in input order.
+    """One station's wire frames as columns, one row per frame in input order.
 
-    `station` indexes `station_ids`; the other columns hold the
+    `station_id` is None for an empty batch. The other columns hold the
     `SensorFrameRecord` field of the same name, int64 (bool for
     `saturated`).
     """
 
-    station_ids: tuple[str, ...]
-    station: np.ndarray
+    station_id: str | None
     cell_index: np.ndarray
     timestamp_ms: np.ndarray
     adc_code: np.ndarray
@@ -126,19 +125,13 @@ class FrameBatch:
     saturated: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.station)
+        return len(self.cell_index)
 
     @classmethod
     def from_columns(cls, stations: Sequence[str], *columns: np.ndarray) -> "FrameBatch":
         """Batch from per-row station ids and the other five columns in field order."""
-        ids = tuple(dict.fromkeys(stations))
-        if len(ids) > 1:
-            index = {s: i for i, s in enumerate(ids)}
-            station = np.fromiter(map(index.__getitem__, stations), np.int64, len(stations))
-        else:
-            station = np.zeros(len(stations), np.int64)
         cell_index, timestamp_ms, adc_code, gain, saturated = columns
-        return cls(ids, station, cell_index, timestamp_ms, adc_code, gain, saturated.astype(bool))
+        return cls(_one_station(stations), cell_index, timestamp_ms, adc_code, gain, saturated.astype(bool))
 
     @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
@@ -150,63 +143,57 @@ class FrameBatch:
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
-        """Rows of every batch in order, station ids merged by name."""
+        """Rows of every batch in order."""
         if len(batches) == 1:
             return batches[0]
-        ids = tuple(dict.fromkeys(s for b in batches for s in b.station_ids))
-        index = {s: i for i, s in enumerate(ids)}
-        station = [
-            np.array([index[s] for s in b.station_ids], np.int64)[b.station] for b in batches
-        ]
         return cls(
-            ids,
-            np.concatenate(station),
+            _one_station(b.station_id for b in batches),
             *(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS),
         )
 
 
-class FrameIngestor:
-    """Stateful wire parser enforcing per-(station, cell) time order.
+def _one_station(station_ids: Iterable[str | None]) -> str | None:
+    """The one station among `station_ids` (None when there is none);
+    IncompleteStationError when there are several."""
+    names = set(station_ids) - {None}
+    if len(names) > 1:
+        raise IncompleteStationError(f"frames span multiple stations: {sorted(names)}")
+    return next(iter(names), None)
 
-    The order state persists across calls, so the files of one session
-    are ingested one after another into the same ingestor.
+
+class FrameIngestor:
+    """Stateful wire parser of one station's frames, enforcing per-cell
+    time order.
+
+    The station and the order state persist across calls, so the files of
+    one session are ingested one after another into the same ingestor.
     """
 
     def __init__(self, cell_count: int = 4):
         self.cell_count = cell_count
-        self._last_ts: dict[tuple[str, int], int] = {}
+        self.station_id: str | None = None
+        #: Last timestamp of each cell; INT64_MIN before its first frame.
+        self._last_ts = np.full(cell_count, _INT64_MIN, dtype=np.int64)
 
-    def ingest_lines(self, lines: Iterable[str], start: int | None = 1) -> FrameBatch:
-        """Parse and order-check `lines` (any iterable, e.g. an open file).
-
-        Blank lines are skipped. Lines are numbered from `start` (None: no
-        numbers in errors). The first failing line in input order raises:
-        RecordParseError with `parse_frame_line`'s message, or
-        SequencingError on a timestamp regression.
-        """
-        it = iter(lines)
-        batches = []
-        offset = 0
-        while chunk := list(islice(it, CHUNK_LINES)):
-            batches.append(self._ingest_chunk(chunk, None if start is None else start + offset))
-            offset += len(chunk)
+    def ingest_lines(self, lines: Iterable[str]) -> FrameBatch:
+        """Parse and check `lines` (any iterable, e.g. an open file), as the
+        module docstring says. Blank lines are skipped; errors name the line
+        number, counted from 1 with blank lines included."""
+        batches = [self._ingest_chunk(kept, numbers) for kept, numbers in numbered_chunks(lines)]
         return FrameBatch.concat(batches) if batches else FrameBatch.from_records(())
 
-    def _ingest_chunk(self, lines: list[str], first_no: int | None) -> FrameBatch:
-        stripped = list(map(str.strip, lines))
-        kept = list(filter(None, stripped))
+    def _ingest_chunk(self, kept: list[str], numbers: list[int]) -> FrameBatch:
         batch = self._columns(kept)
         if batch is None:
-            # A line fails a parse check; a time-order error before it comes first.
-            numbers = _line_numbers(stripped, first_no)
+            # A line fails a parse check; an error in the lines before it comes first.
             for j, text in enumerate(kept):
                 try:
                     parse_frame_line(text, numbers[j], self.cell_count)
                 except RecordParseError:
-                    self._check_order(self._columns(kept[:j]), stripped, first_no)
+                    self._check_order(self._columns(kept[:j]), numbers)
                     raise
             raise AssertionError("chunk rejected although every line parses")
-        self._check_order(batch, stripped, first_no)
+        self._check_order(batch, numbers)
         return batch
 
     def _columns(self, kept: list[str]) -> FrameBatch | None:
@@ -240,47 +227,28 @@ class FrameIngestor:
             return None
         return FrameBatch.from_columns(stations, cell, ts, code, gain, sat)
 
-    def _check_order(self, batch: FrameBatch, stripped: list[str], first_no: int | None) -> None:
-        """Raise on the first row whose timestamp precedes the last of its
-        (station, cell) stream; otherwise advance every stream's last."""
+    def _check_order(self, batch: FrameBatch, numbers: list[int]) -> None:
+        """Take `batch` after the frames ingested so far: raise if it is of
+        another station, or on the first row whose timestamp precedes the
+        last of its cell; otherwise advance every cell's last timestamp."""
+        self.station_id = _one_station((self.station_id, batch.station_id))
         n = len(batch)
-        if not n:
-            return
-        key = batch.station * self.cell_count + batch.cell_index
-        order = np.argsort(key, kind="stable")
-        key, ts = key[order], batch.timestamp_ms[order]
+        order = np.argsort(batch.cell_index, kind="stable")
+        cell, ts = batch.cell_index[order], batch.timestamp_ms[order]
         first = np.ones(n, dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
-        streams = [
-            (batch.station_ids[k // self.cell_count], k % self.cell_count)
-            for k in key[starts].tolist()
-        ]
+        first[1:] = cell[1:] != cell[:-1]
         prev = np.empty(n, dtype=np.int64)
         prev[1:] = ts[:-1]
-        has_prev = ~first
-        for s, stream in zip(starts.tolist(), streams):
-            if stream in self._last_ts:
-                prev[s] = self._last_ts[stream]
-                has_prev[s] = True
-        bad = np.flatnonzero(has_prev & (ts < prev))
+        prev[first] = self._last_ts[cell[first]]
+        bad = np.flatnonzero(ts < prev)
         if bad.size:
             pos = bad[np.argmin(order[bad])]
-            station_id, cell = streams[np.searchsorted(starts, pos, side="right") - 1]
-            line_no = _line_numbers(stripped, first_no)[order[pos]]
             raise SequencingError(
                 f"timestamp {ts[pos]} ms before {prev[pos]} ms on"
-                f" station {station_id!r} cell {cell}"
-                + (f" (line {line_no})" if line_no is not None else "")
+                f" station {self.station_id!r} cell {cell[pos]} (line {numbers[order[pos]]})"
             )
-        ends = np.append(starts[1:], n) - 1
-        for stream, last in zip(streams, ts[ends].tolist()):
-            self._last_ts[stream] = last
-
-
-def _line_numbers(stripped: list[str], first_no: int | None) -> list[int | None]:
-    """Line number of each non-blank line of a chunk whose first line is `first_no`."""
-    return [None if first_no is None else first_no + k for k, s in enumerate(stripped) if s]
+        last = np.roll(first, -1)  # the row before the next cell's first
+        self._last_ts[cell[last]] = ts[last]
 
 
 def run_session(
@@ -318,9 +286,6 @@ def run_session(
         )
     if not len(batch):
         raise IncompleteStationError("no frames at all")
-    if batch.station.min() != batch.station.max():
-        names = sorted({batch.station_ids[i] for i in np.unique(batch.station)})
-        raise IncompleteStationError(f"frames span multiple stations: {names}")
     counts = np.bincount(cell, minlength=cell_count).tolist()
     missing = [i for i, c in enumerate(counts) if not c]
     if missing:
@@ -358,7 +323,7 @@ def run_session(
 
     return WeighRecord(
         record_id=uuid.uuid4().hex[:12],
-        station_id=batch.station_ids[batch.station[0]],
+        station_id=batch.station_id,
         started_at_ms=int(batch.timestamp_ms.min()),
         ended_at_ms=int(batch.timestamp_ms.max()),
         mode=mode,

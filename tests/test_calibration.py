@@ -129,6 +129,19 @@ def test_state_rejects_nan(field):
         CalibrationState(**kwargs)
 
 
+@pytest.mark.parametrize("mass, message", [(float("nan"), "must be finite, got nan"), (0.0, "must be > 0, got 0.0")])
+def test_state_rejects_a_bad_reference_mass(mass, message):
+    # a NaN mass constructed, and to_file wrote a file from_file rejects
+    with pytest.raises(ValueError, match=f"^reference mass {message}$"):
+        CalibrationState(0, 1e-3, reference_points=((1.0, 100), (mass, 5)))
+
+
+def test_reference_points_survive_a_file_round_trip(tmp_path):
+    cal = CalibrationState(-7, 1e-3, 18.5, reference_points=((0.1, 93), (2.5, 2_493), (1e4, 9_999_993)))
+    cal.to_file(tmp_path / "cal.cfg")
+    assert CalibrationState.from_file(tmp_path / "cal.cfg") == cal
+
+
 def write_calibration(path, tare_code):
     path.write_text(f"tare_code = {tare_code}\nscale_kg_per_lsb = 1e-4\nref_mass_kg_0 = 1.0\nref_code_0 = 100\n")
     return path

@@ -207,6 +207,14 @@ def test_simulate_stream_rejects_unknown_mode():
         simulate_weigh_stream(1.0, "rolling", 0.0, seed=0)
 
 
+@pytest.mark.parametrize("mode", ["static", "wim"])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_simulate_stream_rejects_a_bad_noise_sigma(mode, sigma):
+    # NaN and -1.0 gave a noise-free stream (static_weigh exactly 500.0)
+    with pytest.raises(ValueError, match=rf"^noise_sigma_kg must be finite and >= 0, got {sigma}$"):
+        simulate_weigh_stream(500.0, mode, sigma, seed=1)
+
+
 NAN = float("nan")
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weighsim.calibration import CalibrationState
+from weighsim.codec import CHUNK_LINES
 from weighsim.cog import (
     DeckGeometry,
     FourCellReading,
@@ -26,7 +27,6 @@ from weighsim.cog import (
 from weighsim.compliance import STATIC_WINDOW_S, static_weigh, wim_weigh
 from weighsim.errors import InsufficientDurationError, NoVehicleError
 from weighsim.station import (
-    CHUNK_LINES,
     FrameIngestor,
     SensorFrameRecord,
     format_frame_line,

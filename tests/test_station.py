@@ -1,10 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from weighsim import codec
 from weighsim.calibration import CalibrationState
+from weighsim.codec import CHUNK_LINES
 from weighsim.cog import DeckGeometry, LoadAssessment, POLICIES, TwoCellAssessment
 from weighsim.compliance import AXLE_CONFIGURATIONS, KENYA_REVERIFICATION
 from weighsim.errors import (
@@ -14,7 +17,6 @@ from weighsim.errors import (
     SequencingError,
 )
 from weighsim.station import (
-    CHUNK_LINES,
     FrameBatch,
     FrameIngestor,
     RecordStore,
@@ -36,8 +38,7 @@ def rows(batch):
     """Each row of a FrameBatch as a SensorFrameRecord."""
     columns = (batch.cell_index, batch.timestamp_ms, batch.adc_code, batch.gain, batch.saturated)
     return [
-        SensorFrameRecord(batch.station_ids[s], *values)
-        for s, *values in zip(batch.station.tolist(), *(c.tolist() for c in columns))
+        SensorFrameRecord(batch.station_id, *values) for values in zip(*(c.tolist() for c in columns))
     ]
 
 
@@ -125,17 +126,29 @@ class TestIngestor:
 
     def test_ingest_lines_returns_columns(self, tmp_path):
         path = tmp_path / "frames.txt"
-        path.write_text("st1,0,1000,-5,128,0\n\n  st2,1,900,7,32,1  \nst1,0,1000,3,64,0\n")
+        path.write_text("st1,0,1000,-5,128,0\n\n  st1,1,900,7,32,1  \nst1,0,1000,3,64,0\n")
         with open(path) as fh:
             batch = FrameIngestor().ingest_lines(fh)
         assert isinstance(batch, FrameBatch) and len(batch) == 3
-        assert batch.station_ids == ("st1", "st2")
+        assert batch.station_id == "st1"
         assert batch.timestamp_ms.dtype == np.int64 and batch.saturated.dtype == bool
         assert rows(batch) == [
             SensorFrameRecord("st1", 0, 1000, -5, 128, False),
-            SensorFrameRecord("st2", 1, 900, 7, 32, True),
+            SensorFrameRecord("st1", 1, 900, 7, 32, True),
             SensorFrameRecord("st1", 0, 1000, 3, 64, False),
         ]
+
+    def test_two_stations_in_one_call(self):
+        lines = ["st2,0,1000,1,128,0", "", "st1,1,900,7,32,1"]
+        with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['st1', 'st2'\]$"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_two_stations_across_calls(self):
+        ing = FrameIngestor()
+        assert ing.ingest_lines(["st2,0,1000,1,128,0"]).station_id == "st2"
+        assert len(ing.ingest_lines(["", "  "])) == 0  # no frame, no station
+        with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['st1', 'st2'\]$"):
+            ing.ingest_lines(["st1,1,900,7,32,1"])
 
     def test_one_line_is_one_row(self):
         ing = FrameIngestor()
@@ -187,12 +200,30 @@ class TestIngestor:
         with pytest.raises(SequencingError, match=r"999 ms before 1000 ms .* \(line 3\)"):
             ing.ingest_lines(["st1,1,2000,1,128,0", "", "st1,0,999,1,128,0"])
 
-    def test_concat_merges_station_ids(self):
-        a = FrameBatch.from_records([SensorFrameRecord("s2", 0, 1, 2), SensorFrameRecord("s1", 1, 1, 2)])
+    def test_order_is_kept_per_cell_across_chunks(self):
+        lines = [f"st1,{cell},{t},1,128,0" for t in range(4) for cell in (0, 1)]
+        ing = FrameIngestor(cell_count=2)
+        with mock.patch.object(codec, "CHUNK_LINES", 3):
+            assert len(ing.ingest_lines(lines)) == 8
+            assert len(ing.ingest_lines(["st1,1,3,1,128,0", "st1,0,5,1,128,0"])) == 2
+            # line 5 regresses against line 1, a chunk earlier
+            lines = ["st1,0,5,1,128,0", "st1,1,4,1,128,0", "", "st1,1,6,1,128,0", "st1,0,4,1,128,0"]
+            with pytest.raises(SequencingError, match=r"^timestamp 4 ms before 5 ms on station 'st1' cell 0 \(line 5\)$"):
+                ing.ingest_lines(lines)
+
+    def test_concat_keeps_one_station(self):
+        a = FrameBatch.from_records([SensorFrameRecord("s1", 0, 1, 2), SensorFrameRecord("s1", 1, 1, 2)])
         b = FrameBatch.from_records([SensorFrameRecord("s1", 2, 3, 4, 64, True)])
-        both = FrameBatch.concat([a, b])
-        assert both.station_ids == ("s2", "s1")
+        empty = FrameBatch.from_records(())
+        assert empty.station_id is None
+        both = FrameBatch.concat([a, empty, b])
+        assert both.station_id == "s1"
         assert rows(both) == rows(a) + rows(b)
+        other = FrameBatch.from_records([SensorFrameRecord("s0", 0, 5, 6)])
+        with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['s0', 's1'\]$"):
+            FrameBatch.concat([a, other])
+        with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['s0', 's1'\]$"):
+            FrameBatch.from_records([SensorFrameRecord("s1", 0, 1, 2), SensorFrameRecord("s0", 0, 1, 2)])
 
 
 class TestRunSession:
