@@ -152,10 +152,10 @@ class FrameBatch:
         )
 
 
-def _one_station(station_ids: Iterable[str | None]) -> str | None:
-    """The one station among `station_ids` (None when there is none);
+def _one_station(ids: Iterable[str | None]) -> str | None:
+    """The one station id among `ids` (None when there is none);
     IncompleteStationError when there are several."""
-    names = set(station_ids) - {None}
+    names = set(ids) - {None}
     if len(names) > 1:
         raise IncompleteStationError(f"frames span multiple stations: {sorted(names)}")
     return next(iter(names), None)
