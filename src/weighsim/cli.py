@@ -59,7 +59,9 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
     flags = {f.name: v for f in fields(DeckGeometry) if (v := getattr(args, f.name, None)) is not None}
     for name in flags:
         values.pop(name, None)
-    geometry = kvfile.build(DeckGeometry, values, source, **{"wheelbase_m": 2.0, "track_m": 1.5, **flags})
+    defaults = {"wheelbase_m": 2.0, "track_m": 1.5, **flags}
+    DeckGeometry(**defaults)  # a bad flag is the flag's error, not the file's
+    geometry = kvfile.build(DeckGeometry, values, source, **defaults)
     policy = kvfile.build(AlertPolicy, values, source, **asdict(POLICIES["prototype2"]))
     kvfile.reject_unknown(values, source)
     return geometry, named_policy(args.policy) if args.policy else policy

@@ -93,6 +93,10 @@ class InvalidPlacementError(WeighSimError):
     """Placed mass is non-positive or lies outside the deck."""
 
 
+class InvalidSeedError(WeighSimError):
+    """Noise seed is not an integer >= 0, the seeds a numpy SeedSequence takes."""
+
+
 class UndefinedCentroidError(WeighSimError):
     """Centroid requested for a scenario with zero total mass."""
 

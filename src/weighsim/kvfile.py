@@ -20,7 +20,7 @@ from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, WeighSimError
 
 
 def read_kv(path: str | Path) -> list[tuple[str, str]]:
@@ -94,7 +94,8 @@ def build(cls: type, values: dict[str, str], source: str, prefix: str = "", **de
     A field without a key takes its value from `defaults`, then from the
     dataclass default; a field found in none of them is a missing key.
     Fields of a type no file spells (tuples, nested dataclasses) come from
-    `defaults` only.
+    `defaults` only. An error of the dataclass's own checks keeps its type,
+    and its message gains the `source: ` prefix.
     """
     parsers = _parsers(cls)
     kwargs = dict(defaults)
@@ -104,7 +105,11 @@ def build(cls: type, values: dict[str, str], source: str, prefix: str = "", **de
             kwargs[f.name] = take(values, key, parsers[f.name], source)
         elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{source}: missing key {key!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (ValueError, WeighSimError) as exc:
+        exc.args = (f"{source}: {exc}",)
+        raise
 
 
 def reject_unknown(values: dict[str, str], source: str) -> None:

@@ -23,7 +23,7 @@ and of `Scenario`, and any other key is an error:
     breadth_m   = 1.25        # optional, > 0, default the track
     curb_fl_kg  = 55.0        # optional, default 0 (likewise fr/rl/rr)
     temperature_c = 25.0      # optional
-    noise_seed  = 42          # optional
+    noise_seed  = 42          # optional, >= 0, default 0
     placement   = 120.0 @ 0.8, 0.9     # mass_kg @ x_m, y_m; repeatable
 """
 
@@ -36,8 +36,9 @@ import numpy as np
 
 from .calibration import CalibrationState, calibrate, code_to_mass, tare
 from .cog import AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
-from .errors import ConfigError, InvalidPlacementError, UndefinedCentroidError, require_positive
-from .sensor import AdcConfig, LoadCellSpec, add_noise, bridge_output, quantize
+from .errors import ConfigError, InvalidPlacementError, InvalidSeedError, UndefinedCentroidError
+from .errors import require_positive
+from .sensor import DEFAULT_ADC, AdcConfig, LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
 
@@ -65,6 +66,8 @@ class Scenario:
     temperature_c: float = 25.0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.noise_seed, (int, np.integer)) and self.noise_seed >= 0):
+            raise InvalidSeedError(f"noise_seed must be an integer >= 0, got {self.noise_seed!r}")
         for p in self.placements:
             require_positive("placement mass", p.mass_kg, InvalidPlacementError)
             if not 0.0 <= p.x_m <= self.geometry.wheelbase_m:
@@ -153,21 +156,23 @@ def run_end_to_end(
     specs: tuple[LoadCellSpec, LoadCellSpec, LoadCellSpec, LoadCellSpec],
     cals: tuple[CalibrationState, CalibrationState, CalibrationState, CalibrationState],
     policy: AlertPolicy,
-    adc: AdcConfig | None = None,
+    adc: AdcConfig = DEFAULT_ADC,
 ) -> LoadAssessment:
     """Full pipeline: corner loads → bridge → ADC → calibration → assessment.
 
-    Per-cell noise streams are spawned from the scenario seed, so repeated
-    runs of the same scenario are bit-identical.
+    Cell i draws its noise from child i of `SeedSequence(noise_seed)`,
+    `SeedSequence(noise_seed, spawn_key=(i,))`, which is what
+    `SeedSequence(noise_seed).spawn(4)[i]` builds, so repeated runs of the
+    same scenario are bit-identical. A stream is seeded only for a cell
+    whose spec has noise; a noise-free chain builds none.
     """
-    if adc is None:
-        adc = AdcConfig()
     loads = corner_loads(scenario)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(scenario.noise_seed).spawn(4)]
     masses = []
-    for mass, spec, cal, rng in zip(loads.as_tuple(), specs, cals, rngs):
+    for i, (mass, spec, cal) in enumerate(zip(loads.as_tuple(), specs, cals)):
         reading = bridge_output(spec, mass, temperature_c=scenario.temperature_c)
-        reading = add_noise(reading, spec, rng)
+        if spec.noise_sigma_mv > 0:
+            rng = np.random.default_rng(np.random.SeedSequence(scenario.noise_seed, spawn_key=(i,)))
+            reading = add_noise(reading, spec, rng)
         frame = quantize(reading, adc)
         masses.append(code_to_mass(frame.code, cal).kg)
     return assess_four_cell(FourCellReading(*masses), scenario.geometry, policy)
@@ -175,7 +180,7 @@ def run_end_to_end(
 
 def ideal_calibration(
     spec: LoadCellSpec,
-    adc: AdcConfig | None = None,
+    adc: AdcConfig = DEFAULT_ADC,
     known_mass_kg: float | None = None,
 ) -> CalibrationState:
     """Calibration taken against the noise-free sensor model itself.
@@ -184,8 +189,6 @@ def ideal_calibration(
     capacity). This is the software analogue of placing a reference weight
     on a freshly installed cell.
     """
-    if adc is None:
-        adc = AdcConfig()
     if known_mass_kg is None:
         known_mass_kg = spec.capacity_kg
     zero = quantize(bridge_output(spec, 0.0), adc)

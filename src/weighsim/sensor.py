@@ -170,6 +170,10 @@ class AdcConfig:
         return self.vref_v / self.gain * 1000.0
 
 
+#: The converter the chain uses when none is given: gain 128, channel A.
+DEFAULT_ADC = AdcConfig()
+
+
 @dataclass(frozen=True)
 class AdcFrame:
     """One signed 24-bit conversion result plus the next gain selection.
@@ -246,14 +250,12 @@ def add_noise(
     return BridgeReading(noisy, reading.temperature_c, reading.timestamp_ms)
 
 
-def quantize(reading: BridgeReading, adc: AdcConfig | None = None) -> AdcFrame:
+def quantize(reading: BridgeReading, adc: AdcConfig = DEFAULT_ADC) -> AdcFrame:
     """Quantize a bridge voltage to a signed 24-bit code.
 
     Saturation clamps to the rails and is flagged on the frame, never an
     error. Rounding is Python's round-half-even.
     """
-    if adc is None:
-        adc = AdcConfig()
     code = round(reading.differential_mv / adc.full_scale_mv * 2**23)
     code = max(CODE_MIN, min(CODE_MAX, code))
     return AdcFrame.from_code(code, gain=adc.gain, channel=adc.channel)

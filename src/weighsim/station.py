@@ -16,10 +16,9 @@ parses any iterable of lines (an open file included) in the chunks of
 `codec.numbered_chunks`, so the strings of one chunk at a time are alive.
 It raises a RecordParseError with `parse_frame_line`'s message, a
 SequencingError on a timestamp regression, or an IncompleteStationError
-on a frame of a second station: the first in input order, except that
-within a chunk a second station comes before a regression. `run_session`
-reduces each cell's column slice: code→mass, then the static-window or
-WIM mean.
+on a frame of a second station, whichever comes first in input order.
+`run_session` reduces each cell's column slice: code→mass, then the
+static-window or WIM mean.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -128,17 +127,14 @@ class FrameBatch:
         return len(self.cell_index)
 
     @classmethod
-    def from_columns(cls, stations: Sequence[str], *columns: np.ndarray) -> "FrameBatch":
-        """Batch from per-row station ids and the other five columns in field order."""
-        cell_index, timestamp_ms, adc_code, gain, saturated = columns
-        return cls(_one_station(stations), cell_index, timestamp_ms, adc_code, gain, saturated.astype(bool))
-
-    @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
         records = list(records)
-        return cls.from_columns(
-            [r.station_id for r in records],
-            *(np.array([getattr(r, c) for r in records], np.int64) for c in _COLUMNS),
+        cell_index, timestamp_ms, adc_code, gain, saturated = (
+            np.array([getattr(r, c) for r in records], np.int64) for c in _COLUMNS
+        )
+        return cls(
+            _one_station(r.station_id for r in records),
+            cell_index, timestamp_ms, adc_code, gain, saturated.astype(bool),
         )
 
     @classmethod
@@ -183,25 +179,24 @@ class FrameIngestor:
         return FrameBatch.concat(batches) if batches else FrameBatch.from_records(())
 
     def _ingest_chunk(self, kept: list[str], numbers: list[int]) -> FrameBatch:
-        batch = self._columns(kept)
-        if batch is None:
+        parsed = self._columns(kept)
+        if parsed is None:
             # A line fails a parse check; an error in the lines before it comes first.
             for j, text in enumerate(kept):
                 try:
                     parse_frame_line(text, numbers[j], self.cell_count)
                 except RecordParseError:
-                    self._check_order(self._columns(kept[:j]), numbers)
+                    self._take(*self._columns(kept[:j]), numbers)
                     raise
             raise AssertionError("chunk rejected although every line parses")
-        self._check_order(batch, numbers)
-        return batch
+        return self._take(*parsed, numbers)
 
-    def _columns(self, kept: list[str]) -> FrameBatch | None:
-        """Batch of stripped non-blank wire lines, or None when any line
-        fails a check of `parse_frame_line`."""
+    def _columns(self, kept: list[str]) -> tuple[list[str], list[np.ndarray]] | None:
+        """Station ids and the other five columns of stripped non-blank wire
+        lines, or None when any line fails a check of `parse_frame_line`."""
         n = len(kept)
         if not n:
-            return FrameBatch.from_records(())
+            return [], [np.empty(0, np.int64)] * 4 + [np.empty(0, bool)]
         if set(map(str.count, kept, repeat(","))) != {5}:
             return None
         fields = ",".join(kept).split(",")
@@ -225,13 +220,26 @@ class FrameIngestor:
         )
         if bad.any():
             return None
-        return FrameBatch.from_columns(stations, cell, ts, code, gain, sat)
+        return stations, [cell, ts, code, gain, sat.astype(bool)]
+
+    def _take(self, stations: list[str], columns: list[np.ndarray], numbers: list[int]) -> FrameBatch:
+        """The batch of one chunk's parsed rows, checked by `_check_order`.
+        Rows from the first of a second station on are refused with an
+        IncompleteStationError, after the rows before it are checked."""
+        station = self.station_id if self.station_id is not None else next(iter(stations), None)
+        if set(stations) - {station}:
+            end = next(i for i, s in enumerate(stations) if s != station)
+            self._check_order(FrameBatch(station, *(c[:end] for c in columns)), numbers)
+            _one_station([station, *stations])  # raises: a second station
+        batch = FrameBatch(station, *columns)
+        self._check_order(batch, numbers)
+        return batch
 
     def _check_order(self, batch: FrameBatch, numbers: list[int]) -> None:
-        """Take `batch` after the frames ingested so far: raise if it is of
-        another station, or on the first row whose timestamp precedes the
-        last of its cell; otherwise advance every cell's last timestamp."""
-        self.station_id = _one_station((self.station_id, batch.station_id))
+        """Take `batch`, of this ingestor's station, after the frames
+        ingested so far: raise on the first row whose timestamp precedes
+        the last of its cell; otherwise advance every cell's last timestamp."""
+        self.station_id = batch.station_id
         n = len(batch)
         order = np.argsort(batch.cell_index, kind="stable")
         cell, ts = batch.cell_index[order], batch.timestamp_ms[order]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -159,7 +161,9 @@ def test_tare_on_the_rails_loads(tmp_path, tare_code):
 )
 def test_tare_outside_the_code_range_is_rejected(tmp_path, tare_code):
     path = write_calibration(tmp_path / "cal.cfg", tare_code)
-    with pytest.raises(TareRangeError, match=f"tare code {tare_code} outside signed 24-bit range"):
+    # the dataclass's own error keeps its type and names the file
+    message = f"{path}: tare code {tare_code} outside signed 24-bit range"
+    with pytest.raises(TareRangeError, match=f"^{re.escape(message)}$"):
         CalibrationState.from_file(path)
 
 

@@ -90,10 +90,21 @@ class TestSimulate:
         assert out.err == f"weighsim: error: {path}: unknown key 'curb_fl'\n"
 
     def test_scenario_breadth_must_be_positive(self, scenario_file, capsys):
-        assert main(["simulate", scenario_file(BALANCED_SCENARIO + "breadth_m = -3\n")]) == 1
+        path = scenario_file(BALANCED_SCENARIO + "breadth_m = -3\n")
+        assert main(["simulate", path]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "weighsim: error: breadth_m must be > 0, got -3.0\n"
+        assert out.err == f"weighsim: error: {path}: breadth_m must be > 0, got -3.0\n"
+
+    @pytest.mark.parametrize("spec", [None, "capacity_kg = 120\nnoise_sigma_mv = 0.002\n"], ids=["noise_free", "noisy"])
+    def test_negative_noise_seed_is_rejected(self, scenario_file, capsys, spec):
+        # a noise-free chain seeds no stream, so numpy never sees the seed
+        path = scenario_file(BALANCED_SCENARIO + "noise_seed = -1\n")
+        argv = ["simulate", path] + (["--cell-spec", scenario_file(spec, "spec.cfg")] if spec else [])
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"weighsim: error: {path}: noise_seed must be an integer >= 0, got -1\n"
 
     def test_config_policy_key_overrides_the_preset(self, scenario_file, capsys):
         # every quadrant holds 25 %, above a 10 % share limit
@@ -177,6 +188,16 @@ class TestCalibrateWeighAssess:
         )
         assert code == 1
         assert "15" in capsys.readouterr().err
+
+    def test_cell_spec_check_names_its_file(self, tmp_path, capsys):
+        # used to print "capacity must be > 0, got -5.0" without the file
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("capacity_kg = -5\n")
+        code = main(["calibrate", "--cell-spec", str(spec), "--known-mass", "1", "--out", str(tmp_path / "c.cfg")])
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and not (tmp_path / "c.cfg").exists()
+        assert out.err == f"weighsim: error: {spec}: capacity must be > 0, got -5.0\n"
 
 
 class TestWeighInput:
@@ -277,9 +298,31 @@ class TestWeighInput:
         assert record["policy"]["quadrant_threshold_pct"] == 30.0
 
     def test_config_breadth_must_be_positive(self, weigh, config):
-        code, out = weigh(self.frames(), extra=("--config", config("breadth_m = -3\n")))
+        path = config("breadth_m = -3\n")
+        code, out = weigh(self.frames(), extra=("--config", path))
         assert code == 1 and out.out == ""
-        assert out.err == "weighsim: error: breadth_m must be > 0, got -3.0\n"
+        assert out.err == f"weighsim: error: {path}: breadth_m must be > 0, got -3.0\n"
+
+    def test_bad_geometry_flag_is_not_blamed_on_the_config(self, weigh, config):
+        code, out = weigh(self.frames(), extra=("--config", config("track_m = 3\n"), "--wheelbase-m", "0"))
+        assert code == 1 and out.out == ""
+        assert out.err == "weighsim: error: wheelbase_m must be > 0, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tare_code", "99999999", "tare code 99999999 outside signed 24-bit range"),
+            ("ref_mass_kg_0", "-1.0", "reference mass must be > 0, got -1.0"),
+        ],
+    )
+    def test_calibration_check_names_its_file(self, weigh, tmp_path, key, value, message):
+        # used to print the message alone, so with four --cal files the bad one was not named
+        good = tmp_path / "cal.cfg"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(good.read_text().replace(f"{key} = ", f"{key} = {value}  # was "))
+        code, out = weigh(self.frames(), extra=("--cal", str(good), str(good), str(bad), str(good)))
+        assert code == 1 and out.out == ""
+        assert out.err == f"weighsim: error: {bad}: {message}\n"
 
     def test_unknown_config_key_is_rejected(self, weigh, config):
         path = config("wheelbase_m = 2.5\nquadrant_threshold = 10\n")

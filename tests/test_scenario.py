@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weighsim.calibration import code_to_mass
 from weighsim.cog import DeckGeometry, FourCellReading, POLICIES, assess_four_cell
-from weighsim.errors import ConfigError, InvalidPlacementError, UndefinedCentroidError
+from weighsim.errors import ConfigError, InvalidPlacementError, InvalidSeedError, UndefinedCentroidError
 from weighsim.scenario import (
     Placement,
     Scenario,
@@ -13,7 +14,7 @@ from weighsim.scenario import (
     run_end_to_end,
     total_mass,
 )
-from weighsim.sensor import LoadCellSpec
+from weighsim.sensor import LoadCellSpec, add_noise, bridge_output, quantize
 
 GEOM = DeckGeometry(wheelbase_m=2.0, track_m=1.5)
 P2 = POLICIES["prototype2"]
@@ -143,6 +144,56 @@ class TestEndToEnd:
         a = run_end_to_end(s, (spec,) * 4, self.cals(spec), P2)
         b = run_end_to_end(s, (spec,) * 4, self.cals(spec), P2)
         assert a == b
+
+    NOISY = LoadCellSpec(capacity_kg=120.0, noise_sigma_mv=0.002)
+
+    @staticmethod
+    def spawn_all_reference(s, specs, cals):
+        """The chain with all four streams built by `spawn(4)`, noise or not."""
+        rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(s.noise_seed).spawn(4)]
+        masses = []
+        for mass, spec, cal, rng in zip(corner_loads(s).as_tuple(), specs, cals, rngs):
+            reading = add_noise(bridge_output(spec, mass, temperature_c=s.temperature_c), spec, rng)
+            masses.append(code_to_mass(quantize(reading).code, cal).kg)
+        return assess_four_cell(FourCellReading(*masses), s.geometry, P2)
+
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.1, max_value=40.0),
+                st.floats(min_value=0.0, max_value=2.0),
+                st.floats(min_value=0.0, max_value=1.5),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=50)
+    def test_noise_streams_keep_their_bits(self, seed, placements):
+        # cell i draws from child i of the seed's SeedSequence, as when all
+        # four streams were spawned, also with noise-free cells in between
+        specs = (self.NOISY, self.SPEC, self.NOISY, self.SPEC)
+        cals = tuple(ideal_calibration(spec) for spec in specs)
+        s = scenario(*(Placement(*p) for p in placements), curb=CURB, noise_seed=seed)
+        assert run_end_to_end(s, specs, cals, P2) == self.spawn_all_reference(s, specs, cals)
+
+    def test_noise_free_chain_seeds_no_stream(self, monkeypatch):
+        s = scenario(Placement(100.0, 0.5, 0.5), curb=CURB, noise_seed=77)
+        specs = (self.SPEC,) * 4
+        expected = self.spawn_all_reference(s, specs, self.cals())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a noise-free chain built a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert run_end_to_end(s, specs, self.cals(), P2) == expected
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_noise_seed_must_be_a_non_negative_integer(self, seed):
+        # a noise-free chain seeds no stream, so numpy no longer rejects these
+        with pytest.raises(InvalidSeedError, match=rf"^noise_seed must be an integer >= 0, got {seed!r}$"):
+            scenario(noise_seed=seed)
+        assert scenario(noise_seed=np.uint64(2**64 - 1)).noise_seed == 2**64 - 1
 
     def test_monte_carlo_total_is_unbiased(self):
         spec = LoadCellSpec(capacity_kg=120.0, noise_sigma_mv=0.001)

@@ -211,6 +211,30 @@ class TestIngestor:
             with pytest.raises(SequencingError, match=r"^timestamp 4 ms before 5 ms on station 'st1' cell 0 \(line 5\)$"):
                 ing.ingest_lines(lines)
 
+    @staticmethod
+    def capture_604(station="st1"):
+        """604 wire lines: four cells at 0-15,000 ms, 100 ms apart."""
+        return [f"{station},{i % 4},{i // 4 * 100},1,128,0" for i in range(604)]
+
+    @pytest.mark.parametrize("chunk_lines", [CHUNK_LINES, 7, 605])
+    def test_regression_before_a_second_station_comes_first(self, chunk_lines):
+        # a chunk used to check its stations before its time order, so this
+        # reported "frames span multiple stations" for line 606
+        lines = self.capture_604() + ["st1,0,0,1,128,0", "xx,1,15100,1,128,0"]
+        with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+            with pytest.raises(
+                SequencingError,
+                match=r"^timestamp 0 ms before 15000 ms on station 'st1' cell 0 \(line 605\)$",
+            ):
+                FrameIngestor().ingest_lines(lines)
+
+    @pytest.mark.parametrize("chunk_lines", [CHUNK_LINES, 7])
+    def test_second_station_before_a_regression_comes_first(self, chunk_lines):
+        lines = self.capture_604() + ["xx,1,15100,1,128,0", "st1,0,0,1,128,0"]
+        with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+            with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['st1', 'xx'\]$"):
+                FrameIngestor().ingest_lines(lines)
+
     def test_concat_keeps_one_station(self):
         a = FrameBatch.from_records([SensorFrameRecord("s1", 0, 1, 2), SensorFrameRecord("s1", 1, 1, 2)])
         b = FrameBatch.from_records([SensorFrameRecord("s1", 2, 3, 4, 64, True)])
