@@ -24,7 +24,7 @@ from .cog import DECKS, AlertPolicy, DeckGeometry, POLICIES, is_unsafe, policy a
 from .compliance import AXLE_CONFIGURATIONS, BUILTIN_RULES, AxleConfiguration, ToleranceRule
 from .compliance import check_compliance, load_axle_table, load_tolerance_rules, max_permissible_error
 from .compliance import JURISDICTIONS, within_gvw_limit
-from .errors import FrameError, RecordParseError, WeighSimError
+from .errors import FrameError, InsufficientSamplesError, RecordParseError, WeighSimError
 from .record import RecordStore, json_line, to_json
 
 EXIT_SAFE = 0
@@ -91,17 +91,20 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     spec = LoadCellSpec.from_file(args.cell_spec)
     adc = AdcConfig()
     rng = np.random.default_rng(args.seed)
-    zero_frames = [
-        quantize(add_noise(bridge_output(spec, 0.0, args.temperature), spec, rng), adc)
-        for _ in range(args.samples)
-    ]
-    tare_code = tare(zero_frames)
-    loaded_codes = [
-        quantize(add_noise(bridge_output(spec, args.known_mass, args.temperature), spec, rng), adc).code
-        for _ in range(args.samples)
-    ]
-    code_at_mass = round(sum(loaded_codes) / len(loaded_codes))
-    cal = calibrate(tare_code, args.known_mass, code_at_mass, temperature_c=args.temperature)
+
+    def mean_code(mass: float) -> int:
+        """The rounded mean of `--samples` non-saturated codes at `mass`."""
+        frames = [
+            quantize(add_noise(bridge_output(spec, mass, args.temperature), spec, rng), adc)
+            for _ in range(args.samples)
+        ]
+        try:
+            return tare(frames)
+        except InsufficientSamplesError:
+            raise InsufficientSamplesError(f"no non-saturated sample at {mass} kg") from None
+
+    tare_code = mean_code(0.0)  # drawn first: the noise of both points comes from one stream
+    cal = calibrate(tare_code, args.known_mass, mean_code(args.known_mass), temperature_c=args.temperature)
     cal.to_file(args.out)
     print(json_line({**kvfile.scalars(cal), "out": str(args.out)}))
     return EXIT_SAFE
@@ -111,11 +114,17 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
     from .calibration import CalibrationState
     from .station import FrameBatch, FrameIngestor, run_session
 
+    if len(args.cal) != args.cells:
+        raise WeighSimError(f"need {args.cells} calibrations, got {len(args.cal)}")
     ingestor = FrameIngestor(cell_count=args.cells)
     batches = []
     for path in args.frames:
         with open(path) as fh:
-            batches.append(ingestor.ingest_lines(fh))
+            try:
+                batches.append(ingestor.ingest_lines(fh))
+            except WeighSimError as exc:
+                exc.args = (f"{path}: {exc}",)
+                raise
     frames = FrameBatch.concat(batches)
     calibrations = [CalibrationState.from_file(p) for p in args.cal]
     geometry, policy = _load_station(args)
@@ -130,7 +139,6 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
         tolerance_rule=rule,
         reference_kg=args.reference,
         axle_config=axle,
-        cell_count=args.cells,
     )
     RecordStore(args.data_dir).append(record)
     print(record.to_line())

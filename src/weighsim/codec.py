@@ -103,14 +103,15 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
 def numbered_chunks(lines: Iterable[str]) -> Iterator[tuple[list[str], list[int]]]:
     """Read `lines` (any iterable, e.g. an open file) `CHUNK_LINES` at a time.
 
-    Yields, per chunk, its stripped non-blank lines and their line numbers,
-    counted from 1 with blank lines included.
+    Yields, per chunk with a non-blank line, its stripped non-blank lines
+    and their line numbers, counted from 1 with blank lines included.
     """
     it = iter(lines)
     first_no = 1
     while chunk := list(islice(it, CHUNK_LINES)):
         stripped = list(map(str.strip, chunk))
-        yield list(filter(None, stripped)), list(compress(count(first_no), stripped))
+        if kept := list(filter(None, stripped)):
+            yield kept, list(compress(count(first_no), stripped))
         first_no += len(chunk)
 
 

@@ -164,8 +164,11 @@ def run_end_to_end(
     `SeedSequence(noise_seed, spawn_key=(i,))`, which is what
     `SeedSequence(noise_seed).spawn(4)[i]` builds, so repeated runs of the
     same scenario are bit-identical. A stream is seeded only for a cell
-    whose spec has noise; a noise-free chain builds none.
+    whose spec has noise; a noise-free chain builds none. A ValueError
+    unless there are four specs and four calibrations, one per corner.
     """
+    if len(specs) != 4 or len(cals) != 4:
+        raise ValueError(f"need 4 cell specs and 4 calibrations, got {len(specs)} and {len(cals)}")
     loads = corner_loads(scenario)
     masses = []
     for i, (mass, spec, cal) in enumerate(zip(loads.as_tuple(), specs, cals)):
@@ -178,24 +181,13 @@ def run_end_to_end(
     return assess_four_cell(FourCellReading(*masses), scenario.geometry, policy)
 
 
-def ideal_calibration(
-    spec: LoadCellSpec,
-    adc: AdcConfig = DEFAULT_ADC,
-    known_mass_kg: float | None = None,
-) -> CalibrationState:
+def ideal_calibration(spec: LoadCellSpec, adc: AdcConfig = DEFAULT_ADC) -> CalibrationState:
     """Calibration taken against the noise-free sensor model itself.
 
-    Tare at zero load, slope from one known mass (default: the cell's
-    capacity). This is the software analogue of placing a reference weight
-    on a freshly installed cell.
+    Tare at zero load, slope from the cell's capacity as the known mass.
+    This is the software analogue of placing a reference weight on a
+    freshly installed cell.
     """
-    if known_mass_kg is None:
-        known_mass_kg = spec.capacity_kg
     zero = quantize(bridge_output(spec, 0.0), adc)
-    loaded = quantize(bridge_output(spec, known_mass_kg), adc)
-    return calibrate(
-        tare([zero]),
-        known_mass_kg,
-        loaded.code,
-        temperature_c=spec.reference_temp_c,
-    )
+    loaded = quantize(bridge_output(spec, spec.capacity_kg), adc)
+    return calibrate(tare([zero]), spec.capacity_kg, loaded.code, temperature_c=spec.reference_temp_c)

@@ -14,9 +14,10 @@ station's frames: its `station_id` and a numpy column per other wire
 field, one row per frame in input order. `FrameIngestor.ingest_lines`
 parses any iterable of lines (an open file included) in the chunks of
 `codec.numbered_chunks`, so the strings of one chunk at a time are alive.
-It raises a RecordParseError with `parse_frame_line`'s message, a
-SequencingError on a timestamp regression, or an IncompleteStationError
-on a frame of a second station, whichever comes first in input order.
+A chunk of good lines is taken in bulk. In any other chunk the lines are
+checked one by one, and the first that fails to parse (RecordParseError),
+is of a second station (IncompleteStationError) or goes back in time on
+its cell (SequencingError) raises, whatever the chunk size.
 `run_session` reduces each cell's column slice: code→mass, then the
 static-window or WIM mean.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, fields
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -175,33 +176,26 @@ class FrameIngestor:
         """Parse and check `lines` (any iterable, e.g. an open file), as the
         module docstring says. Blank lines are skipped; errors name the line
         number, counted from 1 with blank lines included."""
-        batches = [self._ingest_chunk(kept, numbers) for kept, numbers in numbered_chunks(lines)]
+        batches = []
+        for kept, numbers in numbered_chunks(lines):
+            batch = self._good_chunk(kept)
+            if batch is None:
+                self._raise_first_fault(kept, numbers)
+            batches.append(batch)
         return FrameBatch.concat(batches) if batches else FrameBatch.from_records(())
 
-    def _ingest_chunk(self, kept: list[str], numbers: list[int]) -> FrameBatch:
-        parsed = self._columns(kept)
-        if parsed is None:
-            # A line fails a parse check; an error in the lines before it comes first.
-            for j, text in enumerate(kept):
-                try:
-                    parse_frame_line(text, numbers[j], self.cell_count)
-                except RecordParseError:
-                    self._take(*self._columns(kept[:j]), numbers)
-                    raise
-            raise AssertionError("chunk rejected although every line parses")
-        return self._take(*parsed, numbers)
-
-    def _columns(self, kept: list[str]) -> tuple[list[str], list[np.ndarray]] | None:
-        """Station ids and the other five columns of stripped non-blank wire
-        lines, or None when any line fails a check of `parse_frame_line`."""
+    def _good_chunk(self, kept: list[str]) -> FrameBatch | None:
+        """The batch of stripped non-blank wire lines, taken after the frames
+        ingested so far, or None when any line fails a check of
+        `parse_frame_line`, is of another station or precedes the last
+        timestamp of its cell. Only a good chunk advances the state."""
         n = len(kept)
-        if not n:
-            return [], [np.empty(0, np.int64)] * 4 + [np.empty(0, bool)]
         if set(map(str.count, kept, repeat(","))) != {5}:
             return None
         fields = ",".join(kept).split(",")
         stations = fields[0::6]
-        if "" in stations:
+        station = self.station_id or stations[0]
+        if not station or stations.count(station) != n:
             return None
         del fields[0::6]
         try:
@@ -220,43 +214,31 @@ class FrameIngestor:
         )
         if bad.any():
             return None
-        return stations, [cell, ts, code, gain, sat.astype(bool)]
+        last_ts = self._last_ts.copy()
+        for c in range(self.cell_count):
+            t = np.append(last_ts[c], ts[cell == c])  # the cell's last timestamp, then the chunk's
+            if (t[1:] < t[:-1]).any():
+                return None
+            last_ts[c] = t[-1]
+        self.station_id, self._last_ts = station, last_ts
+        return FrameBatch(station, cell, ts, code, gain, sat.astype(bool))
 
-    def _take(self, stations: list[str], columns: list[np.ndarray], numbers: list[int]) -> FrameBatch:
-        """The batch of one chunk's parsed rows, checked by `_check_order`.
-        Rows from the first of a second station on are refused with an
-        IncompleteStationError, after the rows before it are checked."""
-        station = self.station_id if self.station_id is not None else next(iter(stations), None)
-        if set(stations) - {station}:
-            end = next(i for i, s in enumerate(stations) if s != station)
-            self._check_order(FrameBatch(station, *(c[:end] for c in columns)), numbers)
-            _one_station([station, *stations])  # raises: a second station
-        batch = FrameBatch(station, *columns)
-        self._check_order(batch, numbers)
-        return batch
-
-    def _check_order(self, batch: FrameBatch, numbers: list[int]) -> None:
-        """Take `batch`, of this ingestor's station, after the frames
-        ingested so far: raise on the first row whose timestamp precedes
-        the last of its cell; otherwise advance every cell's last timestamp."""
-        self.station_id = batch.station_id
-        n = len(batch)
-        order = np.argsort(batch.cell_index, kind="stable")
-        cell, ts = batch.cell_index[order], batch.timestamp_ms[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = cell[1:] != cell[:-1]
-        prev = np.empty(n, dtype=np.int64)
-        prev[1:] = ts[:-1]
-        prev[first] = self._last_ts[cell[first]]
-        bad = np.flatnonzero(ts < prev)
-        if bad.size:
-            pos = bad[np.argmin(order[bad])]
-            raise SequencingError(
-                f"timestamp {ts[pos]} ms before {prev[pos]} ms on"
-                f" station {self.station_id!r} cell {cell[pos]} (line {numbers[order[pos]]})"
-            )
-        last = np.roll(first, -1)  # the row before the next cell's first
-        self._last_ts[cell[last]] = ts[last]
+    def _raise_first_fault(self, kept: list[str], numbers: list[int]) -> NoReturn:
+        """Raise the error of the first line of a chunk `_good_chunk`
+        rejected: each line in turn is parsed, then checked for its station,
+        then for its cell's time order."""
+        station, last_ts = self.station_id, self._last_ts.tolist()
+        for text, line_no in zip(kept, numbers):
+            frame = parse_frame_line(text, line_no, self.cell_count)
+            station = _one_station([station, frame.station_id])
+            cell, ts = frame.cell_index, frame.timestamp_ms
+            if ts < last_ts[cell]:
+                raise SequencingError(
+                    f"timestamp {ts} ms before {last_ts[cell]} ms on"
+                    f" station {station!r} cell {cell} (line {line_no})"
+                )
+            last_ts[cell] = ts
+        raise AssertionError("chunk rejected although every line passes")
 
 
 def run_session(
@@ -268,22 +250,22 @@ def run_session(
     tolerance_rule: ToleranceRule | None = None,
     reference_kg: float | None = None,
     axle_config: AxleConfiguration | None = None,
-    cell_count: int = 4,
 ) -> WeighRecord:
-    """Weigh one vehicle from its closed per-cell frame streams.
+    """Weigh one vehicle on a deck of one cell per calibration.
 
     Each cell's frames are taken in timestamp order (ties in input order).
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
-    pass-over segment. Compliance entries are appended when a tolerance
-    rule + reference mass and/or an axle configuration are provided.
+    pass-over segment. A tolerance rule with a reference mass (both or
+    neither) and an axle configuration each add a compliance entry.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    cell_count = len(calibrations)
     if cell_count not in DECKS:
-        raise ValueError(f"cell count must be one of {sorted(DECKS)}, got {cell_count}")
-    if len(calibrations) != cell_count:
-        raise ValueError(f"need {cell_count} calibrations, got {len(calibrations)}")
+        raise ValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
+    if (tolerance_rule is None) != (reference_kg is None):
+        raise ValueError("a tolerance check needs both a tolerance rule and a reference mass")
 
     batch = frames if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames)
     cell = batch.cell_index
@@ -315,7 +297,7 @@ def run_session(
 
     assessment = assess(cell_masses, geometry, policy)
     compliance_entries: list[dict] = []
-    if tolerance_rule is not None and reference_kg is not None:
+    if tolerance_rule is not None:
         result = check_compliance(assessment.total_kg, reference_kg, tolerance_rule)
         compliance_entries.append({"check": "tolerance", **to_json(result)})
     if axle_config is not None:

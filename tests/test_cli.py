@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -200,6 +201,41 @@ class TestCalibrateWeighAssess:
         assert out.err == f"weighsim: error: {spec}: capacity must be > 0, got -5.0\n"
 
 
+class TestCalibrateSaturation:
+    """`calibrate` averages each point over its non-saturated samples."""
+
+    SPEC = LoadCellSpec(capacity_kg=120.0, rated_output_mv_v=8.0, noise_sigma_mv=0.02)  # rail at ~117.19 kg
+
+    def calibrate(self, tmp_path, known_mass):
+        spec_path, out = tmp_path / "spec.cfg", tmp_path / "cal.cfg"
+        self.SPEC.to_file(spec_path)
+        code = main(["calibrate", "--cell-spec", str(spec_path), "--known-mass", known_mass, "--out", str(out)])
+        return code, out
+
+    def test_a_point_where_every_sample_saturates_is_rejected(self, tmp_path, capsys):
+        # used to exit 0 with ref_code_0 = 8388607, so 50 kg then read as 64.0 kg
+        code, out = self.calibrate(tmp_path, "150")
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr() == ("", "weighsim: error: no non-saturated sample at 150.0 kg\n")
+
+    def test_saturated_samples_are_left_out_of_the_mean(self, tmp_path):
+        from weighsim.calibration import CalibrationState
+        from weighsim.sensor import AdcConfig, add_noise, bridge_output, quantize
+
+        code, out = self.calibrate(tmp_path, "117.2")
+        assert code == 0
+        rng = np.random.default_rng(0)  # the --seed default; the zero point is drawn first
+        codes = [
+            [quantize(add_noise(bridge_output(self.SPEC, mass), self.SPEC, rng), AdcConfig()) for _ in range(16)]
+            for mass in (0.0, 117.2)
+        ]
+        zero, loaded = ([f.code for f in frames if not f.saturated] for frames in codes)
+        assert len(zero) == 16 and 0 < len(loaded) < 16
+        cal = CalibrationState.from_file(out)
+        assert cal.tare_code == round(sum(zero) / 16)
+        assert cal.reference_points == ((117.2, round(sum(loaded) / len(loaded))),)
+
+
 class TestWeighInput:
     """Frame-file and geometry errors: exit 1 with one line on stderr."""
 
@@ -245,23 +281,24 @@ class TestWeighInput:
         assert code == 1 and out.out == ""
         assert out.err == f"weighsim: error: {flag[2:].replace('-', '_')} must be > 0, got 0.0\n"
 
-    def test_timestamp_wider_than_int64(self, weigh):
+    def test_timestamp_wider_than_int64(self, weigh, tmp_path):
         code, out = weigh(self.frames() + f"st9,0,{10**400},10000,128,0\n")
         assert code == 1 and out.out == ""
-        assert out.err.startswith("weighsim: error: line 605: timestamp 1000")
+        assert out.err.startswith(f"weighsim: error: {tmp_path / 'frames0.txt'}: line 605: timestamp 1000")
         assert out.err.count("\n") == 1
 
-    def test_regression_across_frames_files(self, weigh):
+    def test_regression_across_frames_files(self, weigh, tmp_path):
         code, out = weigh(self.frames(0, 15_000), self.frames(14_000, 16_000))
         assert code == 1
         assert out.err == (
-            "weighsim: error: timestamp 14000 ms before 15000 ms on station 'st9' cell 0 (line 1)\n"
+            f"weighsim: error: {tmp_path / 'frames1.txt'}:"
+            " timestamp 14000 ms before 15000 ms on station 'st9' cell 0 (line 1)\n"
         )
 
-    def test_line_numbers_restart_per_file(self, weigh):
+    def test_line_numbers_restart_per_file(self, weigh, tmp_path):
         code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000) + "\nst9,0,1\n")
         assert code == 1
-        assert out.err == "weighsim: error: line 302: expected 6 fields, got 3\n"
+        assert out.err == f"weighsim: error: {tmp_path / 'frames1.txt'}: line 302: expected 6 fields, got 3\n"
 
     def test_frames_split_across_files(self, weigh):
         code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000))
@@ -270,8 +307,28 @@ class TestWeighInput:
     def test_frames_files_from_two_stations(self, weigh, tmp_path):
         code, out = weigh(self.frames(station="ws"), self.frames(15_100, 16_000, station="ws2"))
         assert code == 1 and out.out == ""
-        assert out.err == "weighsim: error: frames span multiple stations: ['ws', 'ws2']\n"
+        assert out.err == f"weighsim: error: {tmp_path / 'frames1.txt'}: frames span multiple stations: ['ws', 'ws2']\n"
         assert not (tmp_path / "records").exists()
+
+    @pytest.mark.parametrize("flags", [("--jurisdiction", "US", "--kind", "acceptance"), ("--reference", "40")])
+    def test_tolerance_check_needs_a_rule_and_a_reference(self, weigh, tmp_path, flags):
+        # --jurisdiction without --reference used to exit 0 with "compliance":[]
+        code, out = weigh(self.frames(), extra=flags)
+        assert code == 1 and out.out == ""
+        assert out.err == "weighsim: error: a tolerance check needs both a tolerance rule and a reference mass\n"
+        assert not (tmp_path / "records").exists()
+
+    def test_calibration_count_is_checked_before_any_frame(self, weigh, tmp_path):
+        code, out = weigh("not a frame\n", extra=("--cal", str(tmp_path / "cal.cfg")))
+        assert code == 1 and out.out == ""
+        assert out.err == "weighsim: error: need 4 calibrations, got 1\n"
+
+    def test_frames_error_names_its_file_among_several(self, weigh, tmp_path):
+        code, out = weigh(self.frames(0, 7_500) + "st9,0,x,1,128,0\n", self.frames(7_600, 15_000))
+        assert code == 1 and out.out == ""
+        assert out.err == (
+            f"weighsim: error: {tmp_path / 'frames0.txt'}: line 305: non-numeric field in 'st9,0,x,1,128,0'\n"
+        )
 
     @pytest.fixture
     def config(self, tmp_path):

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from weighsim import codec
 from weighsim.codec import (
     BitTrace,
     CONFIG_PULSES,
     PULSE_COUNT_GAIN,
     decode_frame,
     encode_frame,
+    numbered_chunks,
 )
 from weighsim.errors import FrameError, MalformedFrameError, TruncatedFrameError
 from weighsim.sensor import AdcFrame, CODE_MAX, CODE_MIN
@@ -111,3 +115,9 @@ def test_arbitrary_bytes_never_crash(raw):
 def test_bit_trace_rejects_non_bits():
     with pytest.raises(MalformedFrameError):
         BitTrace("01012")
+
+
+def test_numbered_chunks_skip_chunks_of_blank_lines_only():
+    with mock.patch.object(codec, "CHUNK_LINES", 2):
+        chunks = list(numbered_chunks(["", " ", "a", "\t", "", " b "]))
+    assert chunks == [(["a"], [3]), (["b"], [6])]

@@ -84,7 +84,6 @@ def golden_record(codes, record_id, policy, reference_kg, wiggle=True):
         tolerance_rule=BUILTIN_RULES[("US", "acceptance")],
         reference_kg=reference_kg,
         axle_config=AXLE_CONFIGURATIONS["2"],
-        cell_count=len(codes),
     )
     return dataclasses.replace(record, record_id=record_id)
 

@@ -122,6 +122,16 @@ class TestEndToEnd:
         cal = ideal_calibration(spec or self.SPEC)
         return (cal,) * 4
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_needs_four_specs_and_four_calibrations(self, count):
+        # five used to drop the fifth silently, three to raise an untyped TypeError
+        s = scenario(Placement(100.0, 1.0, 0.75))
+        cal = ideal_calibration(self.SPEC)
+        with pytest.raises(ValueError, match=rf"^need 4 cell specs and 4 calibrations, got {count} and 4$"):
+            run_end_to_end(s, (self.SPEC,) * count, (cal,) * 4, P2)
+        with pytest.raises(ValueError, match=rf"^need 4 cell specs and 4 calibrations, got 4 and {count}$"):
+            run_end_to_end(s, (self.SPEC,) * 4, (cal,) * count, P2)
+
     def test_overload_detected_through_pipeline(self):
         s = scenario(Placement(460.0, 1.0, 0.75), curb=CURB)  # 500 kg total
         a = run_end_to_end(s, (self.SPEC,) * 4, self.cals(), P2)

@@ -143,7 +143,7 @@ def test_columnar_session_is_bit_identical(session):
     assert len(ingested) == len(frames)
     for source in (frames, ingested):
         got = session_or_error(
-            lambda: run_session(source, cals, mode, POLICY, GEOM, cell_count=cell_count)
+            lambda: run_session(source, cals, mode, POLICY, GEOM)
         )
         if isinstance(expected, tuple) and isinstance(expected[0], type):
             assert got == expected
@@ -187,5 +187,5 @@ def test_code_below_tare_clamps_to_zero(mode):
     cal = CalibrationState(tare_code=100, scale_kg_per_lsb=0.5, reference_points=((1.0, 102),))
     frames = [SensorFrameRecord("st1", 0, t * 1000, 90) for t in range(16)]
     frames += [SensorFrameRecord("st1", 1, t * 1000, 104) for t in range(16)]
-    record = run_session(frames, [cal] * 2, mode, POLICY, GEOM, cell_count=2)
+    record = run_session(frames, [cal] * 2, mode, POLICY, GEOM)
     assert record.cell_masses_kg == (0.0, 2.0)

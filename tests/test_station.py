@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weighsim import codec
 from weighsim.calibration import CalibrationState
@@ -15,6 +15,7 @@ from weighsim.errors import (
     InsufficientDurationError,
     RecordParseError,
     SequencingError,
+    WeighSimError,
 )
 from weighsim.station import (
     FrameBatch,
@@ -250,6 +251,89 @@ class TestIngestor:
             FrameBatch.from_records([SensorFrameRecord("s1", 0, 1, 2), SensorFrameRecord("s0", 0, 1, 2)])
 
 
+def reference_ingest(files, cell_count):
+    """The per-line reading of the wire files of one session that
+    `FrameIngestor.ingest_lines` must match: the frames of each file, then
+    the (type, message) of the first error, or None. Each line is parsed,
+    then checked for its station, then for its cell's time order."""
+    station, last_ts, batches = None, {}, []
+    try:
+        for lines in files:
+            frames = []
+            for line_no, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                frame = parse_frame_line(line, line_no, cell_count)
+                station = station or frame.station_id
+                if frame.station_id != station:
+                    raise IncompleteStationError(
+                        f"frames span multiple stations: {sorted([station, frame.station_id])}"
+                    )
+                cell, ts = frame.cell_index, frame.timestamp_ms
+                if cell in last_ts and ts < last_ts[cell]:
+                    raise SequencingError(
+                        f"timestamp {ts} ms before {last_ts[cell]} ms on"
+                        f" station {station!r} cell {cell} (line {line_no})"
+                    )
+                last_ts[cell] = ts
+                frames.append(frame)
+            batches.append(frames)
+    except WeighSimError as exc:
+        return batches, (type(exc), str(exc))
+    return batches, None
+
+
+_FAULTS = [
+    "st1,0,1", "st1,0,1,1,128,0,0", ",0,1,1,128,0", "st1,x,1,1,128,0", "st1,-1,1,1,128,0",
+    "st1,0,1,8388608,128,0", "st1,0,1,1,100,0", "st1,0,1,1,128,2", f"st1,0,{2**63},1,128,0",
+    f"st1,0,1,{10**30},128,0",
+]
+
+
+@st.composite
+def captures(draw):
+    """The wire files of one session: frames of up to three stations with
+    blank lines, padding, parse faults and time regressions, each only in
+    some captures so that others ingest."""
+    cell_count = draw(st.sampled_from([2, 4]))
+    stations = draw(st.sampled_from([["st1"], ["st1"] * 8 + ["st2"], ["st1"] * 6 + ["st2", "st3"], ["st2", "st1", "st3"]]))
+    step = st.integers(-3, 3) if draw(st.booleans()) else st.integers(0, 3)
+    kinds = ["frame"] * 8 + ["blank"] + ["fault"] * draw(st.sampled_from([0, 1]))
+    t, lines = 0, []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "fault":
+            lines.append(draw(st.sampled_from(_FAULTS + [f"st1,{cell_count},1,1,128,0"])))
+        else:
+            t += draw(step)
+            frame = SensorFrameRecord(
+                draw(st.sampled_from(stations)), draw(st.integers(0, cell_count - 1)), t,
+                draw(st.integers(-(2**23), 2**23 - 1)), draw(st.sampled_from([128, 64, 32])), draw(st.booleans()),
+            )
+            lines.append(draw(st.sampled_from(["", " "])) + format_frame_line(frame))
+    cut = draw(st.integers(0, len(lines)))
+    files = [lines[:cut], lines[cut:]] if draw(st.booleans()) else [lines]
+    return files, cell_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(captures(), st.sampled_from([1, 2, 3, 4, 5, 6, 7, CHUNK_LINES]))
+def test_ingestor_matches_per_line_reference(capture, chunk_lines):
+    files, cell_count = capture
+    expected_batches, expected_error = reference_ingest(files, cell_count)
+    ingestor, error = FrameIngestor(cell_count), None
+    with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+        batches = []
+        try:
+            for lines in files:
+                batches.append(rows(ingestor.ingest_lines(lines)))
+        except WeighSimError as exc:
+            error = (type(exc), str(exc))
+    assert error == expected_error
+    assert batches == expected_batches
+
+
 class TestRunSession:
     def test_static_overload_assessment(self):
         # four constant 110 kg cells -> 440 kg total > 400
@@ -280,9 +364,7 @@ class TestRunSession:
 
     def test_two_cell_compatibility_mode(self):
         frames = session_frames([5000, 4500])  # 5.0 kg + 4.5 kg
-        record = run_session(
-            frames, [CAL] * 2, "static", POLICIES["prototype1"], GEOM, cell_count=2
-        )
+        record = run_session(frames, [CAL] * 2, "static", POLICIES["prototype1"], GEOM)
         assert isinstance(record.assessment, TwoCellAssessment)
         assert record.assessment.total_kg == pytest.approx(9.5)
         assert not record.assessment.overloaded
@@ -314,6 +396,19 @@ class TestRunSession:
         frames = session_frames([1000] * 4) + [SensorFrameRecord("st1", -1, 0, 1000)]
         with pytest.raises(IncompleteStationError, match="frame for cell -1 on a 4-cell station"):
             run_session(frames, [CAL] * 4, "static", P2, GEOM)
+
+    @pytest.mark.parametrize("check", [{"tolerance_rule": KENYA_REVERIFICATION}, {"reference_kg": 80_000.0}])
+    def test_tolerance_check_needs_a_rule_and_a_reference(self, check):
+        # either alone used to add no tolerance entry, silently
+        with pytest.raises(ValueError, match="^a tolerance check needs both a tolerance rule and a reference mass$"):
+            run_session(session_frames([1000] * 4), [CAL] * 4, "static", P2, GEOM, **check)
+
+    def test_deck_size_is_the_calibration_count(self):
+        frames = session_frames([1000] * 4)
+        with pytest.raises(ValueError, match=r"^cell count \(one per calibration\) must be one of \[2, 4\], got 3$"):
+            run_session(frames, [CAL] * 3, "static", P2, GEOM)
+        with pytest.raises(IncompleteStationError, match="^frame for cell 2 on a 2-cell station$"):
+            run_session(frames, [CAL] * 2, "static", P2, GEOM)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
