@@ -43,6 +43,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count flag: zero and below are usage errors."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors are operational errors: exit 1, not argparse's 2
     def error(self, message: str):  # noqa: A003 - argparse API
@@ -114,8 +125,13 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
     from .calibration import CalibrationState
     from .station import FrameBatch, FrameIngestor, run_session
 
+    # Every check that needs no frame comes before the capture is read.
     if len(args.cal) != args.cells:
         raise WeighSimError(f"need {args.cells} calibrations, got {len(args.cal)}")
+    calibrations = [CalibrationState.from_file(p) for p in args.cal]
+    geometry, policy = _load_station(args)
+    rule = _tolerance_rule(args) if args.jurisdiction else None
+    axle = _axle_config(args) if args.axle_config else None
     ingestor = FrameIngestor(cell_count=args.cells)
     batches = []
     for path in args.frames:
@@ -125,11 +141,9 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
             except WeighSimError as exc:
                 exc.args = (f"{path}: {exc}",)
                 raise
+            except UnicodeDecodeError as exc:
+                raise WeighSimError(f"{path}: {exc}") from None
     frames = FrameBatch.concat(batches)
-    calibrations = [CalibrationState.from_file(p) for p in args.cal]
-    geometry, policy = _load_station(args)
-    rule = _tolerance_rule(args) if args.jurisdiction else None
-    axle = _axle_config(args) if args.axle_config else None
     record = run_session(
         frames,
         calibrations,
@@ -272,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-spec", required=True, help="load cell spec file")
     p.add_argument("--known-mass", type=_finite_float, required=True, help="reference mass in kg")
     p.add_argument("--out", required=True, help="calibration file to write")
-    p.add_argument("--samples", type=int, default=16, help="samples averaged per point")
+    p.add_argument("--samples", type=_positive_int, default=16, help="samples averaged per point")
     p.add_argument("--temperature", type=_finite_float, default=25.0, help="ambient °C")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.set_defaults(func=_cmd_calibrate)

@@ -14,10 +14,12 @@ station's frames: its `station_id` and a numpy column per other wire
 field, one row per frame in input order. `FrameIngestor.ingest_lines`
 parses any iterable of lines (an open file included) in the chunks of
 `codec.numbered_chunks`, so the strings of one chunk at a time are alive.
-A chunk of good lines is taken in bulk. In any other chunk the lines are
-checked one by one, and the first that fails to parse (RecordParseError),
-is of a second station (IncompleteStationError) or goes back in time on
-its cell (SequencingError) raises, whatever the chunk size.
+A chunk is taken in bulk: numpy's text reader parses its numeric columns
+and array checks cover the rest. Any chunk it refuses is parsed line by
+line, which either raises the error of the first line that fails to parse
+(RecordParseError), is of a second station (IncompleteStationError) or
+goes back in time on its cell (SequencingError), or returns the same rows,
+whatever the chunk size. So the result depends on neither parser's quirks.
 `run_session` reduces each cell's column slice: code→mass, then the
 static-window or WIM mean.
 
@@ -27,9 +29,9 @@ Records, their JSON codec and the record store live in `weighsim.record`.
 from __future__ import annotations
 
 import uuid
+import warnings
 from dataclasses import dataclass, fields
-from itertools import repeat
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -54,6 +56,10 @@ MODES = ("static", "wim")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _GAINS = np.array(sorted(GAIN_CHANNELS), dtype=np.int64)
+#: Characters a chunk taken in bulk must not hold: a line break, which
+#: would split a line in numpy's text reader, and the separators \x1c-\x1f,
+#: which the reader strips from an integer field and int() does not.
+_NOT_IN_BULK = "\r\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -179,30 +185,40 @@ class FrameIngestor:
         batches = []
         for kept, numbers in numbered_chunks(lines):
             batch = self._good_chunk(kept)
-            if batch is None:
-                self._raise_first_fault(kept, numbers)
-            batches.append(batch)
+            batches.append(self._line_by_line(kept, numbers) if batch is None else batch)
         return FrameBatch.concat(batches) if batches else FrameBatch.from_records(())
 
     def _good_chunk(self, kept: list[str]) -> FrameBatch | None:
-        """The batch of stripped non-blank wire lines, taken after the frames
-        ingested so far, or None when any line fails a check of
-        `parse_frame_line`, is of another station or precedes the last
-        timestamp of its cell. Only a good chunk advances the state."""
+        """The batch of stripped non-blank wire lines, taken in bulk after the
+        frames ingested so far, or None when the bulk path cannot vouch for
+        every line: it then parsed none, and `_line_by_line` must. Only a
+        good chunk advances the state."""
         n = len(kept)
-        if set(map(str.count, kept, repeat(","))) != {5}:
+        text = "\n".join(kept)
+        station = self.station_id or kept[0].partition(",")[0]
+        # numpy's reader takes some non-ASCII letters for digits. It refuses
+        # a line of fewer than 6 fields, so 5 commas per line on average are
+        # 5 on every line.
+        if (
+            not station
+            or not text.isascii()
+            or any(c in text for c in _NOT_IN_BULK)
+            or text.count("\n") != n - 1
+            or text.count(",") != 5 * n
+            or not text.startswith(station + ",")
+            or text.count("\n" + station + ",") != n - 1
+        ):
             return None
-        fields = ",".join(kept).split(",")
-        stations = fields[0::6]
-        station = self.station_id or stations[0]
-        if not station or stations.count(station) != n:
-            return None
-        del fields[0::6]
         try:
-            table = np.fromiter(map(int, fields), np.int64, 5 * n)
-        except (ValueError, OverflowError):
+            with warnings.catch_warnings():
+                # numpy < 2 reads "1.0" as 1 with a DeprecationWarning
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(
+                    kept, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2
+                )
+        except (ValueError, DeprecationWarning):
             return None
-        cell, ts, code, gain, sat = np.ascontiguousarray(table.reshape(n, 5).T)
+        cell, ts, code, gain, sat = np.ascontiguousarray(table.T)
         bad = (
             (cell < 0)
             | (cell >= self.cell_count)
@@ -223,11 +239,12 @@ class FrameIngestor:
         self.station_id, self._last_ts = station, last_ts
         return FrameBatch(station, cell, ts, code, gain, sat.astype(bool))
 
-    def _raise_first_fault(self, kept: list[str], numbers: list[int]) -> NoReturn:
-        """Raise the error of the first line of a chunk `_good_chunk`
-        rejected: each line in turn is parsed, then checked for its station,
-        then for its cell's time order."""
-        station, last_ts = self.station_id, self._last_ts.tolist()
+    def _line_by_line(self, kept: list[str], numbers: list[int]) -> FrameBatch:
+        """The batch of a chunk `_good_chunk` refused, read as the module
+        docstring says: each line in turn is parsed, then checked for its
+        station, then for its cell's time order, and the first that fails
+        raises. A chunk whose every line passes advances the state."""
+        station, last_ts, frames = self.station_id, self._last_ts.tolist(), []
         for text, line_no in zip(kept, numbers):
             frame = parse_frame_line(text, line_no, self.cell_count)
             station = _one_station([station, frame.station_id])
@@ -238,7 +255,9 @@ class FrameIngestor:
                     f" station {station!r} cell {cell} (line {line_no})"
                 )
             last_ts[cell] = ts
-        raise AssertionError("chunk rejected although every line passes")
+            frames.append(frame)
+        self.station_id, self._last_ts = station, np.array(last_ts, np.int64)
+        return FrameBatch.from_records(frames)
 
 
 def run_session(

@@ -252,7 +252,7 @@ class TestWeighInput:
             paths = []
             for i, text in enumerate(frame_texts):
                 path = tmp_path / f"frames{i}.txt"
-                path.write_text(text)
+                (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
                 paths.append(str(path))
             code = main(
                 [
@@ -329,6 +329,35 @@ class TestWeighInput:
         assert out.err == (
             f"weighsim: error: {tmp_path / 'frames0.txt'}: line 305: non-numeric field in 'st9,0,x,1,128,0'\n"
         )
+
+    def test_undecodable_frames_file_is_named(self, weigh, tmp_path):
+        # used to print the codec error alone, so the bad one of several files was not named
+        code, out = weigh(self.frames(0, 7_500), b"st9,0,7600,10000,128,0\n\xff\n")
+        assert code == 1 and out.out == ""
+        assert out.err.startswith(f"weighsim: error: {tmp_path / 'frames1.txt'}: ")
+        assert "codec can't decode byte 0xff in position 23" in out.err and out.err.count("\n") == 1
+        assert not (tmp_path / "records").exists()
+
+    @pytest.mark.parametrize("case", ["kind", "axle", "geometry", "config", "cal"])
+    def test_checks_that_need_no_frame_come_before_the_capture(self, weigh, tmp_path, config, case):
+        # each used to be reported only after the whole capture was read, so a
+        # bad capture hid it
+        bad_cal = tmp_path / "bad.cfg"
+        bad_cal.write_text((tmp_path / "cal.cfg").read_text().replace("tare_code = ", "tare_code = 99999999  # was "))
+        extra, message = {
+            "kind": (
+                ("--jurisdiction", "US", "--reference", "40"),
+                "no tolerance rule for US/re_verification; known:"
+                " Kenya/first_time, Kenya/re_verification, NewZealand/acceptance, US/acceptance",
+            ),
+            "axle": (("--axle-config", "Z9"), "unknown axle configuration 'Z9'"),
+            "geometry": (("--track-m", "-1"), "track_m must be > 0, got -1.0"),
+            "config": (("--config", config("track = 3\n")), f"{tmp_path / 'station.cfg'}: unknown key 'track'"),
+            "cal": (("--cal", *[str(tmp_path / "cal.cfg")] * 3, str(bad_cal)), f"{bad_cal}: tare code 99999999 outside signed 24-bit range"),
+        }[case]
+        code, out = weigh("not a frame\n", extra=extra)
+        assert code == 1 and out.out == ""
+        assert out.err == f"weighsim: error: {message}\n"
 
     @pytest.fixture
     def config(self, tmp_path):
@@ -554,6 +583,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 1
+
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_calibrate_samples_must_be_positive(self, tmp_path, capsys, samples):
+        # used to exit 1 blaming saturation: "no non-saturated sample at 0.0 kg"
+        spec, out_path = tmp_path / "spec.cfg", tmp_path / "cal.cfg"
+        spec.write_text("capacity_kg = 120\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--cell-spec", str(spec), "--known-mass", "100", "--out", str(out_path), "--samples", samples])
+        assert exc.value.code == 1 and not out_path.exists()
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"weighsim calibrate: error: argument --samples: not a positive integer: '{samples}'\n")
 
 
 class TestNonFiniteFlags:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -236,6 +237,49 @@ class TestIngestor:
             with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['st1', 'xx'\]$"):
                 FrameIngestor().ingest_lines(lines)
 
+    @pytest.mark.parametrize("line", ["ws,0,1_000,0,128,0", "ws,0,1000,\uff11,128,0", "ws,0,\xa01000,0,128,0\x0b"])
+    def test_line_the_bulk_reader_refuses_is_read_line_by_line(self, line):
+        # numpy's reader refuses these int() texts; the chunk used to end in
+        # AssertionError("chunk rejected although every line passes")
+        lines = ["ws,1,5,-7,64,1", line]
+        ing = FrameIngestor()
+        batch = ing.ingest_lines(lines)
+        assert batch.station_id == "ws"
+        assert batch.timestamp_ms.dtype == np.int64 and batch.saturated.dtype == bool
+        assert rows(batch) == [parse_frame_line(text) for text in lines]
+        # the station and the order state advance as after a bulk chunk
+        with pytest.raises(SequencingError, match=r"^timestamp 999 ms before 1000 ms on station 'ws' cell 0 \(line 1\)$"):
+            ing.ingest_lines(["ws,0,999,0,128,0"])
+        with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['st1', 'ws'\]$"):
+            ing.ingest_lines(["st1,0,2000,0,128,0"])
+
+    @pytest.mark.parametrize("field", ["\u01fe", "1\u01ff", "\x1c1", "1\x1f", "7\x1e"])
+    def test_text_the_bulk_reader_misreads_is_a_parse_error(self, field):
+        # numpy's reader reads U+01FE as 462 and strips \x1c-\x1f; int() does neither
+        lines = ["ws,0,0,5,128,0", f"ws,0,1,{field},128,0"]
+        with pytest.raises(RecordParseError, match="^line 2: non-numeric field in"):
+            FrameIngestor().ingest_lines(lines)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [["ws,0,1,1,128,0,0"], ["ws,0,1,1,128,0,0", "ws,0,2,1,128"], ["ws,0,1,1,128", "ws,0,2,1,128,0,0"]],
+    )
+    def test_seven_fields_and_five_fields_in_one_chunk(self, lines):
+        # numpy's reader ignores a seventh field; the last two captures hold
+        # 5 commas per line on average
+        with pytest.raises(RecordParseError, match="^line 1: expected 6 fields, got [57]$"):
+            FrameIngestor().ingest_lines(lines)
+
+    def test_a_deprecation_warning_of_the_reader_refuses_the_chunk(self):
+        # numpy < 2 reads "1.0" as the integer 1 and only warns
+        def lenient_loadtxt(lines, *args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return np.array([[0, 1, 5, 128, 0]] * len(lines), np.int64)
+
+        with mock.patch.object(np, "loadtxt", lenient_loadtxt):
+            with pytest.raises(RecordParseError, match=r"^line 1: non-numeric field in 'ws,0,1.0,5,128,0'$"):
+                FrameIngestor().ingest_lines(["ws,0,1.0,5,128,0"])
+
     def test_concat_keeps_one_station(self):
         a = FrameBatch.from_records([SensorFrameRecord("s1", 0, 1, 2), SensorFrameRecord("s1", 1, 1, 2)])
         b = FrameBatch.from_records([SensorFrameRecord("s1", 2, 3, 4, 64, True)])
@@ -290,15 +334,51 @@ _FAULTS = [
 ]
 
 
+#: 19- and 20-digit values at and beyond the int64 limits.
+_INT64_EDGES = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**19, -(10**19), 10**20 - 1]
+
+
+@st.composite
+def field_texts(draw, value):
+    """A text of the int field `value` that int() may read and numpy's text
+    reader may not, or the other way round: a sign and padding, and some of
+    `_`, `.`, `e`, full-width digits or letters numpy reads as digits."""
+    digits = str(abs(value))
+    kind = draw(st.sampled_from(["plain", "wide", "odd", "letter"]))
+    if kind == "wide":
+        digits = "".join(chr(ord(d) + 0xFEE0) if draw(st.booleans()) else d for d in digits)
+    elif kind == "odd":
+        i = draw(st.integers(1, len(digits)))
+        digits = digits[:i] + draw(st.sampled_from(["_", ".", ".0", "e", "e0", "\uff11", "+"])) + digits[i:]
+    elif kind == "letter":  # numpy reads these as 462, 4631 and 1841
+        digits = draw(st.sampled_from(["\u01fe", "1\u01ff", "\u0761"]))
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    pad = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\x0b", "\x1c", "\x1f", "\r"])
+    return draw(pad) + sign + digits + draw(pad)
+
+
+@st.composite
+def field_text_lines(draw, line):
+    """Wire `line` with one numeric field written by `field_texts`; a
+    timestamp may first become one of `_INT64_EDGES`."""
+    fields = line.split(",")
+    j = draw(st.integers(1, 5))
+    value = int(fields[j])
+    if j == 2:
+        value = draw(st.sampled_from([value, *_INT64_EDGES]))
+    fields[j] = draw(field_texts(value))
+    return ",".join(fields)
+
+
 @st.composite
 def captures(draw):
     """The wire files of one session: frames of up to three stations with
-    blank lines, padding, parse faults and time regressions, each only in
-    some captures so that others ingest."""
+    blank lines, padding, parse faults, odd field texts and time
+    regressions, each only in some captures so that others ingest."""
     cell_count = draw(st.sampled_from([2, 4]))
     stations = draw(st.sampled_from([["st1"], ["st1"] * 8 + ["st2"], ["st1"] * 6 + ["st2", "st3"], ["st2", "st1", "st3"]]))
     step = st.integers(-3, 3) if draw(st.booleans()) else st.integers(0, 3)
-    kinds = ["frame"] * 8 + ["blank"] + ["fault"] * draw(st.sampled_from([0, 1]))
+    kinds = ["frame"] * 8 + ["blank"] + ["fault"] * draw(st.sampled_from([0, 1])) + ["odd"] * draw(st.sampled_from([0, 2]))
     t, lines = 0, []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
         if kind == "blank":
@@ -311,7 +391,10 @@ def captures(draw):
                 draw(st.sampled_from(stations)), draw(st.integers(0, cell_count - 1)), t,
                 draw(st.integers(-(2**23), 2**23 - 1)), draw(st.sampled_from([128, 64, 32])), draw(st.booleans()),
             )
-            lines.append(draw(st.sampled_from(["", " "])) + format_frame_line(frame))
+            line = format_frame_line(frame)
+            if kind == "odd":
+                line = draw(field_text_lines(line))
+            lines.append(draw(st.sampled_from(["", " "])) + line)
     cut = draw(st.integers(0, len(lines)))
     files = [lines[:cut], lines[cut:]] if draw(st.booleans()) else [lines]
     return files, cell_count
@@ -320,7 +403,28 @@ def captures(draw):
 @settings(max_examples=300, deadline=None)
 @given(captures(), st.sampled_from([1, 2, 3, 4, 5, 6, 7, CHUNK_LINES]))
 def test_ingestor_matches_per_line_reference(capture, chunk_lines):
-    files, cell_count = capture
+    assert_ingests_as_reference(*capture, chunk_lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            SensorFrameRecord, st.just("st1"), st.integers(0, 3), st.integers(0, 9),
+            st.integers(-(2**23), 2**23 - 1), st.sampled_from([128, 64, 32]), st.booleans(),
+        ).map(format_frame_line).flatmap(field_text_lines),
+        min_size=1, max_size=6,
+    ),
+    st.sampled_from([1, CHUNK_LINES]),
+)
+def test_field_text_matches_per_line_reference(lines, chunk_lines):
+    # with one line per chunk, the bulk path judges each line alone
+    assert_ingests_as_reference([lines], 4, chunk_lines)
+
+
+def assert_ingests_as_reference(files, cell_count, chunk_lines):
+    """One ingestor fed `files` in chunks of `chunk_lines` gives the rows or
+    the error of `reference_ingest`."""
     expected_batches, expected_error = reference_ingest(files, cell_count)
     ingestor, error = FrameIngestor(cell_count), None
     with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
