@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -26,6 +27,7 @@ from .compliance import check_compliance, load_axle_table, load_tolerance_rules,
 from .compliance import JURISDICTIONS, within_gvw_limit
 from .errors import FrameError, InsufficientSamplesError, RecordParseError, WeighSimError
 from .record import RecordStore, json_line, to_json
+from .sensor import CODE_MAX, CODE_MIN
 
 EXIT_SAFE = 0
 EXIT_ERROR = 1
@@ -123,7 +125,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_weigh(args: argparse.Namespace) -> int:
     from .calibration import CalibrationState
-    from .station import FrameBatch, FrameIngestor, run_session
+    from .station import FrameBatch, FrameIngestor, check_tolerance_inputs, run_session
 
     # Every check that needs no frame comes before the capture is read.
     if len(args.cal) != args.cells:
@@ -131,6 +133,7 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
     calibrations = [CalibrationState.from_file(p) for p in args.cal]
     geometry, policy = _load_station(args)
     rule = _tolerance_rule(args) if args.jurisdiction else None
+    check_tolerance_inputs(rule, args.reference)
     axle = _axle_config(args) if args.axle_config else None
     ingestor = FrameIngestor(cell_count=args.cells)
     batches = []
@@ -197,16 +200,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     # The whole file is read as text first, so a file that is not valid
     # text fails before anything reaches stdout.
     text = Path(args.trace).read_text()
+    labels = {config: "%d,%s" % config for config in codec.CONFIG_PULSES}
+    rails = frozenset((CODE_MIN, CODE_MAX))  # a code on either rail is saturated
     try:
-        for rows in codec.decode_lines(_split_lines(text)):
-            sys.stdout.write(
-                "".join(
-                    [
-                        f"{line_no},{code},{gain},{channel},{int(saturated)}\n"
-                        for line_no, code, gain, channel, saturated in rows
-                    ]
-                )
-            )
+        for numbers, codes, configs in codec.decode_lines(_split_lines(text)):
+            rows = zip(numbers, codes, map(labels.__getitem__, configs), map(rails.__contains__, codes))
+            sys.stdout.write("%d,%d,%s,%d\n" * len(codes) % tuple(chain.from_iterable(rows)))
     except FrameError as exc:
         print(f"{args.trace}:{exc.line_no}: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -217,11 +216,15 @@ def _split_lines(text: str, size: int = 1 << 16) -> Iterator[str]:
     """The lines of `text.splitlines()`, split from slices of about `size`
     characters that each end after a newline, so that the lines of one
     slice at a time are alive."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos + size) + 1 or len(text)
-        yield from text[pos:end].splitlines()
-        pos = end
+
+    def slices() -> Iterator[str]:
+        pos = 0
+        while pos < len(text):
+            end = text.find("\n", pos + size) + 1 or len(text)
+            yield text[pos:end]
+            pos = end
+
+    return chain.from_iterable(map(str.splitlines, slices()))
 
 
 def _tolerance_rule(args: argparse.Namespace) -> ToleranceRule:

@@ -17,19 +17,25 @@ characters, length 25-27. The decoder is total over arbitrary lines:
 anything invalid raises a typed FrameError, never an unhandled crash.
 
 `decode_frame` decodes one line into an `AdcFrame`. `decode_lines`
-decodes a whole trace in chunks of `CHUNK_LINES` into rows of plain
-values, without a per-line object; its first invalid line raises the
-error `decode_frame` gives for that line alone.
+decodes a whole trace `CHUNK_LINES` lines at a time into columns (line
+numbers, codes, (gain, channel) configs), without a per-line object. A
+chunk whose every line is a frame as it stands (no blank line, padding or
+fault) is decoded in one pass: its codes come from a single base-2
+conversion of all its data bits, and its line numbers are a `range`. Any
+other chunk is stripped and numbered line by line, and its first invalid
+line raises the error `decode_frame` gives for that line alone.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import compress, count, islice
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FrameError, MalformedFrameError, TruncatedFrameError
-from .sensor import AdcFrame, CODE_MAX, CODE_MIN
+from .sensor import AdcFrame
 
 DATA_BITS = 24
 
@@ -39,16 +45,21 @@ CONFIG_PULSES = {(128, "A"): 1, (32, "B"): 2, (64, "A"): 3}
 #: Total pulse count → (gain, channel). Bijective with CONFIG_PULSES.
 PULSE_COUNT_GAIN = {DATA_BITS + n: gc for gc, n in CONFIG_PULSES.items()}
 
-#: Lines read per chunk by `numbered_chunks`. It bounds the per-line
-#: Python objects alive at once while keeping the per-chunk cost small.
+#: Lines read per chunk by `numbered_chunks` and `decode_lines`. It bounds
+#: the per-line Python objects alive at once while keeping the per-chunk
+#: cost small.
 CHUNK_LINES = 4096
 
 #: `str.translate` table deleting both bit symbols: a text consists of
 #: bits only exactly when nothing is left of it.
 _DROP_BITS = str.maketrans("", "", "01")
 
-#: One decoded trace line: (line_no, code, gain, channel, saturated).
-TraceRow = tuple[int, int, int, str, bool]
+#: The data bits of a trace line, and the sign byte of a word's top data byte.
+_DATA_PART = itemgetter(slice(0, DATA_BITS))
+_SIGN_BYTE = bytes(0xFF if byte & 0x80 else 0 for byte in range(256))
+
+#: One decoded chunk: line numbers, codes and (gain, channel) configs.
+TraceColumns = tuple[Sequence[int], Sequence[int], list[tuple[int, str]]]
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,7 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
     if n not in PULSE_COUNT_GAIN:
         raise MalformedFrameError(f"invalid pulse count {n}, expected one of {sorted(PULSE_COUNT_GAIN)}")
     gain, channel = PULSE_COUNT_GAIN[n]
-    return AdcFrame.from_code(_data_code(trace.bits), gain=gain, channel=channel)
+    return AdcFrame.from_code(_data_codes([trace.bits])[0], gain=gain, channel=channel)
 
 
 def numbered_chunks(lines: Iterable[str]) -> Iterator[tuple[list[str], list[int]]]:
@@ -106,39 +117,38 @@ def numbered_chunks(lines: Iterable[str]) -> Iterator[tuple[list[str], list[int]
     Yields, per chunk with a non-blank line, its stripped non-blank lines
     and their line numbers, counted from 1 with blank lines included.
     """
-    it = iter(lines)
-    first_no = 1
-    while chunk := list(islice(it, CHUNK_LINES)):
-        stripped = list(map(str.strip, chunk))
-        if kept := list(filter(None, stripped)):
-            yield kept, list(compress(count(first_no), stripped))
-        first_no += len(chunk)
+    for first_no, chunk in _chunks(lines):
+        kept, numbers = _numbered(chunk, first_no)
+        if kept:
+            yield kept, numbers
 
 
-def decode_lines(lines: Iterable[str]) -> Iterator[list[TraceRow]]:
+def decode_lines(lines: Iterable[str]) -> Iterator[TraceColumns]:
     """Decode trace lines (any iterable, e.g. an open file) chunk by chunk.
 
-    Yields, for each chunk of `numbered_chunks`, one row
-    (line_no, code, gain, channel, saturated) per non-blank line, each
-    equal to the fields of `decode_frame(line)`. At the first invalid
-    line, the rows of the lines before it are yielded, then the FrameError
+    Yields, per chunk of `CHUNK_LINES` lines, the columns of its non-blank
+    lines: line numbers (counted from 1, blank lines included), codes and
+    (gain, channel) configs, row i holding what `decode_frame` gives for
+    the i-th non-blank line. A chunk of frames as they stand takes one
+    bulk pass and a `range` of line numbers. At the first invalid line,
+    the columns of the lines before it are yielded, then the FrameError
     `decode_frame` raises for that line propagates with its `line_no` set.
     """
-    for kept, numbers in numbered_chunks(lines):
+    for first_no, chunk in _chunks(lines):
+        configs = list(map(PULSE_COUNT_GAIN.get, map(len, chunk)))
+        if None not in configs and not "".join(chunk).translate(_DROP_BITS):
+            yield range(first_no, first_no + len(chunk)), _data_codes(chunk), configs
+            continue
+        kept, numbers = _numbered(chunk, first_no)
         configs = list(map(PULSE_COUNT_GAIN.get, map(len, kept)))
-        bad = None
+        bad = len(kept)
         if None in configs or "".join(kept).translate(_DROP_BITS):
             bad = next(
                 j for j, (bits, config) in enumerate(zip(kept, configs))
                 if config is None or bits.translate(_DROP_BITS)
             )
-        yield [
-            (line_no, code, gain, channel, code in (CODE_MIN, CODE_MAX))
-            for line_no, code, (gain, channel) in zip(
-                numbers[:bad], map(_data_code, kept[:bad]), configs
-            )
-        ]
-        if bad is not None:
+        yield numbers[:bad], _data_codes(kept[:bad]), configs[:bad]
+        if bad < len(kept):
             try:
                 decode_frame(kept[bad])
             except FrameError as exc:
@@ -147,7 +157,33 @@ def decode_lines(lines: Iterable[str]) -> Iterator[list[TraceRow]]:
             raise AssertionError(f"line {numbers[bad]} rejected although it decodes")
 
 
-def _data_code(bits: str) -> int:
-    """Signed code of the 24 data bits that open a valid trace; sign-extends bit 23."""
-    code = int(bits[:DATA_BITS], 2)
-    return code - 2**24 if code >= 2**23 else code
+def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """`lines` in lists of up to `CHUNK_LINES`, each with the line number
+    (from 1) of its first line."""
+    it = iter(lines)
+    first_no = 1
+    while chunk := list(islice(it, CHUNK_LINES)):
+        yield first_no, chunk
+        first_no += len(chunk)
+
+
+def _numbered(chunk: list[str], first_no: int) -> tuple[list[str], list[int]]:
+    """The stripped non-blank lines of `chunk` and their line numbers."""
+    stripped = list(map(str.strip, chunk))
+    return list(filter(None, stripped)), list(compress(count(first_no), stripped))
+
+
+def _data_codes(lines: list[str]) -> tuple[int, ...]:
+    """Signed codes of trace lines that each open with 24 data bits.
+
+    The data bits of all lines are converted by one `int(..., 2)` (base 2
+    is exempt from the int digit limit) into 3 big-endian bytes per line.
+    Each line's 3 bytes, after a sign byte copied from bit 23, make one
+    32-bit two's complement word, and the words are unpacked at once.
+    """
+    n = len(lines)
+    data = int("".join(map(_DATA_PART, lines)) or "0", 2).to_bytes(3 * n, "big")
+    words = bytearray(4 * n)
+    words[0::4] = data[0::3].translate(_SIGN_BYTE)
+    words[1::4], words[2::4], words[3::4] = data[0::3], data[1::3], data[2::3]
+    return struct.unpack(f">{n}i", words)

@@ -185,8 +185,7 @@ def check_compliance(measured_kg: float, reference_kg: float, rule: ToleranceRul
     The rule is evaluated at the reference mass (in tonnes), which serves
     as the capacity/load anchor.
     """
-    if reference_kg <= 0:
-        raise ValueError(f"reference mass must be > 0, got {reference_kg}")
+    require_positive("reference mass", reference_kg)
     mpe = max_permissible_error(rule, reference_kg / 1000.0)
     error = abs(measured_kg - reference_kg)
     return ComplianceResult(

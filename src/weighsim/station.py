@@ -48,7 +48,8 @@ from .compliance import (
     wim_weigh,
     within_gvw_limit,
 )
-from .errors import IncompleteStationError, RecordParseError, SequencingError
+from .errors import IncompleteStationError, InsufficientSamplesError, RecordParseError
+from .errors import SequencingError, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
 from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS
 
@@ -260,6 +261,15 @@ class FrameIngestor:
         return FrameBatch.from_records(frames)
 
 
+def check_tolerance_inputs(tolerance_rule: ToleranceRule | None, reference_kg: float | None) -> None:
+    """ValueError unless a tolerance check has neither a rule nor a
+    reference mass, or both and a finite mass > 0."""
+    if (tolerance_rule is None) != (reference_kg is None):
+        raise ValueError("a tolerance check needs both a tolerance rule and a reference mass")
+    if reference_kg is not None:
+        require_positive("reference mass", reference_kg)
+
+
 def run_session(
     frames: FrameBatch | Iterable[SensorFrameRecord],
     calibrations: Sequence[CalibrationState],
@@ -272,7 +282,8 @@ def run_session(
 ) -> WeighRecord:
     """Weigh one vehicle on a deck of one cell per calibration.
 
-    Each cell's frames are taken in timestamp order (ties in input order).
+    Each cell's unsaturated frames are taken in timestamp order (ties in
+    input order); a cell with none raises InsufficientSamplesError.
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
     pass-over segment. A tolerance rule with a reference mass (both or
@@ -283,8 +294,7 @@ def run_session(
     cell_count = len(calibrations)
     if cell_count not in DECKS:
         raise ValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
-    if (tolerance_rule is None) != (reference_kg is None):
-        raise ValueError("a tolerance check needs both a tolerance rule and a reference mass")
+    check_tolerance_inputs(tolerance_rule, reference_kg)
 
     batch = frames if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames)
     cell = batch.cell_index
@@ -300,12 +310,17 @@ def run_session(
     if missing:
         raise IncompleteStationError(f"no frames for cell(s) {missing}")
 
+    # A saturated frame is pinned at a rail and says nothing about the load.
     order = np.lexsort((batch.timestamp_ms, cell))
+    order = order[~batch.saturated[order]]
     times_s = batch.timestamp_ms[order] / 1000.0
     codes = batch.adc_code[order]
+    counts = np.bincount(cell[order], minlength=cell_count).tolist()
     cell_masses = []
     lo = 0
-    for cal, count in zip(calibrations, counts):
+    for i, (cal, count) in enumerate(zip(calibrations, counts)):
+        if not count:
+            raise InsufficientSamplesError(f"every frame of cell {i} is saturated")
         hi = lo + count
         masses = codes_to_kg(codes[lo:hi], cal)
         if mode == "static":

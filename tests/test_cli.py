@@ -236,6 +236,9 @@ class TestCalibrateSaturation:
         assert cal.reference_points == ((117.2, round(sum(loaded) / len(loaded))),)
 
 
+PAIRING = "a tolerance check needs both a tolerance rule and a reference mass"
+
+
 class TestWeighInput:
     """Frame-file and geometry errors: exit 1 with one line on stderr."""
 
@@ -315,7 +318,7 @@ class TestWeighInput:
         # --jurisdiction without --reference used to exit 0 with "compliance":[]
         code, out = weigh(self.frames(), extra=flags)
         assert code == 1 and out.out == ""
-        assert out.err == "weighsim: error: a tolerance check needs both a tolerance rule and a reference mass\n"
+        assert out.err == f"weighsim: error: {PAIRING}\n"
         assert not (tmp_path / "records").exists()
 
     def test_calibration_count_is_checked_before_any_frame(self, weigh, tmp_path):
@@ -338,7 +341,9 @@ class TestWeighInput:
         assert "codec can't decode byte 0xff in position 23" in out.err and out.err.count("\n") == 1
         assert not (tmp_path / "records").exists()
 
-    @pytest.mark.parametrize("case", ["kind", "axle", "geometry", "config", "cal"])
+    @pytest.mark.parametrize(
+        "case", ["kind", "axle", "geometry", "config", "cal", "reference", "rule_alone", "reference_alone"]
+    )
     def test_checks_that_need_no_frame_come_before_the_capture(self, weigh, tmp_path, config, case):
         # each used to be reported only after the whole capture was read, so a
         # bad capture hid it
@@ -354,6 +359,9 @@ class TestWeighInput:
             "geometry": (("--track-m", "-1"), "track_m must be > 0, got -1.0"),
             "config": (("--config", config("track = 3\n")), f"{tmp_path / 'station.cfg'}: unknown key 'track'"),
             "cal": (("--cal", *[str(tmp_path / "cal.cfg")] * 3, str(bad_cal)), f"{bad_cal}: tare code 99999999 outside signed 24-bit range"),
+            "reference": (("--jurisdiction", "US", "--kind", "acceptance", "--reference", "-5"), "reference mass must be > 0, got -5.0"),
+            "rule_alone": (("--jurisdiction", "US", "--kind", "acceptance"), PAIRING),
+            "reference_alone": (("--reference", "40"), PAIRING),
         }[case]
         code, out = weigh("not a frame\n", extra=extra)
         assert code == 1 and out.out == ""
@@ -519,7 +527,17 @@ class TestReplay:
         assert out.out == "1,0,128,A,0\n3,-1,64,A,0\n"
         assert out.err == f"{path}:4: only 10 pulses, need 24 data bits\n"
 
-    @given(replay_inputs(), st.integers(1, 5))
+    @pytest.mark.parametrize("blank", ["", "\n"])
+    def test_non_bit_symbol_in_a_line_of_frame_length(self, tmp_path, capsys, blank):
+        path = tmp_path / "trace.txt"
+        junk = "0" * 24 + "x"
+        path.write_text(blank + "0" * 25 + "\n" + junk + "\n")
+        assert main(["replay", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == f"{1 + len(blank)},0,128,A,0\n"
+        assert out.err == f"{path}:{2 + len(blank)}: trace contains non-bit symbols: {junk!r}\n"
+
+    @given(replay_inputs(), st.sampled_from([1, 2, 3, 4, 5, codec.CHUNK_LINES]))
     def test_matches_per_line_reference(self, data, chunk_lines):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.txt"
@@ -527,6 +545,23 @@ class TestReplay:
             expected = captured(reference_replay, str(path))
             with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
                 assert captured(main, ["replay", str(path)]) == expected
+
+    def test_trace_longer_than_one_chunk(self, tmp_path):
+        # the first chunk is all frames, so it takes the bulk path
+        edges = [CODE_MIN, CODE_MAX, -1, 0, 1]
+        codes = edges * 3 + [(i * 2_654_435_761) % 2**24 - 2**23 for i in range(codec.CHUNK_LINES - 15)]
+        gains = [gc for gc in _GAIN_CHANNELS for _ in edges] + _GAIN_CHANNELS * codec.CHUNK_LINES
+        first = [encode_frame(AdcFrame.from_code(code, *gc)).to_line() for code, gc in zip(codes, gains)]
+        frame = first[20]
+        second = [frame, "", f" \t{frame} ", frame, "0" * 28]
+        path = tmp_path / "trace.txt"
+        path.write_text("\n".join(first + second) + "\n")
+        expected = captured(reference_replay, str(path))
+        assert captured(main, ["replay", str(path)]) == expected
+        code, out, err = expected
+        assert code == 1 and len(out.splitlines()) == codec.CHUNK_LINES + 3
+        assert out.startswith("1,-8388608,128,A,1\n2,8388607,128,A,1\n3,-1,128,A,0\n4,0,128,A,0\n")
+        assert err == f"{path}:{codec.CHUNK_LINES + 5}: invalid pulse count 28, expected one of [25, 26, 27]\n"
 
     @given(st.text(alphabet="01\n\r\x0c\u2028 x", max_size=60), st.integers(1, 8))
     def test_split_lines_matches_splitlines(self, text, size):

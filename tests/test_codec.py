@@ -70,6 +70,14 @@ class TestDecode:
             decode_frame("0" * 24 + "x")
 
 
+def test_bulk_codes_equal_decode_frame():
+    frames = [frame(code, *gc) for gc in GAIN_CHANNEL for code in (CODE_MIN, CODE_MAX, -1, 0, 1)]
+    lines = [encode_frame(f).to_line() for f in frames]
+    assert codec._data_codes(lines) == tuple(decode_frame(line).code for line in lines)
+    assert codec._data_codes(lines) == tuple(f.code for f in frames)
+    assert codec._data_codes([]) == ()
+
+
 def test_pulse_count_table_is_a_bijection():
     assert len(PULSE_COUNT_GAIN) == len(CONFIG_PULSES) == 3
     assert sorted(PULSE_COUNT_GAIN) == [25, 26, 27]

@@ -25,7 +25,8 @@ from weighsim.cog import (
     assess_two_cell,
 )
 from weighsim.compliance import STATIC_WINDOW_S, static_weigh, wim_weigh
-from weighsim.errors import InsufficientDurationError, NoVehicleError
+from weighsim.errors import InsufficientDurationError, InsufficientSamplesError, NoVehicleError
+from weighsim.sensor import CODE_MAX
 from weighsim.station import (
     FrameIngestor,
     SensorFrameRecord,
@@ -63,12 +64,16 @@ def reference_wim(samples):
 
 
 def reference_session(frames, cals, mode):
-    """(cell masses, started_at_ms, ended_at_ms) of a one-station session."""
+    """(cell masses, started_at_ms, ended_at_ms) of a one-station session,
+    whose saturated frames count only towards its start and end."""
     streams = [[] for _ in cals]
     for frame in frames:
-        streams[frame.cell_index].append(frame)
+        if not frame.saturated:
+            streams[frame.cell_index].append(frame)
     masses = []
-    for stream, cal in zip(streams, cals):
+    for cell, (stream, cal) in enumerate(zip(streams, cals)):
+        if not stream:
+            raise InsufficientSamplesError(f"every frame of cell {cell} is saturated")
         samples = [
             (f.timestamp_ms / 1000.0, reference_mass(f.adc_code, cal))
             for f in sorted(stream, key=lambda f: f.timestamp_ms)
@@ -84,8 +89,9 @@ def masked_line(record):
 
 @st.composite
 def sessions(draw):
-    """Frames of one station: per-cell streams with duplicate timestamps and
-    codes on both sides of the tare, sometimes more lines than one chunk."""
+    """Frames of one station: per-cell streams with duplicate timestamps,
+    codes on both sides of the tare and at times saturated frames (none,
+    some or all of a cell's), sometimes more lines than one chunk."""
     cell_count = draw(st.sampled_from([2, 4]))
     mode = draw(st.sampled_from(["static", "wim"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -106,7 +112,12 @@ def sessions(draw):
         if per_cell > 1:
             ts[:2] = 0, span_ms // step_ms * step_ms  # pin the span
         codes = cal.tare_code + rng.integers(-3_000, 200_000, per_cell)
-        frames += [SensorFrameRecord("st1", cell, int(t), int(c)) for t, c in zip(ts, codes)]
+        pinned = rng.random(per_cell) < draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]))
+        frames += [
+            SensorFrameRecord("st1", cell, int(t), CODE_MAX, saturated=True) if p
+            else SensorFrameRecord("st1", cell, int(t), int(c))
+            for t, c, p in zip(ts, codes, pinned)
+        ]
     order = list(range(len(frames)))
     random.Random(int(rng.integers(2**32))).shuffle(order)
     return [frames[i] for i in order], cals, mode, cell_count
@@ -130,7 +141,7 @@ def columns(samples):
 def session_or_error(run):
     try:
         return run()
-    except (InsufficientDurationError, NoVehicleError) as exc:
+    except (InsufficientDurationError, InsufficientSamplesError, NoVehicleError) as exc:
         return type(exc), str(exc)
 
 

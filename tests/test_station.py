@@ -14,10 +14,12 @@ from weighsim.compliance import AXLE_CONFIGURATIONS, KENYA_REVERIFICATION
 from weighsim.errors import (
     IncompleteStationError,
     InsufficientDurationError,
+    InsufficientSamplesError,
     RecordParseError,
     SequencingError,
     WeighSimError,
 )
+from weighsim.sensor import CODE_MAX, CODE_MIN
 from weighsim.station import (
     FrameBatch,
     FrameIngestor,
@@ -513,6 +515,35 @@ class TestRunSession:
             run_session(frames, [CAL] * 3, "static", P2, GEOM)
         with pytest.raises(IncompleteStationError, match="^frame for cell 2 on a 2-cell station$"):
             run_session(frames, [CAL] * 2, "static", P2, GEOM)
+
+    @pytest.mark.parametrize("mode", ["static", "wim"])
+    def test_saturated_frames_are_left_out(self, mode):
+        # 1 frame in 10 of the 100 kg cell pinned at the rail used to be
+        # averaged in as a reading: the cell read 928.9 kg
+        def line(cell, t):
+            pinned = cell == 0 and t % 1000 == 500
+            return f"st1,{cell},{t},{CODE_MAX if pinned else 100_000},128,{int(pinned)}"
+
+        lines = [line(cell, t) for t in range(0, 15_001, 100) for cell in range(4)]
+        record = run_session(FrameIngestor().ingest_lines(lines), [CAL] * 4, mode, P2, GEOM)
+        assert record.cell_masses_kg == (100.0,) * 4
+        assert record.assessment.total_kg == 400.0
+
+    def test_saturated_frames_do_not_count_towards_the_window(self):
+        frames = session_frames([1000] * 4)
+        frames[-1] = SensorFrameRecord("st1", 3, 15_000, CODE_MAX, saturated=True)
+        with pytest.raises(InsufficientDurationError, match=r"^stream spans 14\.900 s"):
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
+
+    @pytest.mark.parametrize("mode", ["static", "wim"])
+    def test_a_cell_with_only_saturated_frames_is_named(self, mode):
+        frames = session_frames([1000] * 4)
+        frames = [
+            SensorFrameRecord("st1", 2, f.timestamp_ms, CODE_MIN, saturated=True) if f.cell_index == 2 else f
+            for f in frames
+        ]
+        with pytest.raises(InsufficientSamplesError, match="^every frame of cell 2 is saturated$"):
+            run_session(frames, [CAL] * 4, mode, P2, GEOM)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
