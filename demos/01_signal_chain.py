@@ -18,7 +18,7 @@ from weighsim.scenario import ideal_calibration
 
 spec = LoadCellSpec(capacity_kg=120.0, rated_output_mv_v=2.0, excitation_v=5.0)
 adc = AdcConfig(vref_v=5.0, gain=128, channel="A")
-cal = ideal_calibration(spec, adc)
+cal = ideal_calibration(spec)
 
 print(f"cell: {spec.capacity_kg} kg capacity, span {spec.span_mv} mV")
 print(f"adc:  gain {adc.gain}, full scale ±{adc.full_scale_mv:.4f} mV")

@@ -25,7 +25,7 @@ from weighsim.station import SensorFrameRecord
 
 spec = FOUR_CELL_120KG
 adc = AdcConfig()
-cal = ideal_calibration(spec, adc)
+cal = ideal_calibration(spec)
 
 # corner loads of a rear-heavy 430 kg vehicle
 corner_masses = [95.0, 90.0, 125.0, 120.0]

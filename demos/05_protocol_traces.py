@@ -5,11 +5,11 @@ from weighsim.errors import FrameError
 
 print("encoding (24 data bits MSB-first, then 1/2/3 gain-select pulses):")
 for code, gain, channel in [(0, 128, "A"), (-1, 64, "A"), (4_194_304, 32, "B"), (-8_388_608, 128, "A")]:
-    trace = encode_frame(AdcFrame.from_code(code, gain, channel))
+    trace = encode_frame(AdcFrame(code, gain, channel))
     print(f"  code {code:>9} gain {gain:>3}/{channel}: {trace.to_line()}  ({len(trace)} pulses)")
 
 print("\ndecoding round trip:")
-frame = AdcFrame.from_code(-123_456, 32, "B")
+frame = AdcFrame(-123_456, 32, "B")
 line = encode_frame(frame).to_line()
 back = decode_frame(line)
 print(f"  {frame}")

@@ -27,7 +27,7 @@ from .compliance import check_compliance, load_axle_table, load_tolerance_rules,
 from .compliance import JURISDICTIONS, within_gvw_limit
 from .errors import FrameError, InsufficientSamplesError, RecordParseError, WeighSimError
 from .record import RecordStore, json_line, to_json
-from .sensor import CODE_MAX, CODE_MIN
+from .sensor import RAILS
 
 EXIT_SAFE = 0
 EXIT_ERROR = 1
@@ -201,10 +201,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     # text fails before anything reaches stdout.
     text = Path(args.trace).read_text()
     labels = {config: "%d,%s" % config for config in codec.CONFIG_PULSES}
-    rails = frozenset((CODE_MIN, CODE_MAX))  # a code on either rail is saturated
+    on_rail = frozenset(RAILS).__contains__
     try:
         for numbers, codes, configs in codec.decode_lines(_split_lines(text)):
-            rows = zip(numbers, codes, map(labels.__getitem__, configs), map(rails.__contains__, codes))
+            rows = zip(numbers, codes, map(labels.__getitem__, configs), map(on_rail, codes))
             sys.stdout.write("%d,%d,%s,%d\n" * len(codes) % tuple(chain.from_iterable(rows)))
     except FrameError as exc:
         print(f"{args.trace}:{exc.line_no}: {exc}", file=sys.stderr)

@@ -45,9 +45,9 @@ CONFIG_PULSES = {(128, "A"): 1, (32, "B"): 2, (64, "A"): 3}
 #: Total pulse count → (gain, channel). Bijective with CONFIG_PULSES.
 PULSE_COUNT_GAIN = {DATA_BITS + n: gc for gc, n in CONFIG_PULSES.items()}
 
-#: Lines read per chunk by `numbered_chunks` and `decode_lines`. It bounds
-#: the per-line Python objects alive at once while keeping the per-chunk
-#: cost small.
+#: Lines read per chunk by `chunks`, for `decode_lines` and the wire
+#: ingestor alike. It bounds the per-line Python objects alive at once
+#: while keeping the per-chunk cost small.
 CHUNK_LINES = 4096
 
 #: `str.translate` table deleting both bit symbols: a text consists of
@@ -108,19 +108,7 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
     if n not in PULSE_COUNT_GAIN:
         raise MalformedFrameError(f"invalid pulse count {n}, expected one of {sorted(PULSE_COUNT_GAIN)}")
     gain, channel = PULSE_COUNT_GAIN[n]
-    return AdcFrame.from_code(_data_codes([trace.bits])[0], gain=gain, channel=channel)
-
-
-def numbered_chunks(lines: Iterable[str]) -> Iterator[tuple[list[str], list[int]]]:
-    """Read `lines` (any iterable, e.g. an open file) `CHUNK_LINES` at a time.
-
-    Yields, per chunk with a non-blank line, its stripped non-blank lines
-    and their line numbers, counted from 1 with blank lines included.
-    """
-    for first_no, chunk in _chunks(lines):
-        kept, numbers = _numbered(chunk, first_no)
-        if kept:
-            yield kept, numbers
+    return AdcFrame(_data_codes([trace.bits])[0], gain, channel)
 
 
 def decode_lines(lines: Iterable[str]) -> Iterator[TraceColumns]:
@@ -134,12 +122,12 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceColumns]:
     the columns of the lines before it are yielded, then the FrameError
     `decode_frame` raises for that line propagates with its `line_no` set.
     """
-    for first_no, chunk in _chunks(lines):
+    for first_no, chunk in chunks(lines):
         configs = list(map(PULSE_COUNT_GAIN.get, map(len, chunk)))
         if None not in configs and not "".join(chunk).translate(_DROP_BITS):
             yield range(first_no, first_no + len(chunk)), _data_codes(chunk), configs
             continue
-        kept, numbers = _numbered(chunk, first_no)
+        kept, numbers = numbered(chunk, first_no)
         configs = list(map(PULSE_COUNT_GAIN.get, map(len, kept)))
         bad = len(kept)
         if None in configs or "".join(kept).translate(_DROP_BITS):
@@ -157,7 +145,7 @@ def decode_lines(lines: Iterable[str]) -> Iterator[TraceColumns]:
             raise AssertionError(f"line {numbers[bad]} rejected although it decodes")
 
 
-def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+def chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """`lines` in lists of up to `CHUNK_LINES`, each with the line number
     (from 1) of its first line."""
     it = iter(lines)
@@ -167,7 +155,7 @@ def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         first_no += len(chunk)
 
 
-def _numbered(chunk: list[str], first_no: int) -> tuple[list[str], list[int]]:
+def numbered(chunk: list[str], first_no: int) -> tuple[list[str], list[int]]:
     """The stripped non-blank lines of `chunk` and their line numbers."""
     stripped = list(map(str.strip, chunk))
     return list(filter(None, stripped)), list(compress(count(first_no), stripped))

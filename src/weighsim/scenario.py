@@ -38,7 +38,7 @@ from .calibration import CalibrationState, calibrate, code_to_mass, tare
 from .cog import AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
 from .errors import ConfigError, InvalidPlacementError, InvalidSeedError, UndefinedCentroidError
 from .errors import require_positive
-from .sensor import DEFAULT_ADC, AdcConfig, LoadCellSpec, add_noise, bridge_output, quantize
+from .sensor import LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
 
@@ -156,9 +156,8 @@ def run_end_to_end(
     specs: tuple[LoadCellSpec, LoadCellSpec, LoadCellSpec, LoadCellSpec],
     cals: tuple[CalibrationState, CalibrationState, CalibrationState, CalibrationState],
     policy: AlertPolicy,
-    adc: AdcConfig = DEFAULT_ADC,
 ) -> LoadAssessment:
-    """Full pipeline: corner loads → bridge → ADC → calibration → assessment.
+    """Full pipeline: corner loads → bridge → `DEFAULT_ADC` → calibration → assessment.
 
     Cell i draws its noise from child i of `SeedSequence(noise_seed)`,
     `SeedSequence(noise_seed, spawn_key=(i,))`, which is what
@@ -176,18 +175,18 @@ def run_end_to_end(
         if spec.noise_sigma_mv > 0:
             rng = np.random.default_rng(np.random.SeedSequence(scenario.noise_seed, spawn_key=(i,)))
             reading = add_noise(reading, spec, rng)
-        frame = quantize(reading, adc)
-        masses.append(code_to_mass(frame.code, cal).kg)
+        masses.append(code_to_mass(quantize(reading).code, cal).kg)
     return assess_four_cell(FourCellReading(*masses), scenario.geometry, policy)
 
 
-def ideal_calibration(spec: LoadCellSpec, adc: AdcConfig = DEFAULT_ADC) -> CalibrationState:
-    """Calibration taken against the noise-free sensor model itself.
+def ideal_calibration(spec: LoadCellSpec) -> CalibrationState:
+    """Calibration taken against the noise-free sensor model itself, read
+    through `DEFAULT_ADC`.
 
     Tare at zero load, slope from the cell's capacity as the known mass.
     This is the software analogue of placing a reference weight on a
     freshly installed cell.
     """
-    zero = quantize(bridge_output(spec, 0.0), adc)
-    loaded = quantize(bridge_output(spec, spec.capacity_kg), adc)
+    zero = quantize(bridge_output(spec, 0.0))
+    loaded = quantize(bridge_output(spec, spec.capacity_kg))
     return calibrate(tare([zero]), spec.capacity_kg, loaded.code, temperature_c=spec.reference_temp_c)

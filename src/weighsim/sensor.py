@@ -34,9 +34,11 @@ The full-scale differential input referred to the bridge is ±vref/gain
 
     code = round(v / full_scale * 2**23)
 
-clamped to the signed 24-bit range. A code sitting on either rail is
-reported saturated: at the rail an in-range reading is indistinguishable
-from an overrange one, and the serial frame carries no separate flag.
+clamped to the signed 24-bit range. A code sitting on either rail
+(`RAILS`) is saturated: at the rail an in-range reading is
+indistinguishable from an overrange one, and the serial frame carries no
+separate flag. `RAILS` is the package's only saturation rule; every
+saturation test, on a frame, a wire line or a column, reads it.
 
 Default excitation (5 V), noise (0) and sample rate (10 Sa/s) are
 implementer-chosen placeholders, not characterized hardware values.
@@ -58,6 +60,9 @@ if TYPE_CHECKING:
 
 CODE_MIN = -(2**23)
 CODE_MAX = 2**23 - 1
+
+#: The two ends of the 24-bit range: a code on either is saturated.
+RAILS = (CODE_MIN, CODE_MAX)
 
 #: Gain → valid channel. Gain is selected by the extra clock pulses of the
 #: serial frame; only these three combinations exist.
@@ -176,26 +181,21 @@ DEFAULT_ADC = AdcConfig()
 
 @dataclass(frozen=True)
 class AdcFrame:
-    """One signed 24-bit conversion result plus the next gain selection.
-
-    `saturated` follows the rail convention: True exactly when the code
-    sits on either end of the 24-bit range.
-    """
+    """One signed 24-bit conversion result plus the next gain selection."""
 
     code: int
     gain: int = 128
     channel: str = "A"
-    saturated: bool = False
 
     def __post_init__(self) -> None:
         if not CODE_MIN <= self.code <= CODE_MAX:
             raise ValueError(f"code {self.code} outside signed 24-bit range")
         _check_gain_channel(self.gain, self.channel)
 
-    @classmethod
-    def from_code(cls, code: int, gain: int = 128, channel: str = "A") -> "AdcFrame":
-        """Build a frame, deriving the saturation flag from the rails."""
-        return cls(code, gain, channel, saturated=code in (CODE_MIN, CODE_MAX))
+    @property
+    def saturated(self) -> bool:
+        """True exactly when the code sits on either rail."""
+        return self.code in RAILS
 
 
 def bridge_output(
@@ -253,9 +253,9 @@ def add_noise(
 def quantize(reading: BridgeReading, adc: AdcConfig = DEFAULT_ADC) -> AdcFrame:
     """Quantize a bridge voltage to a signed 24-bit code.
 
-    Saturation clamps to the rails and is flagged on the frame, never an
-    error. Rounding is Python's round-half-even.
+    Saturation clamps to the rails, where the frame reads as saturated;
+    it is never an error. Rounding is Python's round-half-even.
     """
     code = round(reading.differential_mv / adc.full_scale_mv * 2**23)
     code = max(CODE_MIN, min(CODE_MAX, code))
-    return AdcFrame.from_code(code, gain=adc.gain, channel=adc.channel)
+    return AdcFrame(code, adc.gain, adc.channel)

@@ -6,22 +6,25 @@ Wire format is one ADC frame per line, ASCII, comma-separated:
 
 `station_id` is any non-empty comma-free token, `cell_index` counts from
 0 (FL, FR, RL, RR on a four-cell station; left, right in two-cell mode),
-`gain` is one of 128/64/32 and `saturated` is 0 or 1. Timestamps are
-signed 64-bit and must be non-decreasing per cell.
+`gain` is one of 128/64/32, and `saturated` is 1 exactly when `adc_code`
+is on a rail (`sensor.RAILS`) and 0 otherwise: any other value is a parse
+error. Timestamps are signed 64-bit and must be non-decreasing per cell.
 
 One weighing is one vehicle on one deck, so a `FrameBatch` holds one
 station's frames: its `station_id` and a numpy column per other wire
-field, one row per frame in input order. `FrameIngestor.ingest_lines`
-parses any iterable of lines (an open file included) in the chunks of
-`codec.numbered_chunks`, so the strings of one chunk at a time are alive.
-A chunk is taken in bulk: numpy's text reader parses its numeric columns
-and array checks cover the rest. Any chunk it refuses is parsed line by
-line, which either raises the error of the first line that fails to parse
-(RecordParseError), is of a second station (IncompleteStationError) or
-goes back in time on its cell (SequencingError), or returns the same rows,
-whatever the chunk size. So the result depends on neither parser's quirks.
-`run_session` reduces each cell's column slice: code→mass, then the
-static-window or WIM mean.
+field but `saturated`, which the code implies, one row per frame in input
+order. `FrameIngestor.ingest_lines` parses any iterable of lines (an open
+file included) in the chunks of `codec.chunks`, so the strings of one
+chunk at a time are alive. A chunk is taken in bulk as it is read:
+numpy's text reader parses its numeric columns and array checks cover
+the rest. Only a chunk it refuses is stripped and numbered; its stripped
+lines get one more bulk try (a blank or padded line is no fault), and
+failing that they are parsed line by line. That either raises the error
+of the first line that fails to parse (RecordParseError), is of a second
+station (IncompleteStationError) or goes back in time on its cell
+(SequencingError), or returns the same rows, whatever the chunk size. So the result depends on neither parser's
+quirks. `run_session` reduces each cell's column slice: code→mass, then
+the static-window or WIM mean.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -38,7 +41,7 @@ import numpy as np
 # code_to_mass, RecordStore and assessment_line are unused here but stay module
 # attributes: callers, the benchmark among them, look them up on this module.
 from .calibration import CalibrationState, code_to_mass, codes_to_kg  # noqa: F401
-from .codec import numbered_chunks
+from .codec import chunks, numbered
 from .cog import DECKS, AlertPolicy, DeckGeometry, assess
 from .compliance import (
     AxleConfiguration,
@@ -51,7 +54,7 @@ from .compliance import (
 from .errors import IncompleteStationError, InsufficientSamplesError, RecordParseError
 from .errors import SequencingError, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
-from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS
+from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS
 
 MODES = ("static", "wim")
 
@@ -75,8 +78,9 @@ class SensorFrameRecord:
     saturated: bool = False
 
 
-#: The `FrameBatch` columns that hold a `SensorFrameRecord` field as is.
-_COLUMNS = tuple(f.name for f in fields(SensorFrameRecord)[1:])
+#: The `FrameBatch` columns: the `SensorFrameRecord` fields but the station
+#: and the saturated flag, which the code implies.
+_COLUMNS = tuple(f.name for f in fields(SensorFrameRecord)[1:5])
 
 
 def format_frame_line(rec: SensorFrameRecord) -> str:
@@ -108,8 +112,8 @@ def parse_frame_line(line: str, line_no: int | None = None, cell_count: int = 4)
         raise RecordParseError(f"code {code} outside signed 24-bit range", line_no)
     if gain not in GAIN_CHANNELS:
         raise RecordParseError(f"gain {gain} not one of {sorted(GAIN_CHANNELS)}", line_no)
-    if sat not in (0, 1):
-        raise RecordParseError(f"saturated flag must be 0 or 1, got {sat_s}", line_no)
+    if sat != (on_rail := code in RAILS):
+        raise RecordParseError(f"saturated flag must be {int(on_rail)} for code {code}, got {sat_s}", line_no)
     if not _INT64_MIN <= ts <= _INT64_MAX:
         raise RecordParseError(f"timestamp {ts_s} ms does not fit in 64 bits", line_no)
     return SensorFrameRecord(station_id, cell, ts, code, gain, bool(sat))
@@ -120,8 +124,8 @@ class FrameBatch:
     """One station's wire frames as columns, one row per frame in input order.
 
     `station_id` is None for an empty batch. The other columns hold the
-    `SensorFrameRecord` field of the same name, int64 (bool for
-    `saturated`).
+    `SensorFrameRecord` field of the same name, int64; a row's saturation
+    is its code's (`sensor.RAILS`).
     """
 
     station_id: str | None
@@ -129,7 +133,6 @@ class FrameBatch:
     timestamp_ms: np.ndarray
     adc_code: np.ndarray
     gain: np.ndarray
-    saturated: np.ndarray
 
     def __len__(self) -> int:
         return len(self.cell_index)
@@ -137,12 +140,9 @@ class FrameBatch:
     @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
         records = list(records)
-        cell_index, timestamp_ms, adc_code, gain, saturated = (
-            np.array([getattr(r, c) for r in records], np.int64) for c in _COLUMNS
-        )
         return cls(
             _one_station(r.station_id for r in records),
-            cell_index, timestamp_ms, adc_code, gain, saturated.astype(bool),
+            *(np.array([getattr(r, c) for r in records], np.int64) for c in _COLUMNS),
         )
 
     @classmethod
@@ -184,27 +184,35 @@ class FrameIngestor:
         module docstring says. Blank lines are skipped; errors name the line
         number, counted from 1 with blank lines included."""
         batches = []
-        for kept, numbers in numbered_chunks(lines):
-            batch = self._good_chunk(kept)
-            batches.append(self._line_by_line(kept, numbers) if batch is None else batch)
+        for first_no, chunk in chunks(lines):
+            batch = self._good_chunk(chunk)
+            if batch is None:  # a blank or padded line, or a fault
+                kept, numbers = numbered(chunk, first_no)
+                batch = self._good_chunk(kept) if kept else None
+                if batch is None:
+                    batch = self._line_by_line(kept, numbers)
+            batches.append(batch)
         return FrameBatch.concat(batches) if batches else FrameBatch.from_records(())
 
-    def _good_chunk(self, kept: list[str]) -> FrameBatch | None:
-        """The batch of stripped non-blank wire lines, taken in bulk after the
-        frames ingested so far, or None when the bulk path cannot vouch for
-        every line: it then parsed none, and `_line_by_line` must. Only a
-        good chunk advances the state."""
-        n = len(kept)
-        text = "\n".join(kept)
-        station = self.station_id or kept[0].partition(",")[0]
-        # numpy's reader takes some non-ASCII letters for digits. It refuses
-        # a line of fewer than 6 fields, so 5 commas per line on average are
-        # 5 on every line.
+    def _good_chunk(self, chunk: list[str]) -> FrameBatch | None:
+        """The batch of a chunk of wire lines, as read or stripped, taken in
+        bulk after the frames ingested so far, or None when the bulk path
+        cannot vouch for every line: it then parsed none. Only a good chunk
+        advances the state."""
+        n = len(chunk)
+        # Lines read from a file end in a newline, lines from a list need not.
+        text = ("" if chunk[0].endswith("\n") else "\n").join(chunk)
+        station = self.station_id or chunk[0].partition(",")[0]
+        # Every line starts with the station, so none is blank or padded in
+        # front. numpy's reader takes some non-ASCII letters for digits, and
+        # refuses a line that holds a newline before its end or has fewer
+        # than 6 fields, so 5 commas per line on average are 5 on every line.
         if (
             not station
+            or station[0].isspace()
             or not text.isascii()
             or any(c in text for c in _NOT_IN_BULK)
-            or text.count("\n") != n - 1
+            or text.count("\n") != n - 1 + text.endswith("\n")
             or text.count(",") != 5 * n
             or not text.startswith(station + ",")
             or text.count("\n" + station + ",") != n - 1
@@ -215,7 +223,7 @@ class FrameIngestor:
                 # numpy < 2 reads "1.0" as 1 with a DeprecationWarning
                 warnings.simplefilter("error", DeprecationWarning)
                 table = np.loadtxt(
-                    kept, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2
+                    chunk, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2
                 )
         except (ValueError, DeprecationWarning):
             return None
@@ -226,8 +234,7 @@ class FrameIngestor:
             | (code < CODE_MIN)
             | (code > CODE_MAX)
             | ~np.isin(gain, _GAINS)
-            | (sat < 0)
-            | (sat > 1)
+            | (sat != np.isin(code, RAILS))
         )
         if bad.any():
             return None
@@ -238,7 +245,7 @@ class FrameIngestor:
                 return None
             last_ts[c] = t[-1]
         self.station_id, self._last_ts = station, last_ts
-        return FrameBatch(station, cell, ts, code, gain, sat.astype(bool))
+        return FrameBatch(station, cell, ts, code, gain)
 
     def _line_by_line(self, kept: list[str], numbers: list[int]) -> FrameBatch:
         """The batch of a chunk `_good_chunk` refused, read as the module
@@ -282,8 +289,9 @@ def run_session(
 ) -> WeighRecord:
     """Weigh one vehicle on a deck of one cell per calibration.
 
-    Each cell's unsaturated frames are taken in timestamp order (ties in
-    input order); a cell with none raises InsufficientSamplesError.
+    Each cell's frames off the rails (`sensor.RAILS`) are taken in
+    timestamp order (ties in input order); a cell with none raises
+    InsufficientSamplesError. A record's `saturated` flag is not read.
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
     pass-over segment. A tolerance rule with a reference mass (both or
@@ -312,7 +320,7 @@ def run_session(
 
     # A saturated frame is pinned at a rail and says nothing about the load.
     order = np.lexsort((batch.timestamp_ms, cell))
-    order = order[~batch.saturated[order]]
+    order = order[~np.isin(batch.adc_code[order], RAILS)]
     times_s = batch.timestamp_ms[order] / 1000.0
     codes = batch.adc_code[order]
     counts = np.bincount(cell[order], minlength=cell_count).tolist()

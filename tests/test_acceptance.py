@@ -113,7 +113,7 @@ def test_criterion_3_cog_round_trip_and_flags():
 def test_criterion_4_end_to_end_linearity():
     adc = AdcConfig()
     for spec in (TWO_CELL_5KG, FOUR_CELL_120KG):
-        cal = ideal_calibration(spec, adc)
+        cal = ideal_calibration(spec)
         worst = 0.0
         for i in range(100):
             mass = spec.capacity_kg * i / 99.0
@@ -130,11 +130,11 @@ def test_criterion_5_codec():
     for _ in range(10_000):
         code = int(rng.integers(CODE_MIN, CODE_MAX + 1))
         gain, channel = gain_channel[rng.integers(0, 3)]
-        f = AdcFrame.from_code(code, gain, channel)
+        f = AdcFrame(code, gain, channel)
         assert decode_frame(encode_frame(f)) == f
     # every gain/channel pulse count round-trips
     for gain, channel in gain_channel:
-        f = AdcFrame.from_code(12345, gain, channel)
+        f = AdcFrame(12345, gain, channel)
         assert decode_frame(encode_frame(f)) == f
     # fuzz: arbitrary junk either decodes or raises a typed error
     alphabet = list("01 abc\t\N{DEGREE SIGN}#,-")
@@ -192,7 +192,7 @@ def test_criterion_8_static_beats_wim():
 def test_criterion_9_record_determinism(tmp_path):
     spec = FOUR_CELL_120KG
     adc = AdcConfig()
-    cal = ideal_calibration(spec, adc)
+    cal = ideal_calibration(spec)
 
     def synthesize_and_weigh():
         # fixed per-cell loads through the noise-free sensor chain

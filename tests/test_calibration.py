@@ -22,7 +22,7 @@ from weighsim.sensor import CODE_MAX, CODE_MIN, AdcConfig, AdcFrame, LoadCellSpe
 
 
 def frames(*codes):
-    return [AdcFrame.from_code(c) for c in codes]
+    return [AdcFrame(c) for c in codes]
 
 
 class TestTare:
@@ -33,14 +33,14 @@ class TestTare:
         assert tare(frames(99, 100, 101)) == 100
 
     def test_saturated_samples_excluded(self):
-        sat = AdcFrame.from_code(2**23 - 1)
+        sat = AdcFrame(2**23 - 1)
         assert tare([*frames(50, 50), sat]) == 50
 
     def test_no_usable_samples(self):
         with pytest.raises(InsufficientSamplesError):
             tare([])
         with pytest.raises(InsufficientSamplesError):
-            tare([AdcFrame.from_code(2**23 - 1), AdcFrame.from_code(-(2**23))])
+            tare([AdcFrame(2**23 - 1), AdcFrame(-(2**23))])
 
     def test_noisy_tare_converges(self):
         # statistical oracle: mean of N draws sits within 3*sigma/sqrt(N)
@@ -105,13 +105,13 @@ class TestEndToEnd:
     ADC = AdcConfig()
 
     def test_recovers_calibration_mass(self):
-        cal = ideal_calibration(self.SPEC, self.ADC)
+        cal = ideal_calibration(self.SPEC)
         code = quantize(bridge_output(self.SPEC, 120.0), self.ADC).code
         assert abs(code_to_mass(code, cal).kg - 120.0) <= cal.scale_kg_per_lsb
 
     @given(st.floats(min_value=0.0, max_value=120.0, allow_nan=False))
     def test_linear_recovery_anywhere(self, mass):
-        cal = ideal_calibration(self.SPEC, self.ADC)
+        cal = ideal_calibration(self.SPEC)
         code = quantize(bridge_output(self.SPEC, mass), self.ADC).code
         assert abs(code_to_mass(code, cal).kg - mass) <= cal.scale_kg_per_lsb
 

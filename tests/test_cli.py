@@ -303,6 +303,21 @@ class TestWeighInput:
         assert code == 1
         assert out.err == f"weighsim: error: {tmp_path / 'frames1.txt'}: line 302: expected 6 fields, got 3\n"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("st9,0,15100,8388607,128,0", "saturated flag must be 1 for code 8388607, got 0"),
+            ("st9,0,15100,10000,128,1", "saturated flag must be 0 for code 10000, got 1"),
+        ],
+    )
+    def test_saturated_flag_that_disagrees_with_the_code(self, weigh, tmp_path, line, message):
+        # a rail code flagged 0 used to be averaged in as a load, and a code
+        # off the rails flagged 1 to be left out
+        code, out = weigh(self.frames() + line + "\n")
+        assert code == 1 and out.out == ""
+        assert out.err == f"weighsim: error: {tmp_path / 'frames0.txt'}: line 605: {message}\n"
+        assert not (tmp_path / "records").exists()
+
     def test_frames_split_across_files(self, weigh):
         code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000))
         assert code == 0 and json.loads(out.out)["ended_at_ms"] == 15_000
@@ -450,7 +465,7 @@ def replay_inputs(draw):
     frames, bad pulse counts, junk and non-ASCII text, blank lines, every
     kind of line break, and at times a byte no UTF-8 text contains."""
     frame_line = st.builds(
-        lambda code, gc: encode_frame(AdcFrame.from_code(code, *gc)).to_line(),
+        lambda code, gc: encode_frame(AdcFrame(code, *gc)).to_line(),
         st.one_of(st.integers(CODE_MIN, CODE_MAX), st.sampled_from([CODE_MIN, CODE_MAX])),
         st.sampled_from(_GAIN_CHANNELS),
     )
@@ -502,9 +517,9 @@ class TestReplay:
     def test_decodes_frames(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
         lines = [
-            encode_frame(AdcFrame.from_code(0, 128, "A")).to_line(),
-            encode_frame(AdcFrame.from_code(-1, 64, "A")).to_line(),
-            encode_frame(AdcFrame.from_code(4_194_304, 32, "B")).to_line(),
+            encode_frame(AdcFrame(0, 128, "A")).to_line(),
+            encode_frame(AdcFrame(-1, 64, "A")).to_line(),
+            encode_frame(AdcFrame(4_194_304, 32, "B")).to_line(),
         ]
         path.write_text("\n".join(lines) + "\n")
         assert main(["replay", str(path)]) == 0
@@ -519,7 +534,7 @@ class TestReplay:
 
     def test_frames_before_a_bad_line_are_printed(self, tmp_path, capsys):
         path = tmp_path / "trace.txt"
-        minus_one = encode_frame(AdcFrame.from_code(-1, 64, "A")).to_line()
+        minus_one = encode_frame(AdcFrame(-1, 64, "A")).to_line()
         path.write_text("0" * 25 + "\n\n" + minus_one + "\n" + "0" * 10 + "\n" + "0" * 25 + "\n")
         with mock.patch.object(codec, "CHUNK_LINES", 2):
             assert main(["replay", str(path)]) == 1
@@ -551,7 +566,7 @@ class TestReplay:
         edges = [CODE_MIN, CODE_MAX, -1, 0, 1]
         codes = edges * 3 + [(i * 2_654_435_761) % 2**24 - 2**23 for i in range(codec.CHUNK_LINES - 15)]
         gains = [gc for gc in _GAIN_CHANNELS for _ in edges] + _GAIN_CHANNELS * codec.CHUNK_LINES
-        first = [encode_frame(AdcFrame.from_code(code, *gc)).to_line() for code, gc in zip(codes, gains)]
+        first = [encode_frame(AdcFrame(code, *gc)).to_line() for code, gc in zip(codes, gains)]
         frame = first[20]
         second = [frame, "", f" \t{frame} ", frame, "0" * 28]
         path = tmp_path / "trace.txt"

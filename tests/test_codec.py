@@ -10,7 +10,6 @@ from weighsim.codec import (
     PULSE_COUNT_GAIN,
     decode_frame,
     encode_frame,
-    numbered_chunks,
 )
 from weighsim.errors import FrameError, MalformedFrameError, TruncatedFrameError
 from weighsim.sensor import AdcFrame, CODE_MAX, CODE_MIN
@@ -19,7 +18,7 @@ GAIN_CHANNEL = [(128, "A"), (64, "A"), (32, "B")]
 
 
 def frame(code, gain=128, channel="A"):
-    return AdcFrame.from_code(code, gain=gain, channel=channel)
+    return AdcFrame(code, gain=gain, channel=channel)
 
 
 class TestEncode:
@@ -125,7 +124,8 @@ def test_bit_trace_rejects_non_bits():
         BitTrace("01012")
 
 
-def test_numbered_chunks_skip_chunks_of_blank_lines_only():
+def test_numbered_counts_blank_lines_across_chunks():
     with mock.patch.object(codec, "CHUNK_LINES", 2):
-        chunks = list(numbered_chunks(["", " ", "a", "\t", "", " b "]))
-    assert chunks == [(["a"], [3]), (["b"], [6])]
+        lines = ["", " ", "a", "\t", "", " b "]
+        chunks = [codec.numbered(chunk, first_no) for first_no, chunk in codec.chunks(lines)]
+    assert chunks == [([], []), (["a"], [3]), (["b"], [6])]

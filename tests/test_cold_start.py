@@ -45,7 +45,7 @@ def run_child(steps, cwd):
 
 
 def test_replay_assess_and_rules_load_no_numpy(tmp_path):
-    (tmp_path / "trace.txt").write_text(encode_frame(AdcFrame.from_code(-123, gain=64)).to_line() + "\n")
+    (tmp_path / "trace.txt").write_text(encode_frame(AdcFrame(-123, gain=64)).to_line() + "\n")
     frames = [SensorFrameRecord("st1", cell, i * 100, 100_000) for cell in range(4) for i in range(151)]
     record = run_session(frames, [CAL] * 4, "static", POLICIES["prototype2"], DeckGeometry(2.0, 1.5))
     RecordStore(tmp_path / "records").append(record)

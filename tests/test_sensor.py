@@ -145,15 +145,19 @@ class TestConfigValidation:
             AdcConfig(gain=100, channel="A")
 
     def test_frame_code_range(self):
-        AdcFrame.from_code(CODE_MAX)
-        AdcFrame.from_code(CODE_MIN)
+        AdcFrame(CODE_MAX)
+        AdcFrame(CODE_MIN)
         with pytest.raises(ValueError):
-            AdcFrame.from_code(CODE_MAX + 1)
+            AdcFrame(CODE_MAX + 1)
 
     def test_rail_codes_flag_saturated(self):
-        assert AdcFrame.from_code(CODE_MAX).saturated
-        assert AdcFrame.from_code(CODE_MIN).saturated
-        assert not AdcFrame.from_code(0).saturated
+        assert AdcFrame(CODE_MAX).saturated
+        assert AdcFrame(CODE_MIN).saturated
+        assert not AdcFrame(0).saturated
+        assert not AdcFrame(CODE_MAX - 1, 32, "B").saturated
+        # the flag follows the code: a frame cannot store one of its own
+        with pytest.raises(TypeError):
+            AdcFrame(0, 128, "A", True)
 
     def test_spec_sanity_bounds(self):
         with pytest.raises(ValueError):

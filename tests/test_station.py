@@ -19,7 +19,7 @@ from weighsim.errors import (
     SequencingError,
     WeighSimError,
 )
-from weighsim.sensor import CODE_MAX, CODE_MIN
+from weighsim.sensor import CODE_MAX, CODE_MIN, RAILS
 from weighsim.station import (
     FrameBatch,
     FrameIngestor,
@@ -39,11 +39,28 @@ CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((1
 
 
 def rows(batch):
-    """Each row of a FrameBatch as a SensorFrameRecord."""
-    columns = (batch.cell_index, batch.timestamp_ms, batch.adc_code, batch.gain, batch.saturated)
+    """Each row of a FrameBatch as a SensorFrameRecord, flagged saturated
+    when its code is on a rail."""
+    columns = (batch.cell_index, batch.timestamp_ms, batch.adc_code, batch.gain)
     return [
-        SensorFrameRecord(batch.station_id, *values) for values in zip(*(c.tolist() for c in columns))
+        SensorFrameRecord(batch.station_id, *values, values[2] in RAILS)
+        for values in zip(*(c.tolist() for c in columns))
     ]
+
+
+#: A 24-bit code, on a rail at times.
+codes = st.one_of(st.integers(CODE_MIN, CODE_MAX), st.sampled_from(RAILS))
+
+
+def pinned_capture():
+    """604 wire lines: four cells at code 100,000 from 0 to 15,000 ms, 100 ms
+    apart, but 1 frame in 10 of cell 0 at CODE_MAX, flagged saturated."""
+
+    def line(cell, t):
+        pinned = cell == 0 and t % 1000 == 500
+        return f"st1,{cell},{t},{CODE_MAX if pinned else 100_000},128,{int(pinned)}"
+
+    return [line(cell, t) for t in range(0, 15_001, 100) for cell in range(4)]
 
 
 def cell_frames(cell, code, n=151, station="st1", t0=0, dt_ms=100):
@@ -87,8 +104,15 @@ class TestParseFrameLine:
             parse_frame_line("st1,0,1000,12345,100,0")
 
     def test_bad_saturated_flag(self):
-        with pytest.raises(RecordParseError):
-            parse_frame_line("st1,0,1000,12345,128,2")
+        # the flag is 1 exactly on a rail: a rail code flagged 0 used to be read as a load
+        for line, message in [
+            ("st1,0,1000,12345,128,2", "must be 0 for code 12345, got 2"),
+            ("st1,0,1000,8388607,128,0", "must be 1 for code 8388607, got 0"),
+            ("st1,0,1000,-8388608,128,0", "must be 1 for code -8388608, got 0"),
+            ("st1,0,1000,100000,128,1", "must be 0 for code 100000, got 1"),
+        ]:
+            with pytest.raises(RecordParseError, match=f"^line 9: saturated flag {message}$"):
+                parse_frame_line(line, line_no=9)
 
     def test_timestamp_wider_than_int64(self):
         with pytest.raises(RecordParseError, match="line 5: timestamp 1000+ ms does not fit in 64 bits"):
@@ -104,12 +128,11 @@ class TestParseFrameLine:
         st.text(alphabet=st.characters(blacklist_characters=",\n", min_codepoint=33, max_codepoint=126), min_size=1, max_size=8),
         st.integers(min_value=0, max_value=3),
         st.integers(min_value=0, max_value=10**9),
-        st.integers(min_value=-(2**23), max_value=2**23 - 1),
+        codes,
         st.sampled_from([128, 64, 32]),
-        st.booleans(),
     )
-    def test_round_trip(self, station, cell, ts, code, gain, sat):
-        rec = SensorFrameRecord(station, cell, ts, code, gain, sat)
+    def test_round_trip(self, station, cell, ts, code, gain):
+        rec = SensorFrameRecord(station, cell, ts, code, gain, code in RAILS)
         assert parse_frame_line(format_frame_line(rec)) == rec
 
 
@@ -130,20 +153,20 @@ class TestIngestor:
 
     def test_ingest_lines_returns_columns(self, tmp_path):
         path = tmp_path / "frames.txt"
-        path.write_text("st1,0,1000,-5,128,0\n\n  st1,1,900,7,32,1  \nst1,0,1000,3,64,0\n")
+        path.write_text("st1,0,1000,-5,128,0\n\n  st1,1,900,-8388608,32,1  \nst1,0,1000,3,64,0\n")
         with open(path) as fh:
             batch = FrameIngestor().ingest_lines(fh)
         assert isinstance(batch, FrameBatch) and len(batch) == 3
         assert batch.station_id == "st1"
-        assert batch.timestamp_ms.dtype == np.int64 and batch.saturated.dtype == bool
+        assert {c.dtype for c in (batch.cell_index, batch.timestamp_ms, batch.adc_code, batch.gain)} == {np.dtype(np.int64)}
         assert rows(batch) == [
             SensorFrameRecord("st1", 0, 1000, -5, 128, False),
-            SensorFrameRecord("st1", 1, 900, 7, 32, True),
+            SensorFrameRecord("st1", 1, 900, CODE_MIN, 32, True),
             SensorFrameRecord("st1", 0, 1000, 3, 64, False),
         ]
 
     def test_two_stations_in_one_call(self):
-        lines = ["st2,0,1000,1,128,0", "", "st1,1,900,7,32,1"]
+        lines = ["st2,0,1000,1,128,0", "", "st1,1,900,7,32,0"]
         with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['st1', 'st2'\]$"):
             FrameIngestor().ingest_lines(lines)
 
@@ -152,11 +175,11 @@ class TestIngestor:
         assert ing.ingest_lines(["st2,0,1000,1,128,0"]).station_id == "st2"
         assert len(ing.ingest_lines(["", "  "])) == 0  # no frame, no station
         with pytest.raises(IncompleteStationError, match=r"^frames span multiple stations: \['st1', 'st2'\]$"):
-            ing.ingest_lines(["st1,1,900,7,32,1"])
+            ing.ingest_lines(["st1,1,900,7,32,0"])
 
     def test_one_line_is_one_row(self):
         ing = FrameIngestor()
-        assert rows(ing.ingest_lines(["st1,2,5,6,128,1"])) == [SensorFrameRecord("st1", 2, 5, 6, 128, True)]
+        assert rows(ing.ingest_lines(["st1,2,5,8388607,128,1"])) == [SensorFrameRecord("st1", 2, 5, CODE_MAX, 128, True)]
         assert len(ing.ingest_lines(["   "])) == 0  # blank lines are skipped
         with pytest.raises(RecordParseError, match="expected 6 fields, got 1"):
             parse_frame_line("   ")
@@ -243,11 +266,11 @@ class TestIngestor:
     def test_line_the_bulk_reader_refuses_is_read_line_by_line(self, line):
         # numpy's reader refuses these int() texts; the chunk used to end in
         # AssertionError("chunk rejected although every line passes")
-        lines = ["ws,1,5,-7,64,1", line]
+        lines = ["ws,1,5,-8388608,64,1", line]
         ing = FrameIngestor()
         batch = ing.ingest_lines(lines)
         assert batch.station_id == "ws"
-        assert batch.timestamp_ms.dtype == np.int64 and batch.saturated.dtype == bool
+        assert batch.timestamp_ms.dtype == np.int64 and batch.adc_code.dtype == np.int64
         assert rows(batch) == [parse_frame_line(text) for text in lines]
         # the station and the order state advance as after a bulk chunk
         with pytest.raises(SequencingError, match=r"^timestamp 999 ms before 1000 ms on station 'ws' cell 0 \(line 1\)$"):
@@ -282,9 +305,51 @@ class TestIngestor:
             with pytest.raises(RecordParseError, match=r"^line 1: non-numeric field in 'ws,0,1.0,5,128,0'$"):
                 FrameIngestor().ingest_lines(["ws,0,1.0,5,128,0"])
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("st1,0,500,8388607,128,0", "saturated flag must be 1 for code 8388607, got 0"),
+            ("st1,0,500,100000,128,1", "saturated flag must be 0 for code 100000, got 1"),
+        ],
+    )
+    def test_flag_that_disagrees_with_the_code_names_its_line(self, bad, message):
+        # alone, and inside a chunk of CHUNK_LINES lines that is clean but for
+        # it. A rail code flagged 0 used to reach run_session as a load: one
+        # frame in 10 at the rail made a 100 kg cell read 928.86 kg.
+        with pytest.raises(RecordParseError, match=f"^line 1: {message}$"):
+            FrameIngestor().ingest_lines([bad])
+        lines = [f"st1,{i % 4},{i // 4 * 100},100000,128,0" for i in range(CHUNK_LINES)]
+        lines[20] = bad
+        with pytest.raises(RecordParseError, match=f"^line 21: {message}$"):
+            FrameIngestor().ingest_lines(lines)
+
+    @pytest.mark.parametrize("chunk_lines", [CHUNK_LINES, 100])
+    @pytest.mark.parametrize("final_newline", ["\n", ""])
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_good_lines_are_never_read_line_by_line(self, tmp_path, chunk_lines, final_newline, gaps):
+        # lines as read from a file end in a newline, lines in a list need
+        # not; a chunk with blank or padded lines is taken in bulk once stripped
+        lines = pinned_capture()
+        if gaps:
+            lines = [f" {line}\t" if i % 50 else "" for i, line in enumerate(lines)]
+        path = tmp_path / "frames.txt"
+        path.write_text("\n".join(lines) + final_newline)
+        refuse = mock.patch.object(FrameIngestor, "_line_by_line", side_effect=AssertionError("read line by line"))
+        with refuse, mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+            from_list = FrameIngestor().ingest_lines(lines)
+            with open(path) as fh:
+                from_file = FrameIngestor().ingest_lines(fh)
+        assert rows(from_list) == rows(from_file) == [parse_frame_line(line) for line in lines if line]
+
+    def test_an_item_that_holds_two_lines_is_read_line_by_line(self):
+        # joined, the items read as three good lines
+        lines = ["st1,0,1,1,128,0\n", "st1,0,2,1,128,0\nst1,0,3,1,1", "28,0\n"]
+        with pytest.raises(RecordParseError, match="^line 2: expected 6 fields, got 10$"):
+            FrameIngestor().ingest_lines(lines)
+
     def test_concat_keeps_one_station(self):
         a = FrameBatch.from_records([SensorFrameRecord("s1", 0, 1, 2), SensorFrameRecord("s1", 1, 1, 2)])
-        b = FrameBatch.from_records([SensorFrameRecord("s1", 2, 3, 4, 64, True)])
+        b = FrameBatch.from_records([SensorFrameRecord("s1", 2, 3, CODE_MAX, 64, True)])
         empty = FrameBatch.from_records(())
         assert empty.station_id is None
         both = FrameBatch.concat([a, empty, b])
@@ -375,12 +440,16 @@ def field_text_lines(draw, line):
 @st.composite
 def captures(draw):
     """The wire files of one session: frames of up to three stations with
-    blank lines, padding, parse faults, odd field texts and time
-    regressions, each only in some captures so that others ingest."""
+    blank lines, padding, parse faults, saturated flags that disagree with
+    the code, odd field texts and time regressions, each only in some
+    captures so that others ingest. The lines end in a newline, as read
+    from a file, or not, as in a list."""
     cell_count = draw(st.sampled_from([2, 4]))
     stations = draw(st.sampled_from([["st1"], ["st1"] * 8 + ["st2"], ["st1"] * 6 + ["st2", "st3"], ["st2", "st1", "st3"]]))
     step = st.integers(-3, 3) if draw(st.booleans()) else st.integers(0, 3)
-    kinds = ["frame"] * 8 + ["blank"] + ["fault"] * draw(st.sampled_from([0, 1])) + ["odd"] * draw(st.sampled_from([0, 2]))
+    kinds = ["frame"] * 8 + ["blank"] + ["odd"] * draw(st.sampled_from([0, 2]))
+    kinds += ["fault"] * draw(st.sampled_from([0, 1])) + ["misflag"] * draw(st.sampled_from([0, 1]))
+    end = draw(st.sampled_from(["", "\n"]))
     t, lines = 0, []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
         if kind == "blank":
@@ -389,14 +458,15 @@ def captures(draw):
             lines.append(draw(st.sampled_from(_FAULTS + [f"st1,{cell_count},1,1,128,0"])))
         else:
             t += draw(step)
+            station, cell, code = draw(st.sampled_from(stations)), draw(st.integers(0, cell_count - 1)), draw(codes)
             frame = SensorFrameRecord(
-                draw(st.sampled_from(stations)), draw(st.integers(0, cell_count - 1)), t,
-                draw(st.integers(-(2**23), 2**23 - 1)), draw(st.sampled_from([128, 64, 32])), draw(st.booleans()),
+                station, cell, t, code, draw(st.sampled_from([128, 64, 32])), (code in RAILS) != (kind == "misflag"),
             )
             line = format_frame_line(frame)
             if kind == "odd":
                 line = draw(field_text_lines(line))
-            lines.append(draw(st.sampled_from(["", " "])) + line)
+            lines.append(draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from(["", "", " ", "\t"])))
+    lines = [line + end for line in lines]
     cut = draw(st.integers(0, len(lines)))
     files = [lines[:cut], lines[cut:]] if draw(st.booleans()) else [lines]
     return files, cell_count
@@ -412,8 +482,8 @@ def test_ingestor_matches_per_line_reference(capture, chunk_lines):
 @given(
     st.lists(
         st.builds(
-            SensorFrameRecord, st.just("st1"), st.integers(0, 3), st.integers(0, 9),
-            st.integers(-(2**23), 2**23 - 1), st.sampled_from([128, 64, 32]), st.booleans(),
+            lambda cell, ts, code, gain: SensorFrameRecord("st1", cell, ts, code, gain, code in RAILS),
+            st.integers(0, 3), st.integers(0, 9), codes, st.sampled_from([128, 64, 32]),
         ).map(format_frame_line).flatmap(field_text_lines),
         min_size=1, max_size=6,
     ),
@@ -520,18 +590,14 @@ class TestRunSession:
     def test_saturated_frames_are_left_out(self, mode):
         # 1 frame in 10 of the 100 kg cell pinned at the rail used to be
         # averaged in as a reading: the cell read 928.9 kg
-        def line(cell, t):
-            pinned = cell == 0 and t % 1000 == 500
-            return f"st1,{cell},{t},{CODE_MAX if pinned else 100_000},128,{int(pinned)}"
-
-        lines = [line(cell, t) for t in range(0, 15_001, 100) for cell in range(4)]
-        record = run_session(FrameIngestor().ingest_lines(lines), [CAL] * 4, mode, P2, GEOM)
+        record = run_session(FrameIngestor().ingest_lines(pinned_capture()), [CAL] * 4, mode, P2, GEOM)
         assert record.cell_masses_kg == (100.0,) * 4
         assert record.assessment.total_kg == 400.0
 
     def test_saturated_frames_do_not_count_towards_the_window(self):
+        # a frame is left out by its code: a record's saturated flag is not read
         frames = session_frames([1000] * 4)
-        frames[-1] = SensorFrameRecord("st1", 3, 15_000, CODE_MAX, saturated=True)
+        frames[-1] = SensorFrameRecord("st1", 3, 15_000, CODE_MAX, saturated=False)
         with pytest.raises(InsufficientDurationError, match=r"^stream spans 14\.900 s"):
             run_session(frames, [CAL] * 4, "static", P2, GEOM)
 
