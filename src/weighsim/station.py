@@ -15,16 +15,15 @@ station's frames: its `station_id` and a numpy column per other wire
 field but `saturated`, which the code implies, one row per frame in input
 order. `FrameIngestor.ingest_lines` parses any iterable of lines (an open
 file included) in the chunks of `codec.chunks`, so the strings of one
-chunk at a time are alive. A chunk is taken in bulk as it is read:
-numpy's text reader parses its numeric columns and array checks cover
-the rest. Only a chunk it refuses is stripped and numbered; its stripped
-lines get one more bulk try (a blank or padded line is no fault), and
-failing that they are parsed line by line. That either raises the error
-of the first line that fails to parse (RecordParseError), is of a second
-station (IncompleteStationError) or goes back in time on its cell
-(SequencingError), or returns the same rows, whatever the chunk size. So the result depends on neither parser's
-quirks. `run_session` reduces each cell's column slice: code→mass, then
-the static-window or WIM mean.
+chunk at a time are alive. Each chunk is stripped of blank lines and
+surrounding whitespace, then taken in bulk: numpy's text reader parses
+its numeric columns and array checks cover the rest. Any chunk it refuses
+is parsed line by line, which either raises the error of the first line
+that fails to parse (RecordParseError), is of a second station
+(IncompleteStationError) or goes back in time on its cell
+(SequencingError), or returns the same rows, whatever the chunk size. So
+the result depends on neither parser's quirks. `run_session` reduces each
+cell's column slice: code→mass, then the static-window or WIM mean.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -139,11 +138,17 @@ class FrameBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
+        """The batch of `records`; ValueError when a `saturated` flag disagrees with its code."""
         records = list(records)
-        return cls(
+        batch = cls(
             _one_station(r.station_id for r in records),
             *(np.array([getattr(r, c) for r in records], np.int64) for c in _COLUMNS),
         )
+        wrong = np.array([r.saturated for r in records], bool) != np.isin(batch.adc_code, RAILS)
+        if wrong.any():
+            rec = records[int(wrong.argmax())]
+            raise ValueError(f"saturated flag {rec.saturated} disagrees with code {rec.adc_code}: {rec}")
+        return batch
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
@@ -185,34 +190,28 @@ class FrameIngestor:
         number, counted from 1 with blank lines included."""
         batches = []
         for first_no, chunk in chunks(lines):
-            batch = self._good_chunk(chunk)
-            if batch is None:  # a blank or padded line, or a fault
-                kept, numbers = numbered(chunk, first_no)
-                batch = self._good_chunk(kept) if kept else None
-                if batch is None:
-                    batch = self._line_by_line(kept, numbers)
-            batches.append(batch)
+            kept, numbers = numbered(chunk, first_no)
+            if kept:
+                batch = self._good_chunk(kept)
+                batches.append(self._line_by_line(kept, numbers) if batch is None else batch)
         return FrameBatch.concat(batches) if batches else FrameBatch.from_records(())
 
-    def _good_chunk(self, chunk: list[str]) -> FrameBatch | None:
-        """The batch of a chunk of wire lines, as read or stripped, taken in
-        bulk after the frames ingested so far, or None when the bulk path
-        cannot vouch for every line: it then parsed none. Only a good chunk
-        advances the state."""
-        n = len(chunk)
-        # Lines read from a file end in a newline, lines from a list need not.
-        text = ("" if chunk[0].endswith("\n") else "\n").join(chunk)
-        station = self.station_id or chunk[0].partition(",")[0]
-        # Every line starts with the station, so none is blank or padded in
-        # front. numpy's reader takes some non-ASCII letters for digits, and
-        # refuses a line that holds a newline before its end or has fewer
-        # than 6 fields, so 5 commas per line on average are 5 on every line.
+    def _good_chunk(self, kept: list[str]) -> FrameBatch | None:
+        """The batch of stripped non-blank wire lines, taken in bulk after the
+        frames ingested so far, or None when the bulk path cannot vouch for
+        every line: it then parsed none, and `_line_by_line` must. Only a
+        good chunk advances the state."""
+        n = len(kept)
+        text = "\n".join(kept)
+        station = self.station_id or kept[0].partition(",")[0]
+        # numpy's reader takes some non-ASCII letters for digits. It refuses
+        # a line of fewer than 6 fields, so 5 commas per line on average are
+        # 5 on every line.
         if (
             not station
-            or station[0].isspace()
             or not text.isascii()
             or any(c in text for c in _NOT_IN_BULK)
-            or text.count("\n") != n - 1 + text.endswith("\n")
+            or text.count("\n") != n - 1
             or text.count(",") != 5 * n
             or not text.startswith(station + ",")
             or text.count("\n" + station + ",") != n - 1
@@ -223,7 +222,7 @@ class FrameIngestor:
                 # numpy < 2 reads "1.0" as 1 with a DeprecationWarning
                 warnings.simplefilter("error", DeprecationWarning)
                 table = np.loadtxt(
-                    chunk, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2
+                    kept, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2
                 )
         except (ValueError, DeprecationWarning):
             return None
@@ -291,7 +290,8 @@ def run_session(
 
     Each cell's frames off the rails (`sensor.RAILS`) are taken in
     timestamp order (ties in input order); a cell with none raises
-    InsufficientSamplesError. A record's `saturated` flag is not read.
+    InsufficientSamplesError. A record whose `saturated` flag disagrees
+    with its code is a ValueError.
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
     pass-over segment. A tolerance rule with a reference mass (both or

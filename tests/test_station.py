@@ -328,7 +328,7 @@ class TestIngestor:
     @pytest.mark.parametrize("gaps", [False, True])
     def test_good_lines_are_never_read_line_by_line(self, tmp_path, chunk_lines, final_newline, gaps):
         # lines as read from a file end in a newline, lines in a list need
-        # not; a chunk with blank or padded lines is taken in bulk once stripped
+        # not; every chunk is stripped, so blank or padded lines stay in bulk
         lines = pinned_capture()
         if gaps:
             lines = [f" {line}\t" if i % 50 else "" for i, line in enumerate(lines)]
@@ -595,11 +595,20 @@ class TestRunSession:
         assert record.assessment.total_kg == 400.0
 
     def test_saturated_frames_do_not_count_towards_the_window(self):
-        # a frame is left out by its code: a record's saturated flag is not read
         frames = session_frames([1000] * 4)
-        frames[-1] = SensorFrameRecord("st1", 3, 15_000, CODE_MAX, saturated=False)
+        frames[-1] = SensorFrameRecord("st1", 3, 15_000, CODE_MAX, saturated=True)
         with pytest.raises(InsufficientDurationError, match=r"^stream spans 14\.900 s"):
             run_session(frames, [CAL] * 4, "static", P2, GEOM)
+
+    @pytest.mark.parametrize("code, flag", [(CODE_MAX, False), (CODE_MIN, False), (5, True)])
+    def test_record_flag_that_disagrees_with_the_code(self, code, flag):
+        # the wire rejects these flags, and so does the record path
+        frames = session_frames([1000] * 4)
+        frames[7] = SensorFrameRecord("st1", 0, frames[7].timestamp_ms, code, saturated=flag)
+        with pytest.raises(ValueError, match=f"^saturated flag {flag} disagrees with code {code}: "):
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
+        with pytest.raises(ValueError):
+            FrameBatch.from_records(frames)
 
     @pytest.mark.parametrize("mode", ["static", "wim"])
     def test_a_cell_with_only_saturated_frames_is_named(self, mode):
