@@ -44,10 +44,12 @@ def to_json(obj: Any) -> dict:
     return out
 
 
-def from_json(cls: type, obj: dict) -> Any:
+def from_json(cls: type, obj: dict, what: str = "record") -> Any:
     """The `cls` that `to_json` wrote as `obj`, its fields passed by position
-    (a record class has no keyword-only field). Keys no field names are ignored."""
+    (a record class has no keyword-only field). Keys no field names are ignored;
+    an `obj` that is not a dict is a ValueError that calls it `what`."""
     names, converted = _codecs(cls)
+    obj = _object(obj, what)
     values = [obj[name] for name in names]
     for i, _, decode in converted:
         values[i] = decode(values[i])
@@ -60,24 +62,31 @@ def _codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, Callable, Call
     each field whose JSON value is not the field value itself."""
     hints = get_type_hints(cls)
     names = tuple(f.name for f in fields(cls))
-    converted = tuple((i, *codec) for i, name in enumerate(names) if (codec := _codec(hints[name])))
+    converted = tuple((i, *codec) for i, name in enumerate(names) if (codec := _codec(hints[name], name)))
     return names, converted
 
 
-def _codec(hint: Any) -> tuple[Callable, Callable] | None:
+def _codec(hint: Any, name: str) -> tuple[Callable, Callable] | None:
     if get_origin(hint) is tuple:
         return list, tuple
     if is_dataclass(hint):
-        return to_json, partial(from_json, hint)
+        return to_json, partial(from_json, hint, what=f"field {name!r}")
     if set(get_args(hint)) == set(_ASSESSMENT.values()):
-        return to_json, _assessment_from_json
+        return to_json, partial(_assessment_from_json, what=f"field {name!r}")
     return None
 
 
-def _assessment_from_json(obj: dict) -> LoadAssessment | TwoCellAssessment:
-    if obj["kind"] not in _ASSESSMENT:
-        raise ValueError(f"unknown assessment kind {obj['kind']!r}")
-    return from_json(_ASSESSMENT[obj["kind"]], obj)
+def _assessment_from_json(obj: dict, what: str) -> LoadAssessment | TwoCellAssessment:
+    kind = _object(obj, what)["kind"]
+    if kind not in _ASSESSMENT:
+        raise ValueError(f"unknown assessment kind {kind!r}")
+    return from_json(_ASSESSMENT[kind], obj, what)
+
+
+def _object(obj: Any, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    return obj
 
 
 def json_line(obj: dict) -> str:
@@ -135,7 +144,9 @@ class RecordStore:
 
     A crash mid-append can leave a torn final line: one with no trailing
     newline that is not valid JSON. Reads skip it and keep its line
-    number in `torn_line`; a bad line anywhere else is a RecordParseError.
+    number in `torn_line`. A bad line that a read parses is a
+    RecordParseError: `load_all` parses every line, `load` only those that
+    could hold its record.
     """
 
     def __init__(self, data_dir: str | Path | None = None, filename: str = RECORDS_FILENAME):
@@ -150,9 +161,10 @@ class RecordStore:
         with open(self.path, "a") as fh:
             fh.write(record.to_line() + "\n")
 
-    def _records(self) -> Iterator[WeighRecord]:
-        """Every record in file order, each parsed as its line is read. Lines
-        are numbered as by `splitlines()` of the whole text, blanks included."""
+    def _lines(self) -> Iterator[tuple[int, str]]:
+        """(line number, text) of every non-blank line but a torn final one,
+        in file order as it is read. Lines are numbered as by `splitlines()`
+        of the whole text, blanks included."""
         self.torn_line = None
         if not self.path.exists():
             return
@@ -167,17 +179,29 @@ class RecordStore:
                     if k == len(lines) and not physical.endswith("\n") and not _is_json(line):
                         self.torn_line = line_no
                         continue
-                    yield WeighRecord.from_line(line, line_no)
+                    yield line_no, line
 
     def load_all(self) -> list[WeighRecord]:
-        return list(self._records())
+        return [WeighRecord.from_line(line, line_no) for line_no, line in self._lines()]
 
     def load(self, record_id: str) -> WeighRecord:
-        """The first record with `record_id`; the lines after it are not read."""
-        for record in self._records():
+        """The first record with `record_id`; the lines after it are not read.
+        A `{...}` line with neither a backslash nor `record_id` as a JSON string
+        is skipped unparsed, bad or not: without a backslash, a JSON string is
+        written out literally, so that line cannot hold the record."""
+        token = json.dumps(record_id, ensure_ascii=False)  # a line may hold non-ASCII as it is
+        for line_no, line in self._lines():
+            if token not in line and "\\" not in line and _framed(line):
+                continue
+            record = WeighRecord.from_line(line, line_no)
             if record.record_id == record_id:
                 return record
         raise RecordParseError(f"no record {record_id!r} in {self.path}")
+
+
+def _framed(line: str) -> bool:
+    text = line.strip()
+    return text.startswith("{") and text.endswith("}")
 
 
 def _is_json(text: str) -> bool:

@@ -1,13 +1,17 @@
 """The record store: streaming lookups and the torn final line."""
 
+import dataclasses
 import json
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weighsim.calibration import CalibrationState
 from weighsim.cli import main
 from weighsim.cog import DeckGeometry, POLICIES
-from weighsim.errors import RecordParseError
+from weighsim.errors import RecordParseError, WeighSimError
+from weighsim.record import json_line, to_json
 from weighsim.station import RecordStore, SensorFrameRecord, WeighRecord, run_session
 
 CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),))
@@ -109,7 +113,7 @@ class TestStreamingLookup:
 
         monkeypatch.setattr(WeighRecord, "from_line", classmethod(counting))
         assert store.load(ids(store)[1]).record_id == ids(store)[1]
-        assert parsed == [1, 2]
+        assert parsed == [2]
 
     def test_corrupt_line_after_the_match_is_not_read(self, store):
         first = ids(store)[0]
@@ -131,6 +135,141 @@ class TestStreamingLookup:
         store.path.write_text(lines[0] + "\x1c\n" + lines[1] + "\x1cnot json\n")
         with pytest.raises(RecordParseError, match="^line 4: "):
             store.load_all()
+
+
+class TestLookupSkipsLinesThatCannotHoldTheId:
+    """`load(id)` leaves unparsed a `{...}` line with neither a backslash nor
+    the id, so a bad one before the match goes unreported; `load_all` and
+    `assess PATH` still read every line."""
+
+    @pytest.mark.parametrize(
+        "make_bad", [lambda line: '{"record_id": "x"}', lambda line: line[:100] + line[-100:]], ids=["other_id", "cut"]
+    )
+    def test_framed_bad_line_before_the_match(self, store, capsys, make_bad):
+        lines = store.path.read_text().splitlines()  # lines[0] is the safe record
+        store.path.write_text(make_bad(lines[1]) + "\n" + lines[0] + "\n")
+        first = json.loads(lines[0])["record_id"]
+        assert store.load(first).to_line() == lines[0]
+        assert main(["assess", first, "--data-dir", str(store.data_dir)]) == 0
+        assert capsys.readouterr() == (lines[0] + "\n", "")
+        with pytest.raises(RecordParseError, match="^line 1: "):
+            store.load_all()
+
+    def test_appends_after_a_torn_write(self, store, capsys):
+        tear(store)  # line 4 is cut short
+        after, later = make_record(), make_record()
+        store.append(after)  # finishes line 4
+        store.append(later)  # line 5
+        assert main(["assess", later.record_id, "--data-dir", str(store.data_dir)]) == 0
+        assert capsys.readouterr() == (later.to_line() + "\n", "")
+        assert main(["assess", after.record_id, "--data-dir", str(store.data_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("weighsim: error: line 4: bad record JSON")
+
+
+class TestNonObjectValues:
+    @pytest.mark.parametrize("value", ["5", "[1]", '"x"', "null"])
+    def test_record_that_is_not_an_object(self, store, value):
+        with open(store.path, "a") as fh:
+            fh.write(value + "\n")
+        for read in (store.load_all, lambda: store.load("deadbeef")):
+            with pytest.raises(RecordParseError, match="^line 4: record is not a JSON object$"):
+                read()
+
+    @pytest.mark.parametrize("field", ["geometry", "policy", "assessment"])
+    @pytest.mark.parametrize("value", [5, [1], "x", None])
+    def test_field_that_is_not_an_object(self, store, field, value):
+        obj = json.loads(store.path.read_text().splitlines()[0])
+        obj[field] = value
+        store.path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(RecordParseError, match=f"^line 1: field '{field}' is not a JSON object$"):
+            store.load(obj["record_id"])
+
+
+@cache
+def base_records():
+    return tuple(make_record(code) for code in (100_000, 110_000, 120_000))
+
+
+def reference_load(path, record_id):
+    """(result, torn_line) of a lookup that parses every non-blank line up to
+    the match in full: the result is the record or the error's (type, message)."""
+    text = path.read_text()
+    lines = text.splitlines()
+    torn = None
+    for line_no, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        if line_no == len(lines) and not text.endswith("\n") and not is_json(line):
+            torn = line_no
+            continue
+        try:
+            record = WeighRecord.from_line(line, line_no)
+        except RecordParseError as exc:
+            return (RecordParseError, str(exc)), None
+        if record.record_id == record_id:
+            return record, None
+    return (RecordParseError, f"no record {record_id!r} in {path}"), torn
+
+
+def is_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def lookup(store, record_id):
+    try:
+        result = store.load(record_id)
+    except WeighSimError as exc:
+        result = (type(exc), str(exc))
+    return result, store.torn_line
+
+
+#: Text of ids: JSON escapes ('"', backslash), non-ASCII, and the braces and
+#: punctuation of the lines around them.
+ID_TEXT = st.text('ab"\\é€😀{}:, ', max_size=4)
+#: Line ends that str.splitlines() honours, not only newlines.
+ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x1c\n", "\x85", "\u2028"])
+LINES = st.one_of(
+    # a record under a drawn id and station, written ASCII-escaped or as it is
+    st.tuples(st.integers(0, 2), ID_TEXT, ID_TEXT, st.booleans()),
+    st.sampled_from(["", "  ", "not json", "5", "[1]", "{"]),
+)
+
+
+class TestLookupMatchesFullParse:
+    """`load(id)` against a lookup that parses every line up to the match."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        return RecordStore(tmp_path_factory.mktemp("data"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(LINES, ENDS), max_size=8),
+        torn=st.none() | st.tuples(st.integers(0, 2), st.floats(0, 1)),
+        data=st.data(),
+    )
+    def test_same_record_torn_line_and_error(self, store, entries, torn, data):
+        texts, present = [], []
+        for entry, end in entries:
+            if isinstance(entry, tuple):
+                base, record_id, station_id, ascii = entry
+                record = dataclasses.replace(base_records()[base], record_id=record_id, station_id=station_id)
+                present.append(record_id)
+                obj = to_json(record)
+                entry = json_line(obj) if ascii else json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+            texts.append(entry + end)
+        if torn is not None:
+            line = base_records()[torn[0]].to_line()
+            texts.append(line[: 1 + int(torn[1] * (len(line) - 2))])
+        store.path.write_text("".join(texts), newline="")
+        record_id = data.draw(st.sampled_from(present) | ID_TEXT if present else ID_TEXT)
+        assert lookup(store, record_id) == reference_load(store.path, record_id)
 
 
 class TestAssessFile:
