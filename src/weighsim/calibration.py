@@ -5,10 +5,9 @@ The slope maps ADC codes to mass:
     mass = scale_kg_per_lsb * (code - tare_code)
 
 Tiny negative masses are routine at zero load once noise is present, so
-conversion clamps them to 0 kg and sets a below-zero flag instead of
-erroring. The temperature recorded at calibration time lets a session
-warn when it is operating far from where the slope was taken (default
-alarm band ±10 °C).
+conversion clamps them to 0 kg instead of erroring. The temperature
+recorded at calibration time lets a session warn when it is operating far
+from where the slope was taken (default alarm band ±10 °C).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -86,13 +85,6 @@ class CalibrationState:
         return cal
 
 
-class MassReading(NamedTuple):
-    """Converted mass with the zero-clamp flag."""
-
-    kg: float
-    below_zero: bool
-
-
 def tare(samples: Iterable[AdcFrame]) -> int:
     """Zero-load code: mean of non-saturated sample codes, rounded.
 
@@ -134,16 +126,14 @@ def calibrate(
     )
 
 
-def code_to_mass(code: int, cal: CalibrationState) -> MassReading:
-    """Convert one code to mass, clamping small negatives to zero."""
-    mass = cal.scale_kg_per_lsb * (code - cal.tare_code)
-    if mass < 0:
-        return MassReading(0.0, True)
-    return MassReading(mass, False)
+def code_to_mass(code: int, cal: CalibrationState) -> float:
+    """Convert one code to mass in kg, clamping negatives to zero
+    (`max` returns -0.0 and NaN as they are)."""
+    return max(cal.scale_kg_per_lsb * (code - cal.tare_code), 0.0)
 
 
 def codes_to_kg(codes: np.ndarray, cal: CalibrationState) -> np.ndarray:
-    """`code_to_mass(code, cal).kg` for every int64 code, with the same clamp.
+    """`code_to_mass(code, cal)` for every int64 code, with the same clamp.
 
     The int64 difference converts to float64 exactly as a Python int does,
     so each element equals the scalar conversion bit for bit; `maximum`

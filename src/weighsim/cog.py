@@ -26,10 +26,11 @@ an axis likewise needs a strict majority (ties report balanced).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import InvalidReadingError, UndefinedCogError, require_positive
+from .errors import InvalidReadingError, require_positive
 
 QUADRANT_NAMES = ("FL", "FR", "RL", "RR")
 
@@ -55,21 +56,18 @@ class DeckGeometry:
             require_positive(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
-class TwoCellReading:
-    """Left/right cell masses in kg."""
-
-    left_kg: float
-    right_kg: float
-
-    def __post_init__(self) -> None:
-        if self.left_kg < 0 or self.right_kg < 0:
-            raise InvalidReadingError(f"negative cell reading: {self}")
+def _check_masses(masses: Sequence[float], names: tuple[str, ...]) -> None:
+    """Raise unless `masses` holds one mass per cell of `names`, each finite and >= 0."""
+    if len(masses) != len(names):
+        raise ValueError(f"need {len(names)} cell masses, got {len(masses)}")
+    for name, mass in zip(names, masses):
+        if not 0.0 <= mass < math.inf:  # NaN fails both comparisons
+            raise InvalidReadingError(f"cell {name} mass must be finite and >= 0, got {mass}")
 
 
 @dataclass(frozen=True)
 class FourCellReading:
-    """Masses in kg per corner: front-left, front-right, rear-left, rear-right."""
+    """Masses in kg per corner (FL, FR, RL, RR): a scenario's curb weights or its `corner_loads`."""
 
     fl_kg: float
     fr_kg: float
@@ -77,16 +75,10 @@ class FourCellReading:
     rr_kg: float
 
     def __post_init__(self) -> None:
-        for name in ("fl_kg", "fr_kg", "rl_kg", "rr_kg"):
-            if getattr(self, name) < 0:
-                raise InvalidReadingError(f"negative cell reading: {name}={getattr(self, name)}")
+        _check_masses(self.as_tuple(), QUADRANT_NAMES)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.fl_kg, self.fr_kg, self.rl_kg, self.rr_kg)
-
-    def two_cell(self) -> TwoCellReading:
-        """Collapse to the left/right pair."""
-        return TwoCellReading(left_kg=self.fl_kg + self.rl_kg, right_kg=self.fr_kg + self.rr_kg)
 
 
 @dataclass(frozen=True)
@@ -154,36 +146,26 @@ class TwoCellAssessment:
     right_heavy: bool
 
 
-def total_weight_two_cell(r: TwoCellReading) -> float:
-    """Total vehicle weight: the sum of both cell readings."""
-    return r.left_kg + r.right_kg
-
-
-def lateral_offset_two_cell(r: TwoCellReading, geom: DeckGeometry) -> float:
-    """Lateral CoG distance from the centreline, positive toward the left cell.
+def assess_two_cell(masses: Sequence[float], geom: DeckGeometry, policy: AlertPolicy) -> TwoCellAssessment:
+    """Two-cell assessment of the (left, right) masses. The lateral CoG offset
+    from the centreline, positive toward the left cell, is
 
         offset = (left - right) / total * breadth / 2
     """
-    total = total_weight_two_cell(r)
-    if total == 0:
-        raise UndefinedCogError("lateral offset undefined at zero total weight")
-    return (r.left_kg - r.right_kg) / total * (geom.breadth_m / 2.0)
-
-
-def assess_two_cell(r: TwoCellReading, geom: DeckGeometry, policy: AlertPolicy) -> TwoCellAssessment:
-    total = total_weight_two_cell(r)
-    offset = lateral_offset_two_cell(r, geom) if total > 0 else None
+    _check_masses(masses, ("left", "right"))
+    left, right = masses
+    total = left + right
     return TwoCellAssessment(
         total_kg=total,
-        lateral_offset_m=offset,
+        lateral_offset_m=(left - right) / total * (geom.breadth_m / 2.0) if total > 0 else None,
         overloaded=total > policy.overload_threshold_kg,
-        left_heavy=r.left_kg > r.right_kg,
-        right_heavy=r.right_kg > r.left_kg,
+        left_heavy=left > right,
+        right_heavy=right > left,
     )
 
 
-def assess_four_cell(r: FourCellReading, geom: DeckGeometry, policy: AlertPolicy) -> LoadAssessment:
-    """Full four-cell assessment.
+def assess_four_cell(masses: Sequence[float], geom: DeckGeometry, policy: AlertPolicy) -> LoadAssessment:
+    """Full four-cell assessment of the (FL, FR, RL, RR) masses.
 
         x_cg = (rear sum)  * wheelbase / total    (0 = front cell line)
         y_cg = (left sum)  * track     / total    (0 = right cell line)
@@ -193,15 +175,17 @@ def assess_four_cell(r: FourCellReading, geom: DeckGeometry, policy: AlertPolicy
     front+rear identity holds bit-exactly; the left/right grouping agrees
     to within 2 units in the last place.
     """
-    front = r.fl_kg + r.fr_kg
-    rear = r.rl_kg + r.rr_kg
-    left = r.fl_kg + r.rl_kg
-    right = r.fr_kg + r.rr_kg
+    _check_masses(masses, QUADRANT_NAMES)
+    fl, fr, rl, rr = masses
+    front = fl + fr
+    rear = rl + rr
+    left = fl + rl
+    right = fr + rr
     total = front + rear
 
     if total > 0:
         # multiply before dividing: keeps shares exact at round thresholds
-        pct = tuple(w * 100.0 / total for w in r.as_tuple())
+        pct = tuple(w * 100.0 / total for w in masses)
         x_cg = min(max(rear * geom.wheelbase_m / total, 0.0), geom.wheelbase_m)
         y_cg = min(max(left * geom.track_m / total, 0.0), geom.track_m)
         centreline = y_cg - geom.track_m / 2.0
@@ -238,15 +222,14 @@ class Deck(NamedTuple):
     """What differs between the two-cell and the four-cell deck."""
 
     kind: str  # the record's assessment "kind"
-    reading: type
     assessment: type
     assess: Callable
 
 
 #: The deck of each cell count.
 DECKS = {
-    2: Deck("two_cell", TwoCellReading, TwoCellAssessment, assess_two_cell),
-    4: Deck("four_cell", FourCellReading, LoadAssessment, assess_four_cell),
+    2: Deck("two_cell", TwoCellAssessment, assess_two_cell),
+    4: Deck("four_cell", LoadAssessment, assess_four_cell),
 }
 
 
@@ -256,8 +239,7 @@ def assess(
     """Assessment of the deck with one cell per mass, masses in cell order."""
     if len(masses) not in DECKS:
         raise ValueError(f"cell count must be one of {sorted(DECKS)}, got {len(masses)}")
-    deck = DECKS[len(masses)]
-    return deck.assess(deck.reading(*masses), geom, policy)
+    return DECKS[len(masses)].assess(masses, geom, policy)
 
 
 def is_unsafe(assessment: LoadAssessment | TwoCellAssessment) -> bool:

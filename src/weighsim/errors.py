@@ -65,12 +65,8 @@ class TareRangeError(WeighSimError):
 
 # centre-of-gravity engine ---------------------------------------------------
 
-class UndefinedCogError(WeighSimError):
-    """CoG requested for a zero total weight."""
-
-
 class InvalidReadingError(WeighSimError):
-    """A per-cell weight was negative."""
+    """A per-cell weight was negative or not finite."""
 
 
 # weighing modes & compliance ------------------------------------------------

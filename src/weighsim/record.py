@@ -35,7 +35,7 @@ _ASSESSMENT = {deck.kind: deck.assessment for deck in DECKS.values()}
 def to_json(obj: Any) -> dict:
     """A dataclass as a JSON-ready dict of its fields in order (an assessment
     headed by its `kind`), nested dataclasses as dicts, tuples as lists."""
-    names, converted = _codecs(type(obj))
+    names, converted, _ = _codecs(type(obj))
     values = [getattr(obj, name) for name in names]
     for i, encode, _ in converted:
         values[i] = encode(values[i])
@@ -47,23 +47,49 @@ def to_json(obj: Any) -> dict:
 def from_json(cls: type, obj: dict, what: str = "record") -> Any:
     """The `cls` that `to_json` wrote as `obj`, its fields passed by position
     (a record class has no keyword-only field). Keys no field names are ignored;
-    an `obj` that is not a dict is a ValueError that calls it `what`."""
-    names, converted = _codecs(cls)
+    an `obj` that is not a dict, or a field whose JSON value cannot hold its
+    type, is a ValueError that calls it `what`."""
+    names, converted, checks = _codecs(cls)
     obj = _object(obj, what)
     values = [obj[name] for name in names]
+    for i, fits in checks:
+        if not fits(values[i]):
+            raise ValueError(f"field {names[i]!r} of {what} has the wrong JSON type: {values[i]!r}")
     for i, _, decode in converted:
         values[i] = decode(values[i])
     return cls(*values)
 
 
 @cache
-def _codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, Callable, Callable], ...]]:
-    """The field names of `cls` in order, and (index, encoder, decoder) of
-    each field whose JSON value is not the field value itself."""
+def _codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, Callable, Callable], ...], tuple]:
+    """The field names of `cls` in order, (index, encoder, decoder) of each
+    field whose JSON value is not the field value itself, and (index, test)
+    of each field but a nested record or assessment, whose JSON value `test`
+    checks."""
     hints = get_type_hints(cls)
     names = tuple(f.name for f in fields(cls))
     converted = tuple((i, *codec) for i, name in enumerate(names) if (codec := _codec(hints[name], name)))
-    return names, converted
+    checks = tuple((i, fits) for i, name in enumerate(names) if (fits := _fits(hints[name])))
+    return names, converted, checks
+
+
+#: The JSON value types of each scalar field type; a float may be written as an int.
+_JSON_TYPES = {str: (str,), int: (int,), float: (int, float), bool: (bool,), dict: (dict,)}
+
+
+def _fits(hint: Any) -> Callable[[Any], bool] | None:
+    """Whether a JSON value can hold a field of type `hint` (`json.loads` gives
+    exact types, so a bool is no int); None for a record or an assessment."""
+    args = get_args(hint)
+    if hint in _JSON_TYPES:
+        return lambda v: type(v) in _JSON_TYPES[hint]
+    if get_origin(hint) is tuple:  # tuple[X, ...] or tuple[X, X, ...]
+        item, size = _fits(args[0]), None if args[-1] is Ellipsis else len(args)
+        return lambda v: type(v) is list and size in (None, len(v)) and all(map(item, v))
+    if type(None) in args:  # X | None
+        fits = _fits(args[0])
+        return lambda v: v is None or fits(v)
+    return None
 
 
 def _codec(hint: Any, name: str) -> tuple[Callable, Callable] | None:
@@ -128,7 +154,10 @@ class WeighRecord:
         except json.JSONDecodeError as exc:
             raise RecordParseError(f"bad record JSON: {exc}", line_no) from None
         try:
-            return from_json(cls, obj)
+            record = from_json(cls, obj)
+            if any(type(entry.get("passed")) is not bool for entry in record.compliance):
+                raise ValueError("a compliance entry has no boolean 'passed'")
+            return record
         except (KeyError, TypeError) as exc:
             raise RecordParseError(f"record missing field: {exc}", line_no) from None
         except ValueError as exc:

@@ -29,6 +29,7 @@ and of `Scenario`, and any other key is an error:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -68,6 +69,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (isinstance(self.noise_seed, (int, np.integer)) and self.noise_seed >= 0):
             raise InvalidSeedError(f"noise_seed must be an integer >= 0, got {self.noise_seed!r}")
+        if not math.isfinite(self.temperature_c):
+            raise ValueError(f"temperature_c must be finite, got {self.temperature_c}")
         for p in self.placements:
             require_positive("placement mass", p.mass_kg, InvalidPlacementError)
             if not 0.0 <= p.x_m <= self.geometry.wheelbase_m:
@@ -175,8 +178,8 @@ def run_end_to_end(
         if spec.noise_sigma_mv > 0:
             rng = np.random.default_rng(np.random.SeedSequence(scenario.noise_seed, spawn_key=(i,)))
             reading = add_noise(reading, spec, rng)
-        masses.append(code_to_mass(quantize(reading).code, cal).kg)
-    return assess_four_cell(FourCellReading(*masses), scenario.geometry, policy)
+        masses.append(code_to_mass(quantize(reading).code, cal))
+    return assess_four_cell(masses, scenario.geometry, policy)
 
 
 def ideal_calibration(spec: LoadCellSpec) -> CalibrationState:

@@ -208,10 +208,10 @@ def bridge_output(
 
     Raises MechanicalOverrangeError beyond 150 % of capacity; that is a
     destructive load, distinct from (and well before) electrical
-    saturation of the ADC.
+    saturation of the ADC. A non-finite mass or temperature is a ValueError.
     """
-    if applied_mass_kg < 0:
-        raise ValueError(f"applied mass must be >= 0, got {applied_mass_kg}")
+    if not 0 <= applied_mass_kg < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"applied mass must be finite and >= 0, got {applied_mass_kg}")
     if applied_mass_kg > OVERRANGE_FACTOR * spec.capacity_kg:
         raise MechanicalOverrangeError(
             f"{applied_mass_kg} kg exceeds {OVERRANGE_FACTOR:.0%} of the"
@@ -219,6 +219,8 @@ def bridge_output(
         )
     if temperature_c is None:
         temperature_c = spec.reference_temp_c
+    elif not math.isfinite(temperature_c):
+        raise ValueError(f"temperature must be finite, got {temperature_c}")
     fraction = applied_mass_kg / spec.capacity_kg
     dt = temperature_c - spec.reference_temp_c
     v = (

@@ -16,7 +16,6 @@ from weighsim.cog import (
     DeckGeometry,
     FourCellReading,
     POLICIES,
-    TwoCellReading,
     assess_four_cell,
     assess_two_cell,
 )
@@ -64,18 +63,18 @@ def report(n, text):
 
 def test_criterion_1_threshold_reproduction():
     # two-cell, 9.5 kg limit: boundary does not flag, just above does
-    assert not assess_two_cell(TwoCellReading(5.0, 4.5), GEOM, P1).overloaded
-    assert assess_two_cell(TwoCellReading(5.0, 4.51), GEOM, P1).overloaded
+    assert not assess_two_cell((5.0, 4.5), GEOM, P1).overloaded
+    assert assess_two_cell((5.0, 4.51), GEOM, P1).overloaded
     # four-cell, 400 kg limit
-    assert not assess_four_cell(FourCellReading(100.0, 100.0, 100.0, 100.0), GEOM, P2).overloaded
-    assert assess_four_cell(FourCellReading(100.0, 100.0, 100.0, 100.1), GEOM, P2).overloaded
+    assert not assess_four_cell((100.0, 100.0, 100.0, 100.0), GEOM, P2).overloaded
+    assert assess_four_cell((100.0, 100.0, 100.0, 100.1), GEOM, P2).overloaded
     report(1, "9.5/9.51 kg and 400/400.1 kg thresholds reproduce")
 
 
 def test_criterion_2_quadrant_rule():
-    exactly_30 = assess_four_cell(FourCellReading(30.0, 30.0, 30.0, 10.0), GEOM, P2)
+    exactly_30 = assess_four_cell((30.0, 30.0, 30.0, 10.0), GEOM, P2)
     assert exactly_30.flagged_quadrants == ()
-    just_over = assess_four_cell(FourCellReading(30.1, 30.0, 29.9, 10.0), GEOM, P2)
+    just_over = assess_four_cell((30.1, 30.0, 29.9, 10.0), GEOM, P2)
     assert just_over.flagged_quadrants == ("FL",)
     report(2, "30.0 % share does not flag, 30.1 % flags that quadrant")
 
@@ -95,7 +94,7 @@ def test_criterion_3_cog_round_trip_and_flags():
         )
         curb = FourCellReading(*(float(rng.uniform(0.0, 40.0)) for _ in range(4)))
         s = Scenario(geometry=GEOM, placements=placements, curb=curb)
-        a = assess_four_cell(corner_loads(s), GEOM, P2)
+        a = assess_four_cell(corner_loads(s).as_tuple(), GEOM, P2)
         cx, cy = centroid(s)
         assert abs(a.x_cg_m - cx) <= 1e-9
         assert abs(a.y_cg_m - cy) <= 1e-9
@@ -118,7 +117,7 @@ def test_criterion_4_end_to_end_linearity():
         for i in range(100):
             mass = spec.capacity_kg * i / 99.0
             code = quantize(bridge_output(spec, mass), adc).code
-            err = abs(code_to_mass(code, cal).kg - mass)
+            err = abs(code_to_mass(code, cal) - mass)
             worst = max(worst, err)
             assert err <= cal.scale_kg_per_lsb
     report(4, "zero-noise pipeline recovers mass within 1 LSB*scale on both cell specs")

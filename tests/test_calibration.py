@@ -82,14 +82,13 @@ class TestCodeToMass:
     CAL = CalibrationState(tare_code=500, scale_kg_per_lsb=1e-4, reference_points=((10.0, 100_500),))
 
     def test_tare_code_is_zero(self):
-        assert code_to_mass(500, self.CAL) == (0.0, False)
+        assert code_to_mass(500, self.CAL) == 0.0
 
-    def test_below_tare_clamps_with_flag(self):
-        mass, below = code_to_mass(498, self.CAL)
-        assert mass == 0.0 and below
+    def test_below_tare_clamps_to_zero(self):
+        assert code_to_mass(498, self.CAL) == 0.0
 
     def test_positive(self):
-        assert code_to_mass(100_500, self.CAL).kg == pytest.approx(10.0)
+        assert code_to_mass(100_500, self.CAL) == pytest.approx(10.0)
 
     def test_temperature_warning(self):
         cal = CalibrationState(
@@ -107,13 +106,13 @@ class TestEndToEnd:
     def test_recovers_calibration_mass(self):
         cal = ideal_calibration(self.SPEC)
         code = quantize(bridge_output(self.SPEC, 120.0), self.ADC).code
-        assert abs(code_to_mass(code, cal).kg - 120.0) <= cal.scale_kg_per_lsb
+        assert abs(code_to_mass(code, cal) - 120.0) <= cal.scale_kg_per_lsb
 
     @given(st.floats(min_value=0.0, max_value=120.0, allow_nan=False))
     def test_linear_recovery_anywhere(self, mass):
         cal = ideal_calibration(self.SPEC)
         code = quantize(bridge_output(self.SPEC, mass), self.ADC).code
-        assert abs(code_to_mass(code, cal).kg - mass) <= cal.scale_kg_per_lsb
+        assert abs(code_to_mass(code, cal) - mass) <= cal.scale_kg_per_lsb
 
 
 def test_state_validation():

@@ -77,9 +77,9 @@ PUBLIC = {
     "sensor": "AdcConfig AdcFrame BridgeReading FOUR_CELL_120KG LoadCellSpec TWO_CELL_5KG add_noise"
     " bridge_output quantize",
     "codec": "BitTrace decode_frame encode_frame",
-    "calibration": "CalibrationState MassReading calibrate code_to_mass tare",
-    "cog": "AlertPolicy DeckGeometry FourCellReading LoadAssessment POLICIES TwoCellAssessment TwoCellReading"
-    " assess_four_cell assess_two_cell classify lateral_offset_two_cell policy render_lcd total_weight_two_cell",
+    "calibration": "CalibrationState calibrate code_to_mass tare",
+    "cog": "AlertPolicy DeckGeometry FourCellReading LoadAssessment POLICIES TwoCellAssessment"
+    " assess_four_cell assess_two_cell classify policy render_lcd",
     "compliance": "AXLE_CONFIGURATIONS AxleConfiguration ComplianceResult KENYA_FIRST_TIME KENYA_REVERIFICATION"
     " NZ_BAND ToleranceRule US_HANDBOOK44 check_compliance max_permissible_error"
     " simulate_weigh_stream static_weigh wim_weigh within_gvw_limit",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from functools import cache
 
 import pytest
@@ -185,6 +186,64 @@ class TestNonObjectValues:
         store.path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(RecordParseError, match=f"^line 1: field '{field}' is not a JSON object$"):
             store.load(obj["record_id"])
+
+
+class TestFieldTypes:
+    """A hand-edited field of the wrong JSON type is a RecordParseError at its
+    line, through `load`, `load_all` and `assess`, not a crash in `assess`."""
+
+    CASES = [
+        # (path to the field, value, what the error calls the field)
+        (("compliance",), [5], "field 'compliance' of record"),
+        (("cell_masses_kg",), "abcd", "field 'cell_masses_kg' of record"),
+        (("cell_masses_kg",), [1.0, "a", 1.0, 1.0], "field 'cell_masses_kg' of record"),
+        (("started_at_ms",), 1.5, "field 'started_at_ms' of record"),
+        (("mode",), None, "field 'mode' of record"),
+        (("geometry", "wheelbase_m"), "2", "field 'wheelbase_m' of field 'geometry'"),
+        (("geometry", "breadth_m"), True, "field 'breadth_m' of field 'geometry'"),
+        (("assessment", "overloaded"), 0, "field 'overloaded' of field 'assessment'"),
+        (("assessment", "quadrant_pct"), [25.0, 25.0, 50.0], "field 'quadrant_pct' of field 'assessment'"),
+    ]
+
+    @staticmethod
+    def edit(store, path, value):
+        """Set the field at `path` of the second record to `value`; its id."""
+        lines = store.path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        *outer, name = path
+        target = obj
+        for key in outer:
+            target = target[key]
+        target[name] = value
+        lines[1] = json.dumps(obj)
+        store.path.write_text("\n".join(lines) + "\n")
+        return obj["record_id"]
+
+    @pytest.mark.parametrize("path, value, what", CASES)
+    def test_wrong_json_type(self, store, capsys, path, value, what):
+        record_id = self.edit(store, path, value)
+        message = f"line 2: {what} has the wrong JSON type: {value!r}"
+        for argv in (["assess", record_id, "--data-dir", str(store.data_dir)], ["assess", str(store.path)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"weighsim: error: {message}\n")
+        for read in (store.load_all, lambda: store.load(record_id)):
+            with pytest.raises(RecordParseError, match=f"^{re.escape(message)}$"):
+                read()
+        # the lookup of a later record still skips the edited line unparsed
+        assert store.load(ids(store)[2]).record_id == ids(store)[2]
+
+    @pytest.mark.parametrize("entries", [[{}], [{"passed": 1}], [{"passed": True}, {"passed": None}]])
+    def test_compliance_entry_without_a_boolean_passed(self, store, capsys, entries):
+        record_id = self.edit(store, ("compliance",), entries)
+        assert main(["assess", record_id, "--data-dir", str(store.data_dir)]) == 1
+        message = "line 2: a compliance entry has no boolean 'passed'"
+        assert capsys.readouterr() == ("", f"weighsim: error: {message}\n")
+        with pytest.raises(RecordParseError, match=f"^{message}$"):
+            store.load_all()
+
+    def test_an_int_may_stand_for_a_float(self, store):
+        record_id = self.edit(store, ("geometry", "wheelbase_m"), 2)
+        assert store.load(record_id).geometry.wheelbase_m == 2
 
 
 @cache

@@ -109,7 +109,7 @@ class TestCentroid:
                 for _ in range(rng.integers(1, 5))
             ]
             s = scenario(*placements, curb=CURB)
-            a = assess_four_cell(corner_loads(s), GEOM, P2)
+            a = assess_four_cell(corner_loads(s).as_tuple(), GEOM, P2)
             cx, cy = centroid(s)
             assert a.x_cg_m == pytest.approx(cx, abs=1e-9)
             assert a.y_cg_m == pytest.approx(cy, abs=1e-9)
@@ -144,7 +144,7 @@ class TestEndToEnd:
         a = run_end_to_end(s, (self.SPEC,) * 4, self.cals(), P2)
         # per-cell quantization error is 1 LSB*scale ≈ 5.7e-5 kg, which on a
         # 50 kg curb moves the CoG by up to a few 1e-6 m
-        ref = assess_four_cell(curb, GEOM, P2)
+        ref = assess_four_cell(curb.as_tuple(), GEOM, P2)
         assert a.x_cg_m == pytest.approx(ref.x_cg_m, abs=1e-5)
         assert a.y_cg_m == pytest.approx(ref.y_cg_m, abs=1e-5)
 
@@ -164,8 +164,8 @@ class TestEndToEnd:
         masses = []
         for mass, spec, cal, rng in zip(corner_loads(s).as_tuple(), specs, cals, rngs):
             reading = add_noise(bridge_output(spec, mass, temperature_c=s.temperature_c), spec, rng)
-            masses.append(code_to_mass(quantize(reading).code, cal).kg)
-        return assess_four_cell(FourCellReading(*masses), s.geometry, P2)
+            masses.append(code_to_mass(quantize(reading).code, cal))
+        return assess_four_cell(masses, s.geometry, P2)
 
     @given(
         st.integers(min_value=0, max_value=2**64),
@@ -205,6 +205,12 @@ class TestEndToEnd:
             scenario(noise_seed=seed)
         assert scenario(noise_seed=np.uint64(2**64 - 1)).noise_seed == 2**64 - 1
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_temperature_must_be_finite(self, value):
+        # a NaN temperature reached quantize, which failed with an untyped ValueError
+        with pytest.raises(ValueError, match=f"^temperature_c must be finite, got {value}$"):
+            scenario(temperature_c=value)
+
     def test_monte_carlo_total_is_unbiased(self):
         spec = LoadCellSpec(capacity_kg=120.0, noise_sigma_mv=0.001)
         cals = self.cals(spec)
@@ -225,10 +231,10 @@ class TestEndToEnd:
     @settings(max_examples=50)
     def test_adding_mass_never_clears_overload(self, extra, x, y):
         base = scenario(Placement(450.0, 1.0, 0.75))
-        a = assess_four_cell(corner_loads(base), GEOM, P2)
+        a = assess_four_cell(corner_loads(base).as_tuple(), GEOM, P2)
         assert a.overloaded
         more = scenario(Placement(450.0, 1.0, 0.75), Placement(extra, x, y))
-        b = assess_four_cell(corner_loads(more), GEOM, P2)
+        b = assess_four_cell(corner_loads(more).as_tuple(), GEOM, P2)
         assert b.overloaded
 
 

@@ -63,6 +63,14 @@ class TestBridgeOutput:
         with pytest.raises(ValueError):
             bridge_output(IDEAL_120, -1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass_or_temperature_rejected(self, value):
+        # a NaN mass or temperature gave a NaN reading, and quantize failed later
+        with pytest.raises(ValueError, match=f"^applied mass must be finite and >= 0, got {value}$"):
+            bridge_output(IDEAL_120, value)
+        with pytest.raises(ValueError, match=f"^temperature must be finite, got {value}$"):
+            bridge_output(IDEAL_120, 10.0, temperature_c=value)
+
 
 class TestNoise:
     def test_zero_sigma_is_identity(self):

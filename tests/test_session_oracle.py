@@ -16,14 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from weighsim.calibration import CalibrationState
 from weighsim.codec import CHUNK_LINES
-from weighsim.cog import (
-    DeckGeometry,
-    FourCellReading,
-    POLICIES,
-    TwoCellReading,
-    assess_four_cell,
-    assess_two_cell,
-)
+from weighsim.cog import DeckGeometry, POLICIES, assess_four_cell, assess_two_cell
 from weighsim.compliance import STATIC_WINDOW_S, static_weigh, wim_weigh
 from weighsim.errors import InsufficientDurationError, InsufficientSamplesError, NoVehicleError
 from weighsim.sensor import CODE_MAX
@@ -165,9 +158,9 @@ def test_columnar_session_is_bit_identical(session):
         assert (got.started_at_ms, got.ended_at_ms) == (started, ended)
         assert type(got.started_at_ms) is int and type(got.ended_at_ms) is int
         if cell_count == 4:
-            assessment = assess_four_cell(FourCellReading(*masses), GEOM, POLICY)
+            assessment = assess_four_cell(masses, GEOM, POLICY)
         else:
-            assessment = assess_two_cell(TwoCellReading(*masses), GEOM, POLICY)
+            assessment = assess_two_cell(masses, GEOM, POLICY)
         reference = replace(got, cell_masses_kg=tuple(masses), assessment=assessment)
         assert masked_line(got) == masked_line(reference)
 
