@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DegenerateCalibrationError,
     InsufficientSamplesError,
+    InvalidValueError,
     InvertedWiringError,
     TareRangeError,
     require_positive,
@@ -48,9 +49,9 @@ class CalibrationState:
             raise TareRangeError(f"tare code {self.tare_code} outside signed 24-bit range")
         require_positive("scale", self.scale_kg_per_lsb)
         if not math.isfinite(self.calibrated_at_temp_c):
-            raise ValueError(f"calibration temperature must be finite, got {self.calibrated_at_temp_c}")
+            raise InvalidValueError(f"calibration temperature must be finite, got {self.calibrated_at_temp_c}")
         if len(self.reference_points) < 1:
-            raise ValueError("need at least one reference point beyond tare")
+            raise InvalidValueError("need at least one reference point beyond tare")
         for mass, _ in self.reference_points:
             require_positive("reference mass", mass)
 
@@ -72,16 +73,16 @@ class CalibrationState:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CalibrationState":
-        source = str(path)
-        values = kvfile.as_dict(kvfile.read_kv(path), source)
-        points = []
-        while f"ref_mass_kg_{len(points)}" in values:
-            i = len(points)
-            mass = kvfile.take(values, f"ref_mass_kg_{i}", kvfile.parse_float, source)
-            code = kvfile.take(values, f"ref_code_{i}", kvfile.parse_int, source)
-            points.append((mass, code))
-        cal = kvfile.build(cls, values, source, reference_points=tuple(points))
-        kvfile.reject_unknown(values, source)
+        with kvfile.named(path):
+            values = kvfile.as_dict(kvfile.read_kv(path))
+            points = []
+            while f"ref_mass_kg_{len(points)}" in values:
+                i = len(points)
+                mass = kvfile.take(values, f"ref_mass_kg_{i}", kvfile.parse_float)
+                code = kvfile.take(values, f"ref_code_{i}", kvfile.parse_int)
+                points.append((mass, code))
+            cal = kvfile.build(cls, values, reference_points=tuple(points))
+            kvfile.reject_unknown(values)
         return cal
 
 
@@ -106,8 +107,7 @@ def calibrate(
     temperature_c: float = 25.0,
 ) -> CalibrationState:
     """Derive the code→mass slope from one known weight."""
-    if known_mass_kg <= 0:
-        raise ValueError(f"known mass must be > 0, got {known_mass_kg}")
+    require_positive("known mass", known_mass_kg)
     delta = code_at_mass - tare_code
     if delta == 0:
         raise DegenerateCalibrationError(

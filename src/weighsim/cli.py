@@ -67,16 +67,16 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
     """Deck geometry and alert policy: each value from its flag, else the
     station config's key, else the default (a 2.0 m x 1.5 m deck, the
     prototype2 policy). `--policy` replaces the whole policy."""
-    source = args.config
-    values = kvfile.as_dict(kvfile.read_kv(source), source) if source else {}
     flags = {f.name: v for f in fields(DeckGeometry) if (v := getattr(args, f.name, None)) is not None}
-    for name in flags:
-        values.pop(name, None)
     defaults = {"wheelbase_m": 2.0, "track_m": 1.5, **flags}
     DeckGeometry(**defaults)  # a bad flag is the flag's error, not the file's
-    geometry = kvfile.build(DeckGeometry, values, source, **defaults)
-    policy = kvfile.build(AlertPolicy, values, source, **asdict(POLICIES["prototype2"]))
-    kvfile.reject_unknown(values, source)
+    with kvfile.named(args.config):
+        values = kvfile.as_dict(kvfile.read_kv(args.config)) if args.config else {}
+        for name in flags:
+            values.pop(name, None)
+        geometry = kvfile.build(DeckGeometry, values, **defaults)
+        policy = kvfile.build(AlertPolicy, values, **asdict(POLICIES["prototype2"]))
+        kvfile.reject_unknown(values)
     return geometry, named_policy(args.policy) if args.policy else policy
 
 
@@ -138,14 +138,8 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
     ingestor = FrameIngestor(cell_count=args.cells)
     batches = []
     for path in args.frames:
-        with open(path) as fh:
-            try:
-                batches.append(ingestor.ingest_lines(fh))
-            except WeighSimError as exc:
-                exc.args = (f"{path}: {exc}",)
-                raise
-            except UnicodeDecodeError as exc:
-                raise WeighSimError(f"{path}: {exc}") from None
+        with open(path) as fh, kvfile.named(path):
+            batches.append(ingestor.ingest_lines(fh))
     frames = FrameBatch.concat(batches)
     record = run_session(
         frames,
@@ -199,7 +193,8 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     # The whole file is read as text first, so a file that is not valid
     # text fails before anything reaches stdout.
-    text = Path(args.trace).read_text()
+    with kvfile.named(args.trace):
+        text = Path(args.trace).read_text()
     labels = {config: "%d,%s" % config for config in codec.CONFIG_PULSES}
     on_rail = frozenset(RAILS).__contains__
     try:
@@ -345,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WeighSimError, ValueError, OSError) as exc:
+    except (WeighSimError, OSError) as exc:
         print(f"weighsim: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

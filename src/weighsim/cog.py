@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import InvalidReadingError, require_positive
+from .errors import InvalidReadingError, InvalidValueError, require_positive
 
 QUADRANT_NAMES = ("FL", "FR", "RL", "RR")
 
@@ -59,7 +59,7 @@ class DeckGeometry:
 def _check_masses(masses: Sequence[float], names: tuple[str, ...]) -> None:
     """Raise unless `masses` holds one mass per cell of `names`, each finite and >= 0."""
     if len(masses) != len(names):
-        raise ValueError(f"need {len(names)} cell masses, got {len(masses)}")
+        raise InvalidValueError(f"need {len(names)} cell masses, got {len(masses)}")
     for name, mass in zip(names, masses):
         if not 0.0 <= mass < math.inf:  # NaN fails both comparisons
             raise InvalidReadingError(f"cell {name} mass must be finite and >= 0, got {mass}")
@@ -106,7 +106,7 @@ def policy(name: str) -> AlertPolicy:
     try:
         return POLICIES[name]
     except KeyError:
-        raise ValueError(f"unknown policy {name!r}; known: {sorted(POLICIES)}") from None
+        raise InvalidValueError(f"unknown policy {name!r}; known: {sorted(POLICIES)}") from None
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def assess(
 ) -> LoadAssessment | TwoCellAssessment:
     """Assessment of the deck with one cell per mass, masses in cell order."""
     if len(masses) not in DECKS:
-        raise ValueError(f"cell count must be one of {sorted(DECKS)}, got {len(masses)}")
+        raise InvalidValueError(f"cell count must be one of {sorted(DECKS)}, got {len(masses)}")
     return DECKS[len(masses)].assess(masses, geom, policy)
 
 

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     ConfigError,
     InsufficientDurationError,
+    InvalidValueError,
     NoVehicleError,
     UncoveredCapacityError,
     require_positive,
@@ -76,29 +77,29 @@ class ToleranceRule:
 
     def __post_init__(self) -> None:
         if self.jurisdiction not in JURISDICTIONS:
-            raise ValueError(f"jurisdiction must be one of {JURISDICTIONS}, got {self.jurisdiction!r}")
+            raise InvalidValueError(f"jurisdiction must be one of {JURISDICTIONS}, got {self.jurisdiction!r}")
         if self.verification_kind not in VERIFICATION_KINDS:
-            raise ValueError(
+            raise InvalidValueError(
                 f"verification kind must be one of {VERIFICATION_KINDS}, got {self.verification_kind!r}"
             )
         shapes = sum(
             (bool(self.anchor_points_t_kg), self.band_t is not None, self.percent_of_load is not None)
         )
         if shapes != 1:
-            raise ValueError("exactly one of anchors / band / percent must be given")
+            raise InvalidValueError("exactly one of anchors / band / percent must be given")
         for cap, err in self.anchor_points_t_kg:
             require_positive("anchor capacity", cap)
             require_positive("anchor max error", err)
         caps = [c for c, _ in self.anchor_points_t_kg]
         if sorted(set(caps)) != caps:
-            raise ValueError("anchor capacities must be strictly increasing")
+            raise InvalidValueError("anchor capacities must be strictly increasing")
         if self.band_t is not None:
             if self.band_error_kg is None:
-                raise ValueError("band rules need band_error_kg")
+                raise InvalidValueError("band rules need band_error_kg")
             require_positive("band max error", self.band_error_kg)
             lo, hi = self.band_t
             if not 0 <= lo <= hi:
-                raise ValueError(f"band must satisfy 0 <= low <= high, got {self.band_t}")
+                raise InvalidValueError(f"band must satisfy 0 <= low <= high, got {self.band_t}")
         if self.percent_of_load is not None:
             require_positive("percent of load", self.percent_of_load)
 
@@ -209,7 +210,7 @@ class AxleConfiguration:
     def __post_init__(self) -> None:
         require_positive("GVW limit", self.gvw_limit_kg)
         if self.axle_count < 2:
-            raise ValueError(f"axle count must be >= 2, got {self.axle_count}")
+            raise InvalidValueError(f"axle count must be >= 2, got {self.axle_count}")
 
 
 AXLE_CONFIGURATIONS = {
@@ -231,17 +232,17 @@ def load_axle_table(path: str | Path) -> dict[str, AxleConfiguration]:
     One line per configuration: `code = axle_count, gvw_limit_kg`.
     """
     table = dict(AXLE_CONFIGURATIONS)
-    source = str(path)
-    for code, value in kvfile.read_kv(path):
-        parts = [p.strip() for p in value.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"{source}: {code!r} needs 'axle_count, gvw_limit_kg', got {value!r}")
-        axle_count = kvfile.parse_int(parts[0], code, source)
-        gvw_limit_kg = kvfile.parse_float(parts[1], code, source)
-        try:
-            table[code] = AxleConfiguration(code, axle_count, gvw_limit_kg)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: bad entry for {code!r}: {exc}") from None
+    with kvfile.named(path):
+        for code, value in kvfile.read_kv(path):
+            parts = [p.strip() for p in value.split(",")]
+            if len(parts) != 2:
+                raise ConfigError(f"{code!r} needs 'axle_count, gvw_limit_kg', got {value!r}")
+            axle_count = kvfile.parse_int(parts[0], code)
+            gvw_limit_kg = kvfile.parse_float(parts[1], code)
+            try:
+                table[code] = AxleConfiguration(code, axle_count, gvw_limit_kg)
+            except InvalidValueError as exc:
+                raise ConfigError(f"bad entry for {code!r}: {exc}") from None
     return table
 
 
@@ -254,31 +255,31 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
       `percent 0.1`            percentage of load
     """
     rules = dict(BUILTIN_RULES)
-    source = str(path)
-    for key, value in kvfile.read_kv(path):
-        if "/" not in key:
-            raise ConfigError(f"{source}: rule key must be 'jurisdiction/kind', got {key!r}")
-        jurisdiction, kind = key.split("/", 1)
-        parts = value.split()
-        number = partial(kvfile.parse_float, key=key, source=source)
-        try:
-            if parts[0] == "anchors":
-                anchors = tuple(
-                    (number(a.split(":")[0]), number(a.split(":")[1])) for a in parts[1:]
-                )
-                rule = ToleranceRule(jurisdiction, kind, anchor_points_t_kg=anchors)
-            elif parts[0] == "band":
-                lo, hi = (number(x) for x in parts[1].split(":"))
-                rule = ToleranceRule(
-                    jurisdiction, kind, band_t=(lo, hi), band_error_kg=number(parts[2])
-                )
-            elif parts[0] == "percent":
-                rule = ToleranceRule(jurisdiction, kind, percent_of_load=number(parts[1]) / 100.0)
-            else:
-                raise ConfigError(f"{source}: unknown rule shape {parts[0]!r} for {key!r}")
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"{source}: bad rule {key!r}: {exc}") from None
-        rules[(jurisdiction, kind)] = rule
+    with kvfile.named(path):
+        for key, value in kvfile.read_kv(path):
+            if "/" not in key:
+                raise ConfigError(f"rule key must be 'jurisdiction/kind', got {key!r}")
+            jurisdiction, kind = key.split("/", 1)
+            parts = value.split()
+            number = partial(kvfile.parse_float, key=key)
+            try:
+                if parts[0] == "anchors":
+                    anchors = tuple(
+                        (number(a.split(":")[0]), number(a.split(":")[1])) for a in parts[1:]
+                    )
+                    rule = ToleranceRule(jurisdiction, kind, anchor_points_t_kg=anchors)
+                elif parts[0] == "band":
+                    lo, hi = (number(x) for x in parts[1].split(":"))
+                    rule = ToleranceRule(
+                        jurisdiction, kind, band_t=(lo, hi), band_error_kg=number(parts[2])
+                    )
+                elif parts[0] == "percent":
+                    rule = ToleranceRule(jurisdiction, kind, percent_of_load=number(parts[1]) / 100.0)
+                else:
+                    raise ConfigError(f"unknown rule shape {parts[0]!r} for {key!r}")
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"bad rule {key!r}: {exc}") from None
+            rules[(jurisdiction, kind)] = rule
     return rules
 
 
@@ -326,13 +327,13 @@ def simulate_weigh_stream(
     moving vehicle.
     """
     if not (math.isfinite(noise_sigma_kg) and noise_sigma_kg >= 0):
-        raise ValueError(f"noise_sigma_kg must be finite and >= 0, got {noise_sigma_kg}")
+        raise InvalidValueError(f"noise_sigma_kg must be finite and >= 0, got {noise_sigma_kg}")
     if mode == "static":
         duration, sigma = STATIC_WINDOW_S, noise_sigma_kg
     elif mode == "wim":
         duration, sigma = WIM_PASS_DURATION_S, noise_sigma_kg * WIM_NOISE_FACTOR
     else:
-        raise ValueError(f"mode must be 'static' or 'wim', got {mode!r}")
+        raise InvalidValueError(f"mode must be 'static' or 'wim', got {mode!r}")
     import numpy as np
 
     rng = np.random.default_rng(seed)

@@ -1,22 +1,27 @@
 """Exception hierarchy, and the finite-and-positive check of the dataclasses.
 
-Every failure the library signals deliberately derives from WeighSimError,
-so callers (and the CLI, which maps them to exit code 1) can catch one type.
+Every failure the library signals deliberately derives from WeighSimError; a
+value out of range is an InvalidValueError, a ValueError as well. The CLI maps
+a WeighSimError or an OSError to exit code 1: any other exception is a bug.
 """
 
 import math
 
 
-def require_positive(name: str, value: float, error: type[Exception] = ValueError) -> None:
+class WeighSimError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class InvalidValueError(WeighSimError, ValueError):
+    """A value is out of its range: not finite, not positive, not one of a set."""
+
+
+def require_positive(name: str, value: float, error: type[Exception] = InvalidValueError) -> None:
     """Raise `error` unless `value` is a finite number > 0 (NaN fails both)."""
     if not math.isfinite(value):
         raise error(f"{name} must be finite, got {value}")
     if value <= 0:
         raise error(f"{name} must be > 0, got {value}")
-
-
-class WeighSimError(Exception):
-    """Base class for all errors raised by this package."""
 
 
 # sensor chain ---------------------------------------------------------------
@@ -121,4 +126,4 @@ class IncompleteStationError(WeighSimError):
 
 
 class ConfigError(WeighSimError):
-    """A plain-text configuration file is malformed or incomplete."""
+    """A plain-text input file is malformed, incomplete or not UTF-8 text."""

@@ -15,59 +15,71 @@ that no field consumed is rejected by `reject_unknown`.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, get_type_hints
 
 from .errors import ConfigError, WeighSimError
 
 
+@contextmanager
+def named(path: str | Path) -> Iterator[None]:
+    """Prefix `path: ` to any WeighSimError raised inside; non-UTF-8 text is a ConfigError naming `path`."""
+    try:
+        yield
+    except WeighSimError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def read_kv(path: str | Path) -> list[tuple[str, str]]:
     """The (key, value) pairs of a file, in file order."""
-    source = str(path)
     pairs: list[tuple[str, str]] = []
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{line_no}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigError(f"{source}:{line_no}: empty key")
+            raise ConfigError(f"line {line_no}: empty key")
         pairs.append((key, value))
     return pairs
 
 
-def as_dict(pairs: list[tuple[str, str]], source: str = "<config>") -> dict[str, str]:
+def as_dict(pairs: list[tuple[str, str]]) -> dict[str, str]:
     """Collapse pairs to a dict, rejecting duplicate keys."""
     out: dict[str, str] = {}
     for key, value in pairs:
         if key in out:
-            raise ConfigError(f"{source}: duplicate key {key!r}")
+            raise ConfigError(f"duplicate key {key!r}")
         out[key] = value
     return out
 
 
-def parse_float(text: str, key: str, source: str) -> float:
+def parse_float(text: str, key: str) -> float:
     """`text` as a finite float; otherwise a ConfigError naming `key`."""
     try:
         value = float(text)
     except ValueError:
-        raise ConfigError(f"{source}: key {key!r} is not a number: {text!r}") from None
+        raise ConfigError(f"key {key!r} is not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{source}: key {key!r} is not a finite number: {text!r}")
+        raise ConfigError(f"key {key!r} is not a finite number: {text!r}")
     return value
 
 
-def parse_int(text: str, key: str, source: str) -> int:
+def parse_int(text: str, key: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{source}: key {key!r} is not an integer: {text!r}") from None
+        raise ConfigError(f"key {key!r} is not an integer: {text!r}") from None
 
 
 #: Parser of each field type a file can spell.
@@ -75,47 +87,40 @@ _PARSERS: dict[Any, Callable] = {float: parse_float, float | None: parse_float, 
 
 
 @cache
-def _parsers(cls: type) -> dict[str, Callable[[str, str, str], Any]]:
+def _parsers(cls: type) -> dict[str, Callable[[str, str], Any]]:
     """Parser of each field of `cls` that a file can set, in field order."""
     hints = get_type_hints(cls)
     return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if hints[f.name] in _PARSERS}
 
 
-def take(values: dict[str, str], key: str, parse: Callable[[str, str, str], Any], source: str) -> Any:
+def take(values: dict[str, str], key: str, parse: Callable[[str, str], Any]) -> Any:
     """`key`'s value parsed and removed from `values`; a ConfigError when it is missing."""
     if key not in values:
-        raise ConfigError(f"{source}: missing key {key!r}")
-    return parse(values.pop(key), key, source)
+        raise ConfigError(f"missing key {key!r}")
+    return parse(values.pop(key), key)
 
 
-def build(cls: type, values: dict[str, str], source: str, prefix: str = "", **defaults: Any) -> Any:
+def build(cls: type, values: dict[str, str], prefix: str = "", **defaults: Any) -> Any:
     """A `cls` from the `prefix + name` keys of `values`, which it removes.
 
     A field without a key takes its value from `defaults`, then from the
-    dataclass default; a field found in none of them is a missing key.
+    dataclass default; `take` raises for a field found in none of them.
     Fields of a type no file spells (tuples, nested dataclasses) come from
-    `defaults` only. An error of the dataclass's own checks keeps its type,
-    and its message gains the `source: ` prefix.
+    `defaults` only.
     """
     parsers = _parsers(cls)
     kwargs = dict(defaults)
     for f in fields(cls):
         key = prefix + f.name
-        if f.name in parsers and key in values:
-            kwargs[f.name] = take(values, key, parsers[f.name], source)
-        elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{source}: missing key {key!r}")
-    try:
-        return cls(**kwargs)
-    except (ValueError, WeighSimError) as exc:
-        exc.args = (f"{source}: {exc}",)
-        raise
+        if f.name in parsers and (key in values or f.name not in kwargs and f.default is MISSING):
+            kwargs[f.name] = take(values, key, parsers[f.name])
+    return cls(**kwargs)
 
 
-def reject_unknown(values: dict[str, str], source: str) -> None:
+def reject_unknown(values: dict[str, str]) -> None:
     """Raise for the first key of `values` that no `build` consumed."""
     if values:
-        raise ConfigError(f"{source}: unknown key {next(iter(values))!r}")
+        raise ConfigError(f"unknown key {next(iter(values))!r}")
 
 
 def scalars(obj: Any) -> dict[str, Any]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
 
 from .cog import DECKS, AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
-from .errors import RecordParseError
+from .errors import InvalidValueError, RecordParseError
 
 ENV_DATA_DIR = "WEIGHSIM_DATA_DIR"
 DEFAULT_DATA_DIR = "weighsim_records"
@@ -48,13 +48,13 @@ def from_json(cls: type, obj: dict, what: str = "record") -> Any:
     """The `cls` that `to_json` wrote as `obj`, its fields passed by position
     (a record class has no keyword-only field). Keys no field names are ignored;
     an `obj` that is not a dict, or a field whose JSON value cannot hold its
-    type, is a ValueError that calls it `what`."""
+    type, is an InvalidValueError that calls it `what`."""
     names, converted, checks = _codecs(cls)
     obj = _object(obj, what)
     values = [obj[name] for name in names]
     for i, fits in checks:
         if not fits(values[i]):
-            raise ValueError(f"field {names[i]!r} of {what} has the wrong JSON type: {values[i]!r}")
+            raise InvalidValueError(f"field {names[i]!r} of {what} has the wrong JSON type: {values[i]!r}")
     for i, _, decode in converted:
         values[i] = decode(values[i])
     return cls(*values)
@@ -105,13 +105,13 @@ def _codec(hint: Any, name: str) -> tuple[Callable, Callable] | None:
 def _assessment_from_json(obj: dict, what: str) -> LoadAssessment | TwoCellAssessment:
     kind = _object(obj, what)["kind"]
     if kind not in _ASSESSMENT:
-        raise ValueError(f"unknown assessment kind {kind!r}")
+        raise InvalidValueError(f"unknown assessment kind {kind!r}")
     return from_json(_ASSESSMENT[kind], obj, what)
 
 
 def _object(obj: Any, what: str) -> dict:
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} is not a JSON object")
+        raise InvalidValueError(f"{what} is not a JSON object")
     return obj
 
 
@@ -156,7 +156,7 @@ class WeighRecord:
         try:
             record = from_json(cls, obj)
             if any(type(entry.get("passed")) is not bool for entry in record.compliance):
-                raise ValueError("a compliance entry has no boolean 'passed'")
+                raise InvalidValueError("a compliance entry has no boolean 'passed'")
             return record
         except (KeyError, TypeError) as exc:
             raise RecordParseError(f"record missing field: {exc}", line_no) from None

@@ -38,7 +38,7 @@ import numpy as np
 from .calibration import CalibrationState, calibrate, code_to_mass, tare
 from .cog import AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
 from .errors import ConfigError, InvalidPlacementError, InvalidSeedError, UndefinedCentroidError
-from .errors import require_positive
+from .errors import InvalidValueError, require_positive
 from .sensor import LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
@@ -70,7 +70,7 @@ class Scenario:
         if not (isinstance(self.noise_seed, (int, np.integer)) and self.noise_seed >= 0):
             raise InvalidSeedError(f"noise_seed must be an integer >= 0, got {self.noise_seed!r}")
         if not math.isfinite(self.temperature_c):
-            raise ValueError(f"temperature_c must be finite, got {self.temperature_c}")
+            raise InvalidValueError(f"temperature_c must be finite, got {self.temperature_c}")
         for p in self.placements:
             require_positive("placement mass", p.mass_kg, InvalidPlacementError)
             if not 0.0 <= p.x_m <= self.geometry.wheelbase_m:
@@ -84,27 +84,27 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
-        source = str(path)
-        pairs = kvfile.read_kv(path)
-        placements = tuple(_parse_placement(v, source) for k, v in pairs if k == "placement")
-        values = kvfile.as_dict([(k, v) for k, v in pairs if k != "placement"], source)
-        geometry = kvfile.build(DeckGeometry, values, source)
-        curb = kvfile.build(FourCellReading, values, source, "curb_", **asdict(NO_CURB))
-        scenario = kvfile.build(cls, values, source, geometry=geometry, placements=placements, curb=curb)
-        kvfile.reject_unknown(values, source)
+        with kvfile.named(path):
+            pairs = kvfile.read_kv(path)
+            placements = tuple(_parse_placement(v) for k, v in pairs if k == "placement")
+            values = kvfile.as_dict([(k, v) for k, v in pairs if k != "placement"])
+            geometry = kvfile.build(DeckGeometry, values)
+            curb = kvfile.build(FourCellReading, values, "curb_", **asdict(NO_CURB))
+            scenario = kvfile.build(cls, values, geometry=geometry, placements=placements, curb=curb)
+            kvfile.reject_unknown(values)
         return scenario
 
 
-def _parse_placement(value: str, source: str) -> Placement:
+def _parse_placement(value: str) -> Placement:
     try:
         mass_part, pos_part = value.split("@")
         x_part, y_part = pos_part.split(",")
     except ValueError:
         raise ConfigError(
-            f"{source}: placement must be 'mass_kg @ x_m, y_m', got {value!r}"
+            f"placement must be 'mass_kg @ x_m, y_m', got {value!r}"
         ) from None
     return Placement(
-        *(kvfile.parse_float(part.strip(), "placement", source) for part in (mass_part, x_part, y_part))
+        *(kvfile.parse_float(part.strip(), "placement") for part in (mass_part, x_part, y_part))
     )
 
 
@@ -166,11 +166,11 @@ def run_end_to_end(
     `SeedSequence(noise_seed, spawn_key=(i,))`, which is what
     `SeedSequence(noise_seed).spawn(4)[i]` builds, so repeated runs of the
     same scenario are bit-identical. A stream is seeded only for a cell
-    whose spec has noise; a noise-free chain builds none. A ValueError
+    whose spec has noise; a noise-free chain builds none. An InvalidValueError
     unless there are four specs and four calibrations, one per corner.
     """
     if len(specs) != 4 or len(cals) != 4:
-        raise ValueError(f"need 4 cell specs and 4 calibrations, got {len(specs)} and {len(cals)}")
+        raise InvalidValueError(f"need 4 cell specs and 4 calibrations, got {len(specs)} and {len(cals)}")
     loads = corner_loads(scenario)
     masses = []
     for i, (mass, spec, cal) in enumerate(zip(loads.as_tuple(), specs, cals)):

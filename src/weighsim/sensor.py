@@ -51,7 +51,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import MechanicalOverrangeError, require_positive
+from .errors import InvalidValueError, MechanicalOverrangeError, require_positive
 from . import kvfile
 
 # numpy is imported inside the functions that use it, to keep imports fast.
@@ -101,14 +101,14 @@ class LoadCellSpec:
     def __post_init__(self) -> None:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+                raise InvalidValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         require_positive("capacity", self.capacity_kg)
         require_positive("excitation", self.excitation_v)
         require_positive("rated output", self.rated_output_mv_v)
         if self.noise_sigma_mv < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_mv}")
+            raise InvalidValueError(f"noise sigma must be >= 0, got {self.noise_sigma_mv}")
         if abs(self.nonlinearity) >= 0.05:
-            raise ValueError(f"|nonlinearity| must be < 0.05, got {self.nonlinearity}")
+            raise InvalidValueError(f"|nonlinearity| must be < 0.05, got {self.nonlinearity}")
 
     @property
     def span_mv(self) -> float:
@@ -118,10 +118,10 @@ class LoadCellSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "LoadCellSpec":
         """Load a spec from a `key = value` file (keys match field names)."""
-        source = str(path)
-        values = kvfile.as_dict(kvfile.read_kv(path), source)
-        spec = kvfile.build(cls, values, source)
-        kvfile.reject_unknown(values, source)
+        with kvfile.named(path):
+            values = kvfile.as_dict(kvfile.read_kv(path))
+            spec = kvfile.build(cls, values)
+            kvfile.reject_unknown(values)
         return spec
 
     def to_file(self, path: str | Path) -> None:
@@ -147,9 +147,9 @@ class BridgeReading:
 def _check_gain_channel(gain: int, channel: str) -> None:
     """Raise unless (gain, channel) is one of the converter's three settings."""
     if gain not in GAIN_CHANNELS:
-        raise ValueError(f"gain must be one of {sorted(GAIN_CHANNELS)}, got {gain}")
+        raise InvalidValueError(f"gain must be one of {sorted(GAIN_CHANNELS)}, got {gain}")
     if GAIN_CHANNELS[gain] != channel:
-        raise ValueError(f"gain {gain} is only valid on channel {GAIN_CHANNELS[gain]!r}, got {channel!r}")
+        raise InvalidValueError(f"gain {gain} is only valid on channel {GAIN_CHANNELS[gain]!r}, got {channel!r}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class AdcFrame:
 
     def __post_init__(self) -> None:
         if not CODE_MIN <= self.code <= CODE_MAX:
-            raise ValueError(f"code {self.code} outside signed 24-bit range")
+            raise InvalidValueError(f"code {self.code} outside signed 24-bit range")
         _check_gain_channel(self.gain, self.channel)
 
     @property
@@ -208,10 +208,10 @@ def bridge_output(
 
     Raises MechanicalOverrangeError beyond 150 % of capacity; that is a
     destructive load, distinct from (and well before) electrical
-    saturation of the ADC. A non-finite mass or temperature is a ValueError.
+    saturation of the ADC. A non-finite mass or temperature is an InvalidValueError.
     """
     if not 0 <= applied_mass_kg < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"applied mass must be finite and >= 0, got {applied_mass_kg}")
+        raise InvalidValueError(f"applied mass must be finite and >= 0, got {applied_mass_kg}")
     if applied_mass_kg > OVERRANGE_FACTOR * spec.capacity_kg:
         raise MechanicalOverrangeError(
             f"{applied_mass_kg} kg exceeds {OVERRANGE_FACTOR:.0%} of the"
@@ -220,7 +220,7 @@ def bridge_output(
     if temperature_c is None:
         temperature_c = spec.reference_temp_c
     elif not math.isfinite(temperature_c):
-        raise ValueError(f"temperature must be finite, got {temperature_c}")
+        raise InvalidValueError(f"temperature must be finite, got {temperature_c}")
     fraction = applied_mass_kg / spec.capacity_kg
     dt = temperature_c - spec.reference_temp_c
     v = (

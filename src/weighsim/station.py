@@ -51,7 +51,7 @@ from .compliance import (
     within_gvw_limit,
 )
 from .errors import IncompleteStationError, InsufficientSamplesError, RecordParseError
-from .errors import SequencingError, require_positive
+from .errors import InvalidValueError, SequencingError, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
 from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS
 
@@ -138,7 +138,7 @@ class FrameBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
-        """The batch of `records`; ValueError when a `saturated` flag disagrees with its code."""
+        """The batch of `records`; InvalidValueError when a `saturated` flag disagrees with its code."""
         records = list(records)
         batch = cls(
             _one_station(r.station_id for r in records),
@@ -147,7 +147,7 @@ class FrameBatch:
         wrong = np.array([r.saturated for r in records], bool) != np.isin(batch.adc_code, RAILS)
         if wrong.any():
             rec = records[int(wrong.argmax())]
-            raise ValueError(f"saturated flag {rec.saturated} disagrees with code {rec.adc_code}: {rec}")
+            raise InvalidValueError(f"saturated flag {rec.saturated} disagrees with code {rec.adc_code}: {rec}")
         return batch
 
     @classmethod
@@ -268,10 +268,10 @@ class FrameIngestor:
 
 
 def check_tolerance_inputs(tolerance_rule: ToleranceRule | None, reference_kg: float | None) -> None:
-    """ValueError unless a tolerance check has neither a rule nor a
+    """InvalidValueError unless a tolerance check has neither a rule nor a
     reference mass, or both and a finite mass > 0."""
     if (tolerance_rule is None) != (reference_kg is None):
-        raise ValueError("a tolerance check needs both a tolerance rule and a reference mass")
+        raise InvalidValueError("a tolerance check needs both a tolerance rule and a reference mass")
     if reference_kg is not None:
         require_positive("reference mass", reference_kg)
 
@@ -291,17 +291,17 @@ def run_session(
     Each cell's frames off the rails (`sensor.RAILS`) are taken in
     timestamp order (ties in input order); a cell with none raises
     InsufficientSamplesError. A record whose `saturated` flag disagrees
-    with its code is a ValueError.
+    with its code is an InvalidValueError.
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
     pass-over segment. A tolerance rule with a reference mass (both or
     neither) and an axle configuration each add a compliance entry.
     """
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidValueError(f"mode must be one of {MODES}, got {mode!r}")
     cell_count = len(calibrations)
     if cell_count not in DECKS:
-        raise ValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
+        raise InvalidValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
     check_tolerance_inputs(tolerance_rule, reference_kg)
 
     batch = frames if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames)

@@ -487,11 +487,11 @@ def replay_inputs(draw):
 
 def reference_replay(trace):
     """The per-line replay that `codec.decode_lines` replaced, with the
-    error handling `main` puts around it."""
+    error `main` prints for a trace that is not UTF-8 text."""
     try:
         lines = Path(trace).read_text().splitlines()
-    except (ValueError, OSError) as exc:
-        print(f"weighsim: error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"weighsim: error: {trace}: {exc}", file=sys.stderr)
         return 1
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
