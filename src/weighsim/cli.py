@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 # Only numpy-free modules load here: `replay`, `assess` and `rules` start
 # without numpy, and the commands that need the signal chain import it.
@@ -45,15 +45,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count flag: zero and below are usage errors."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+def _int_at_least(low: int, what: str) -> Callable[[str], int]:
+    """argparse type of an int flag: a value below `low` is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,9 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-spec", required=True, help="load cell spec file")
     p.add_argument("--known-mass", type=_finite_float, required=True, help="reference mass in kg")
     p.add_argument("--out", required=True, help="calibration file to write")
-    p.add_argument("--samples", type=_positive_int, default=16, help="samples averaged per point")
+    p.add_argument(
+        "--samples", type=_int_at_least(1, "a positive integer"), default=16, help="samples averaged per point"
+    )
     p.add_argument("--temperature", type=_finite_float, default=25.0, help="ambient °C")
-    p.add_argument("--seed", type=int, default=0, help="noise seed")
+    p.add_argument("--seed", type=_int_at_least(0, "an integer >= 0"), default=0, help="noise seed")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("weigh", help="run a weigh session from wire-format frames")

@@ -14,6 +14,7 @@ No numpy here: reading and re-assessing a record starts fast.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
 
 from .cog import DECKS, AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
-from .errors import InvalidValueError, RecordParseError
+from .errors import InvalidReadingError, InvalidValueError, RecordParseError
 
 ENV_DATA_DIR = "WEIGHSIM_DATA_DIR"
 DEFAULT_DATA_DIR = "weighsim_records"
@@ -149,18 +150,20 @@ class WeighRecord:
 
     @classmethod
     def from_line(cls, line: str, line_no: int | None = None) -> "WeighRecord":
+        """The record on one line; a RecordParseError that names `line_no`
+        unless the line holds a record, with finite numbers only, whose cell
+        masses `assess` takes."""
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RecordParseError(f"bad record JSON: {exc}", line_no) from None
-        try:
-            record = from_json(cls, obj)
+            record = from_json(cls, json.loads(line, parse_float=_finite, parse_constant=_finite))
             if any(type(entry.get("passed")) is not bool for entry in record.compliance):
                 raise InvalidValueError("a compliance entry has no boolean 'passed'")
+            record.reassess()
             return record
+        except json.JSONDecodeError as exc:
+            raise RecordParseError(f"bad record JSON: {exc}", line_no) from None
         except (KeyError, TypeError) as exc:
             raise RecordParseError(f"record missing field: {exc}", line_no) from None
-        except ValueError as exc:
+        except (ValueError, InvalidReadingError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise RecordParseError(str(exc), line_no) from None
 
     def reassess(self) -> LoadAssessment | TwoCellAssessment:
@@ -199,16 +202,19 @@ class RecordStore:
             return
         line_no = 0
         with open(self.path) as fh:
-            for physical in fh:
-                lines = physical.splitlines()
-                for k, line in enumerate(lines, 1):
-                    line_no += 1
-                    if not line.strip():
-                        continue
-                    if k == len(lines) and not physical.endswith("\n") and not _is_json(line):
-                        self.torn_line = line_no
-                        continue
-                    yield line_no, line
+            try:
+                for physical in fh:
+                    lines = physical.splitlines()
+                    for k, line in enumerate(lines, 1):
+                        line_no += 1
+                        if not line.strip():
+                            continue
+                        if k == len(lines) and not physical.endswith("\n") and not _is_json(line):
+                            self.torn_line = line_no
+                            continue
+                        yield line_no, line
+            except UnicodeDecodeError as exc:
+                raise RecordParseError(f"{self.path} is not UTF-8 text: {exc}") from None
 
     def load_all(self) -> list[WeighRecord]:
         return [WeighRecord.from_line(line, line_no) for line_no, line in self._lines()]
@@ -228,6 +234,15 @@ class RecordStore:
         raise RecordParseError(f"no record {record_id!r} in {self.path}")
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant (`NaN`, `Infinity`) as a float; an
+    InvalidValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidValueError(f"number {text} is not finite")
+    return value
+
+
 def _framed(line: str) -> bool:
     text = line.strip()
     return text.startswith("{") and text.endswith("}")
@@ -236,6 +251,6 @@ def _framed(line: str) -> bool:
 def _is_json(text: str) -> bool:
     try:
         json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     return True

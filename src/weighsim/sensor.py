@@ -105,6 +105,7 @@ class LoadCellSpec:
         require_positive("capacity", self.capacity_kg)
         require_positive("excitation", self.excitation_v)
         require_positive("rated output", self.rated_output_mv_v)
+        require_positive("span (excitation x rated output)", self.span_mv)
         if self.noise_sigma_mv < 0:
             raise InvalidValueError(f"noise sigma must be >= 0, got {self.noise_sigma_mv}")
         if abs(self.nonlinearity) >= 0.05:
@@ -168,6 +169,7 @@ class AdcConfig:
         _check_gain_channel(self.gain, self.channel)
         require_positive("vref", self.vref_v)
         require_positive("sample rate", self.sample_rate_hz)
+        require_positive("full scale (vref / gain)", self.full_scale_mv)
 
     @property
     def full_scale_mv(self) -> float:
@@ -256,8 +258,12 @@ def quantize(reading: BridgeReading, adc: AdcConfig = DEFAULT_ADC) -> AdcFrame:
     """Quantize a bridge voltage to a signed 24-bit code.
 
     Saturation clamps to the rails, where the frame reads as saturated;
-    it is never an error. Rounding is Python's round-half-even.
+    it is never an error. The clamp comes before Python's round-half-even:
+    a finite voltage gets the code that rounding first gives, and an
+    infinite one reads as a rail. A NaN voltage is an InvalidValueError.
     """
-    code = round(reading.differential_mv / adc.full_scale_mv * 2**23)
-    code = max(CODE_MIN, min(CODE_MAX, code))
+    mv = reading.differential_mv
+    if mv != mv:  # NaN, which the clamp would turn into a rail
+        raise InvalidValueError(f"bridge voltage must not be NaN, got {mv}")
+    code = round(max(CODE_MIN, min(CODE_MAX, mv / adc.full_scale_mv * 2**23)))
     return AdcFrame(code, adc.gain, adc.channel)

@@ -330,11 +330,14 @@ def run_session(
         if not count:
             raise InsufficientSamplesError(f"every frame of cell {i} is saturated")
         hi = lo + count
-        masses = codes_to_kg(codes[lo:hi], cal)
-        if mode == "static":
-            cell_masses.append(static_weigh(times_s[lo:hi], masses))
-        else:
-            cell_masses.append(wim_weigh(masses)[0])
+        # A scale large enough to overflow gives an infinite mass, which
+        # `assess` rejects; numpy's warnings on the way say nothing more.
+        with np.errstate(over="ignore", invalid="ignore"):
+            masses = codes_to_kg(codes[lo:hi], cal)
+            if mode == "static":
+                cell_masses.append(static_weigh(times_s[lo:hi], masses))
+            else:
+                cell_masses.append(wim_weigh(masses)[0])
         lo = hi
 
     assessment = assess(cell_masses, geometry, policy)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weighsim import codec
+from weighsim import cli, codec
 from weighsim.cli import _split_lines, main
 from weighsim.codec import decode_frame, encode_frame
-from weighsim.errors import WeighSimError
+from weighsim.errors import InvalidValueError, WeighSimError, require_positive
 from weighsim.sensor import CODE_MAX, CODE_MIN, AdcFrame, LoadCellSpec
 
 BALANCED_SCENARIO = """
@@ -646,6 +646,94 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.endswith(f"weighsim calibrate: error: argument --samples: not a positive integer: '{samples}'\n")
+
+
+    def test_calibrate_seed_must_not_be_negative(self, tmp_path, capsys):
+        # numpy's untyped ValueError for the seed reached main
+        spec, out_path = tmp_path / "spec.cfg", tmp_path / "cal.cfg"
+        spec.write_text("capacity_kg = 120\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--cell-spec", str(spec), "--known-mass", "100", "--out", str(out_path), "--seed", "-1"])
+        assert exc.value.code == 1 and not out_path.exists()
+        assert capsys.readouterr().err.endswith("weighsim calibrate: error: argument --seed: not an integer >= 0: '-1'\n")
+
+
+class TestErrorPath:
+    """Every input fault ends as one `weighsim: error:` line and exit 1;
+    `main` catches nothing but WeighSimError and OSError."""
+
+    def test_an_invalid_value_is_both_a_weighsim_error_and_a_value_error(self):
+        with pytest.raises(InvalidValueError, match="^x must be > 0, got 0.0$") as exc:
+            require_positive("x", 0.0)
+        assert isinstance(exc.value, WeighSimError) and isinstance(exc.value, ValueError)
+
+    def test_main_lets_an_untyped_error_through(self, monkeypatch):
+        def bug(args):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(cli, "_cmd_rules", bug)
+        with pytest.raises(ValueError, match="^a bug$"):
+            main(["rules"])
+
+    def test_a_bad_line_is_named_once(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("capacity_kg = 120\nfoo\n")
+        assert main(["calibrate", "--cell-spec", str(spec), "--known-mass", "100", "--out", str(tmp_path / "c.cfg")]) == 1
+        assert capsys.readouterr() == ("", f"weighsim: error: {spec}: line 2: expected 'key = value', got 'foo'\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "BAD"],
+            ["simulate", "SCENARIO", "--cell-spec", "BAD"],
+            ["simulate", "SCENARIO", "--config", "BAD"],
+            ["calibrate", "--cell-spec", "BAD", "--known-mass", "100", "--out", "OUT"],
+            ["weigh", "--mode", "static", "--cells", "2", "--frames", "FRAMES", "--cal", "BAD", "BAD"],
+            ["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "20", "--rules-file", "BAD"],
+            ["rules", "--axle-config", "2", "--total", "1", "--axle-file", "BAD"],
+            ["replay", "BAD"],
+        ],
+        ids=["scenario", "cell_spec", "station_config", "calibrate", "calibration", "rules_file", "axle_file", "trace"],
+    )
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, capsys, argv):
+        # the codec error named no file
+        paths = {"BAD": tmp_path / "bad.cfg", "SCENARIO": tmp_path / "scenario.cfg", "OUT": tmp_path / "out.cfg"}
+        paths["BAD"].write_bytes(b"capacity_kg = 120\n\xff\n")
+        paths["SCENARIO"].write_text(BALANCED_SCENARIO)
+        assert main([str(paths.get(a, a)) for a in argv]) == 1
+        assert capsys.readouterr() == (
+            "", f"weighsim: error: {paths['BAD']}: 'utf-8' codec can't decode byte 0xff in position 18: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, command, message",
+        [
+            ("zero_offset_mv = 1e308", "simulate", "tare needs at least one non-saturated sample"),
+            ("zero_offset_mv = 1e308", "calibrate", "no non-saturated sample at 0.0 kg"),
+            ("noise_sigma_mv = 1e308", "calibrate", "no non-saturated sample at 0.0 kg"),
+            ("excitation_v = 1e308", "simulate", "SPEC: span (excitation x rated output) must be finite, got inf"),
+            ("rated_output_mv_v = 1e308", "calibrate", "SPEC: span (excitation x rated output) must be finite, got inf"),
+        ],
+    )
+    def test_an_extreme_cell_spec(self, tmp_path, capsys, spec, command, message):
+        # an infinite code raised OverflowError in quantize (a traceback), an
+        # infinite span a NaN voltage that failed there untyped
+        path, scenario = tmp_path / "spec.cfg", tmp_path / "scenario.cfg"
+        path.write_text(f"capacity_kg = 120\n{spec}\n")
+        scenario.write_text(BALANCED_SCENARIO)
+        argv = {
+            "simulate": ["simulate", str(scenario), "--cell-spec", str(path)],
+            "calibrate": ["calibrate", "--cell-spec", str(path), "--known-mass", "100", "--out", str(tmp_path / "c.cfg")],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"weighsim: error: {message.replace('SPEC', str(path))}\n")
+
+    def test_noise_that_overflows_reads_as_the_rails(self, tmp_path, capsys):
+        path, scenario = tmp_path / "spec.cfg", tmp_path / "scenario.cfg"
+        path.write_text("capacity_kg = 120\nnoise_sigma_mv = 1e308\n")
+        scenario.write_text(BALANCED_SCENARIO)
+        assert main(["simulate", str(scenario), "--cell-spec", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["overloaded"]
 
 
 class TestNonFiniteFlags:

@@ -245,6 +245,62 @@ class TestFieldTypes:
         record_id = self.edit(store, ("geometry", "wheelbase_m"), 2)
         assert store.load(record_id).geometry.wheelbase_m == 2
 
+    @pytest.mark.parametrize(
+        "masses, message",
+        [
+            ([1.0, 1.0, 1.0], "cell count must be one of [2, 4], got 3"),
+            ([1.0, -1.0, 1.0, 1.0], "cell FR mass must be finite and >= 0, got -1.0"),
+            ([1.0, float("nan"), 1.0, 1.0], "number NaN is not finite"),
+            ([float("-inf"), 1.0], "number -Infinity is not finite"),
+        ],
+    )
+    def test_cell_masses_assess_rejects(self, store, capsys, masses, message):
+        # `assess` reported these without the line that holds the record
+        record_id = self.edit(store, ("cell_masses_kg",), masses)
+        for argv in (["assess", record_id, "--data-dir", str(store.data_dir)], ["assess", str(store.path)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"weighsim: error: line 2: {message}\n")
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "Infinity", "NaN"])
+    def test_a_non_finite_number_anywhere(self, store, number):
+        # a compliance entry is a plain dict, so `assess` printed it as it was
+        lines = store.path.read_text().splitlines()
+        lines[1] = lines[1].replace('"compliance":[]', '"compliance":[{"passed":true,"x":%s}]' % number)
+        store.path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordParseError, match=f"^line 2: number {number} is not finite$"):
+            store.load_all()
+
+    def test_an_integer_too_long_to_convert(self, store, capsys):
+        # json.loads raised a ValueError that is no JSONDecodeError: no line named
+        lines = store.path.read_text().splitlines()
+        lines[1] = re.sub('"started_at_ms":[0-9]+', '"started_at_ms":' + "1" * 5000, lines[1])
+        store.path.write_text("\n".join(lines) + "\n")
+        assert main(["assess", str(store.path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("weighsim: error: line 2: Exceeds the limit (4300 digits)")
+
+    def test_json_nested_too_deep(self, store, capsys):
+        # the decoder's RecursionError escaped as a traceback, from a torn final line too
+        deep = '{"a":' + "[" * 100_000
+        with open(store.path, "a") as fh:
+            fh.write(deep)
+        assert main(["assess", str(store.path)]) == 2
+        assert capsys.readouterr().err == f"weighsim: warning: {store.path}:4: skipped a torn final line\n"
+        with open(store.path, "a") as fh:
+            fh.write("\n")
+        assert main(["assess", str(store.path)]) == 1
+        message = "line 4: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        assert capsys.readouterr() == ("", f"weighsim: error: {message}\n")
+
+    def test_a_file_that_is_not_utf8(self, store, capsys):
+        # the codec error escaped untyped, without the file's name
+        with open(store.path, "ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(RecordParseError, match=f"^{re.escape(str(store.path))} is not UTF-8 text: 'utf-8' codec"):
+            store.load_all()
+        assert main(["assess", str(store.path)]) == 1
+        assert capsys.readouterr().err.startswith(f"weighsim: error: {store.path} is not UTF-8 text: ")
+
 
 @cache
 def base_records():

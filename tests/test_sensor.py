@@ -1,13 +1,15 @@
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weighsim.errors import ConfigError, MechanicalOverrangeError
+from weighsim.errors import ConfigError, InvalidValueError, MechanicalOverrangeError
 from weighsim.sensor import (
     AdcConfig,
     AdcFrame,
+    BridgeReading,
     CODE_MAX,
     CODE_MIN,
     LoadCellSpec,
@@ -121,6 +123,21 @@ class TestQuantize:
         b = quantize(bridge_output(IDEAL_120, 37.5), ADC)
         assert a == b
 
+    @pytest.mark.parametrize("mv, code", [(math.inf, CODE_MAX), (-math.inf, CODE_MIN), (1e308, CODE_MAX), (-1e308, CODE_MIN)])
+    def test_an_infinite_code_reads_as_a_rail(self, mv, code):
+        # round() of the infinite code raised OverflowError
+        assert quantize(BridgeReading(mv, 25.0), ADC) == AdcFrame(code)
+
+    def test_a_nan_voltage_is_rejected(self):
+        # it failed in round() with an untyped "cannot convert float NaN to integer"
+        with pytest.raises(InvalidValueError, match="^bridge voltage must not be NaN, got nan$"):
+            quantize(BridgeReading(math.nan, 25.0), ADC)
+
+    @given(st.floats(min_value=-1e300, max_value=1e300))
+    def test_clamping_before_rounding_keeps_every_finite_code(self, mv):
+        code = round(mv / ADC.full_scale_mv * 2**23)
+        assert quantize(BridgeReading(mv, 25.0), ADC).code == max(CODE_MIN, min(CODE_MAX, code))
+
     @given(st.floats(min_value=0.0, max_value=120.0, allow_nan=False))
     def test_code_within_one_lsb_of_the_voltage(self, mass):
         r = bridge_output(IDEAL_120, mass)
@@ -227,6 +244,19 @@ def test_adc_config_rejects_non_finite_and_non_positive(field, name):
         AdcConfig(**{field: float("nan")})
     with pytest.raises(ValueError, match=f"^{name} must be > 0, got 0.0"):
         AdcConfig(**{field: 0.0})
+
+
+@pytest.mark.parametrize("field", ["rated_output_mv_v", "excitation_v"])
+def test_spec_rejects_a_span_that_overflows(field):
+    # an infinite span made bridge_output return NaN at zero load
+    with pytest.raises(InvalidValueError, match=r"^span \(excitation x rated output\) must be finite, got inf$"):
+        LoadCellSpec(**{"capacity_kg": 120.0, field: 1e308})
+
+
+def test_adc_config_rejects_a_full_scale_that_underflows():
+    # a zero full scale made quantize divide by zero
+    with pytest.raises(InvalidValueError, match=r"^full scale \(vref / gain\) must be > 0, got 0.0$"):
+        AdcConfig(vref_v=5e-324)
 
 
 def test_frame_and_config_share_the_gain_channel_check():

@@ -15,6 +15,7 @@ from weighsim.errors import (
     IncompleteStationError,
     InsufficientDurationError,
     InsufficientSamplesError,
+    InvalidReadingError,
     RecordParseError,
     SequencingError,
     WeighSimError,
@@ -623,6 +624,16 @@ class TestRunSession:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_session(session_frames([1] * 4), [CAL] * 4, "rolling", P2, GEOM)
+
+    @pytest.mark.parametrize("mode", ["static", "wim"])
+    def test_an_overflowing_scale_warns_nothing(self, mode):
+        # numpy printed overflow warnings (multiply, reduce) and, in WIM mode,
+        # an invalid value in the variance before the mass was rejected
+        cal = CalibrationState(tare_code=0, scale_kg_per_lsb=1e306, reference_points=((1.0, 1),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidReadingError, match="^cell FL mass must be finite and >= 0, got inf$"):
+                run_session(session_frames([1000] * 4), [cal] * 4, mode, P2, GEOM)
 
 
 class TestRecordSerialization:
