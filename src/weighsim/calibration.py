@@ -89,10 +89,9 @@ class CalibrationState:
 def tare(samples: Iterable[AdcFrame]) -> int:
     """Zero-load code: mean of non-saturated sample codes, rounded.
 
-    Saturated frames are discarded; a pinned rail says nothing about the
-    true offset (nor about a known mass, whose samples the CLI averages
-    the same way). Raises InsufficientSamplesError when nothing usable is
-    left.
+    Saturated frames are discarded: a pinned rail says nothing about the
+    true offset, nor about a known mass (`scenario.read_code` averages by
+    this rule). Raises InsufficientSamplesError when nothing usable is left.
     """
     codes = [f.code for f in samples if not f.saturated]
     if not codes:

@@ -25,7 +25,7 @@ from .cog import DECKS, AlertPolicy, DeckGeometry, POLICIES, is_unsafe, policy a
 from .compliance import AXLE_CONFIGURATIONS, BUILTIN_RULES, AxleConfiguration, ToleranceRule
 from .compliance import check_compliance, load_axle_table, load_tolerance_rules, max_permissible_error
 from .compliance import JURISDICTIONS, within_gvw_limit
-from .errors import FrameError, InsufficientSamplesError, RecordParseError, WeighSimError
+from .errors import FrameError, RecordParseError, WeighSimError
 from .record import RecordStore, json_line, to_json
 from .sensor import RAILS
 
@@ -102,26 +102,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .calibration import calibrate, tare
-    from .sensor import AdcConfig, LoadCellSpec, add_noise, bridge_output, quantize
+    from .scenario import calibrate_cell
+    from .sensor import LoadCellSpec
 
     spec = LoadCellSpec.from_file(args.cell_spec)
-    adc = AdcConfig()
-    rng = np.random.default_rng(args.seed)
-
-    def mean_code(mass: float) -> int:
-        """The rounded mean of `--samples` non-saturated codes at `mass`."""
-        frames = [
-            quantize(add_noise(bridge_output(spec, mass, args.temperature), spec, rng), adc)
-            for _ in range(args.samples)
-        ]
-        try:
-            return tare(frames)
-        except InsufficientSamplesError:
-            raise InsufficientSamplesError(f"no non-saturated sample at {mass} kg") from None
-
-    tare_code = mean_code(0.0)  # drawn first: the noise of both points comes from one stream
-    cal = calibrate(tare_code, args.known_mass, mean_code(args.known_mass), temperature_c=args.temperature)
+    cal = calibrate_cell(spec, args.known_mass, args.temperature, np.random.default_rng(args.seed), args.samples)
     cal.to_file(args.out)
     print(json_line({**kvfile.scalars(cal), "out": str(args.out)}))
     return EXIT_SAFE

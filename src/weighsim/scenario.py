@@ -36,9 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationState, calibrate, code_to_mass, tare
-from .cog import AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
-from .errors import ConfigError, InvalidPlacementError, InvalidSeedError, UndefinedCentroidError
-from .errors import InvalidValueError, require_positive
+from .cog import QUADRANT_NAMES, AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
+from .errors import ConfigError, InsufficientSamplesError, InvalidPlacementError, InvalidSeedError
+from .errors import InvalidValueError, UndefinedCentroidError, require_positive
 from .sensor import LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
@@ -173,23 +173,40 @@ def run_end_to_end(
         raise InvalidValueError(f"need 4 cell specs and 4 calibrations, got {len(specs)} and {len(cals)}")
     loads = corner_loads(scenario)
     masses = []
-    for i, (mass, spec, cal) in enumerate(zip(loads.as_tuple(), specs, cals)):
-        reading = bridge_output(spec, mass, temperature_c=scenario.temperature_c)
-        if spec.noise_sigma_mv > 0:
-            rng = np.random.default_rng(np.random.SeedSequence(scenario.noise_seed, spawn_key=(i,)))
-            reading = add_noise(reading, spec, rng)
-        masses.append(code_to_mass(quantize(reading).code, cal))
+    for i, (name, mass, spec, cal) in enumerate(zip(QUADRANT_NAMES, loads.as_tuple(), specs, cals)):
+        noisy = spec.noise_sigma_mv > 0
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.noise_seed, spawn_key=(i,))) if noisy else None
+        masses.append(code_to_mass(read_code(spec, mass, scenario.temperature_c, rng, cell=name), cal))
     return assess_four_cell(masses, scenario.geometry, policy)
 
 
-def ideal_calibration(spec: LoadCellSpec) -> CalibrationState:
-    """Calibration taken against the noise-free sensor model itself, read
-    through `DEFAULT_ADC`.
+def read_code(
+    spec: LoadCellSpec, mass_kg: float, temperature_c: float, rng: np.random.Generator | None,
+    samples: int = 1, cell: str | None = None,
+) -> int:
+    """`tare`'s mean of `samples` conversions of a modeled cell at `mass_kg`
+    through `DEFAULT_ADC`, each with noise from `rng` unless it is None. An
+    InsufficientSamplesError names the mass, and `cell` if given, when every
+    conversion sits on a rail."""
+    reading = bridge_output(spec, mass_kg, temperature_c)
+    if samples > 1:
+        frames = [quantize(reading if rng is None else add_noise(reading, spec, rng)) for _ in range(samples)]
+        if not all(frame.saturated for frame in frames):
+            return tare(frames)
+    elif not (frame := quantize(reading if rng is None else add_noise(reading, spec, rng))).saturated:
+        return frame.code  # tare's rule on one conversion, without its list
+    raise InsufficientSamplesError(f"no non-saturated sample at {mass_kg} kg" + (f" on cell {cell}" if cell else ""))
 
-    Tare at zero load, slope from the cell's capacity as the known mass.
-    This is the software analogue of placing a reference weight on a
-    freshly installed cell.
-    """
-    zero = quantize(bridge_output(spec, 0.0))
-    loaded = quantize(bridge_output(spec, spec.capacity_kg))
-    return calibrate(tare([zero]), spec.capacity_kg, loaded.code, temperature_c=spec.reference_temp_c)
+
+def calibrate_cell(
+    spec: LoadCellSpec, known_mass_kg: float, temperature_c: float, rng: np.random.Generator | None, samples: int
+) -> CalibrationState:
+    """Tare at zero load, then the slope from `known_mass_kg`: each point is `read_code`, zero first."""
+    tare_code, code = (read_code(spec, mass, temperature_c, rng, samples) for mass in (0.0, known_mass_kg))
+    return calibrate(tare_code, known_mass_kg, code, temperature_c=temperature_c)
+
+
+def ideal_calibration(spec: LoadCellSpec) -> CalibrationState:
+    """Noise-free `calibrate_cell` at the cell's capacity and reference temperature, one conversion
+    per point: the software analogue of a reference weight on a freshly installed cell."""
+    return calibrate_cell(spec, spec.capacity_kg, spec.reference_temp_c, None, 1)

@@ -16,6 +16,8 @@ from weighsim.codec import decode_frame, encode_frame
 from weighsim.errors import InvalidValueError, WeighSimError, require_positive
 from weighsim.sensor import CODE_MAX, CODE_MIN, AdcFrame, LoadCellSpec
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
 BALANCED_SCENARIO = """
 wheelbase_m = 2.0
 track_m = 1.5
@@ -708,7 +710,7 @@ class TestErrorPath:
     @pytest.mark.parametrize(
         "spec, command, message",
         [
-            ("zero_offset_mv = 1e308", "simulate", "tare needs at least one non-saturated sample"),
+            ("zero_offset_mv = 1e308", "simulate", "no non-saturated sample at 0.0 kg"),
             ("zero_offset_mv = 1e308", "calibrate", "no non-saturated sample at 0.0 kg"),
             ("noise_sigma_mv = 1e308", "calibrate", "no non-saturated sample at 0.0 kg"),
             ("excitation_v = 1e308", "simulate", "SPEC: span (excitation x rated output) must be finite, got inf"),
@@ -728,12 +730,27 @@ class TestErrorPath:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"weighsim: error: {message.replace('SPEC', str(path))}\n")
 
-    def test_noise_that_overflows_reads_as_the_rails(self, tmp_path, capsys):
+    def test_noise_that_overflows_is_refused_on_its_cell(self, tmp_path, capsys):
+        # every cell read its rail as a load: 1406.25 kg, exit 2
         path, scenario = tmp_path / "spec.cfg", tmp_path / "scenario.cfg"
         path.write_text("capacity_kg = 120\nnoise_sigma_mv = 1e308\n")
         scenario.write_text(BALANCED_SCENARIO)
-        assert main(["simulate", str(scenario), "--cell-spec", str(path)]) == 2
-        assert json.loads(capsys.readouterr().out)["overloaded"]
+        assert main(["simulate", str(scenario), "--cell-spec", str(path)]) == 1
+        assert capsys.readouterr() == ("", "weighsim: error: no non-saturated sample at 25.0 kg on cell FL\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    def test_a_known_mass_past_full_scale_is_refused(self, tmp_path, capsys, command):
+        # 120 kg reads 45 mV, past the 39.06 mV full scale: simulate calibrated
+        # on the rail code and read the 100 kg deck as 246.15 kg, exit 0
+        path, out = tmp_path / "spec.cfg", tmp_path / "c.cfg"
+        path.write_text("capacity_kg = 120\nzero_offset_mv = 35\n")
+        argv = {
+            "simulate": ["simulate", str(SCENARIOS / "balanced.cfg"), "--cell-spec", str(path)],
+            "calibrate": ["calibrate", "--cell-spec", str(path), "--known-mass", "120", "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "weighsim: error: no non-saturated sample at 120.0 kg\n")
+        assert not out.exists()
 
 
 class TestNonFiniteFlags:

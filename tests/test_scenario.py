@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from weighsim.calibration import code_to_mass
 from weighsim.cog import DeckGeometry, FourCellReading, POLICIES, assess_four_cell
-from weighsim.errors import ConfigError, InvalidPlacementError, InvalidSeedError, UndefinedCentroidError
+from weighsim.errors import ConfigError, InsufficientSamplesError, InvalidPlacementError, InvalidSeedError
+from weighsim.errors import UndefinedCentroidError
 from weighsim.scenario import (
     Placement,
     Scenario,
@@ -197,6 +198,21 @@ class TestEndToEnd:
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         assert run_end_to_end(s, specs, self.cals(), P2) == expected
+
+    def test_a_cell_on_its_rail_is_refused_by_name(self):
+        # every cell read its rail as a load, 1406.25 kg in all
+        spec = LoadCellSpec(capacity_kg=120.0, noise_sigma_mv=1e308)
+        s = scenario(curb=FourCellReading(25.0, 25.0, 25.0, 25.0))
+        with pytest.raises(InsufficientSamplesError, match=r"^no non-saturated sample at 25\.0 kg on cell FL$"):
+            run_end_to_end(s, (spec,) * 4, self.cals(), P2)
+
+    def test_ideal_calibration_refuses_a_rail_code(self):
+        # the 120 kg point is 45 mV, past the 39.06 mV full scale: its rail
+        # code became the slope, and a 100 kg deck read 246.15 kg
+        with pytest.raises(InsufficientSamplesError, match=r"^no non-saturated sample at 120\.0 kg$"):
+            ideal_calibration(LoadCellSpec(capacity_kg=120.0, zero_offset_mv=35.0))
+        with pytest.raises(InsufficientSamplesError, match=r"^no non-saturated sample at 0\.0 kg$"):
+            ideal_calibration(LoadCellSpec(capacity_kg=120.0, zero_offset_mv=-40.0))
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_noise_seed_must_be_a_non_negative_integer(self, seed):
