@@ -65,6 +65,16 @@ def _check_masses(masses: Sequence[float], names: tuple[str, ...]) -> None:
             raise InvalidReadingError(f"cell {name} mass must be finite and >= 0, got {mass}")
 
 
+def _check_sums(total: float, shares: Sequence[float] = ()) -> None:
+    """Raise unless the deck's total and its quadrant shares are finite: cell
+    masses near the float limit overflow them."""
+    if not math.isfinite(total):
+        raise InvalidReadingError(f"total mass must be finite, got {total}")
+    for name, share in zip(QUADRANT_NAMES, shares):
+        if not math.isfinite(share):
+            raise InvalidReadingError(f"quadrant {name} share must be finite, got {share}")
+
+
 @dataclass(frozen=True)
 class FourCellReading:
     """Masses in kg per corner (FL, FR, RL, RR): a scenario's curb weights or its `corner_loads`."""
@@ -155,6 +165,7 @@ def assess_two_cell(masses: Sequence[float], geom: DeckGeometry, policy: AlertPo
     _check_masses(masses, ("left", "right"))
     left, right = masses
     total = left + right
+    _check_sums(total)
     return TwoCellAssessment(
         total_kg=total,
         lateral_offset_m=(left - right) / total * (geom.breadth_m / 2.0) if total > 0 else None,
@@ -186,6 +197,7 @@ def assess_four_cell(masses: Sequence[float], geom: DeckGeometry, policy: AlertP
     if total > 0:
         # multiply before dividing: keeps shares exact at round thresholds
         pct = tuple(w * 100.0 / total for w in masses)
+        _check_sums(total, pct)
         x_cg = min(max(rear * geom.wheelbase_m / total, 0.0), geom.wheelbase_m)
         y_cg = min(max(left * geom.track_m / total, 0.0), geom.track_m)
         centreline = y_cg - geom.track_m / 2.0

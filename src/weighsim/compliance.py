@@ -184,9 +184,12 @@ def check_compliance(measured_kg: float, reference_kg: float, rule: ToleranceRul
     """Pass iff |measured - reference| ≤ the rule's tolerance (inclusive).
 
     The rule is evaluated at the reference mass (in tonnes), which serves
-    as the capacity/load anchor.
+    as the capacity/load anchor. A reference mass that is not > 0, or a
+    measured mass that is negative or not finite, is an InvalidValueError.
     """
     require_positive("reference mass", reference_kg)
+    if not 0 <= measured_kg < math.inf:  # NaN fails both comparisons
+        raise InvalidValueError(f"measured mass must be finite and >= 0, got {measured_kg}")
     mpe = max_permissible_error(rule, reference_kg / 1000.0)
     error = abs(measured_kg - reference_kg)
     return ComplianceResult(

@@ -276,6 +276,24 @@ class TestWeighInput:
             f"{station},{cell},{t},10000,128,0\n" for t in range(t_from, t_to + 1, step) for cell in range(4)
         )
 
+    @pytest.mark.parametrize(
+        "cells, scale, message",
+        [(4, 3e306, "quadrant FL share must be finite, got inf"), (2, 1e308, "total mass must be finite, got inf")],
+    )
+    def test_sums_that_overflow_print_and_store_nothing(self, tmp_path, capsys, cells, scale, message):
+        # printed and stored "quadrant_pct":[Infinity,...] or "total_kg":Infinity, exit 2,
+        # and assess of the store then failed on the stored line
+        from weighsim.calibration import CalibrationState
+
+        cal = tmp_path / "cal.cfg"
+        CalibrationState(tare_code=0, scale_kg_per_lsb=scale, reference_points=((scale, 1),)).to_file(cal)
+        frames = tmp_path / "frames.txt"
+        frames.write_text("".join(f"st9,{c},{t},1,128,0\n" for t in (0, 15_000) for c in range(cells)))
+        argv = ["weigh", "--mode", "static", "--cells", str(cells), "--frames", str(frames)]
+        assert main(argv + ["--cal", *[str(cal)] * cells, "--data-dir", str(tmp_path / "records")]) == 1
+        assert capsys.readouterr() == ("", f"weighsim: error: {message}\n")
+        assert not (tmp_path / "records").exists()
+
     def test_valid_frames_exit_0(self, weigh):
         code, out = weigh(self.frames())
         assert code == 0 and json.loads(out.out)["cell_masses_kg"] == [10.0] * 4
@@ -603,6 +621,13 @@ class TestRules:
         assert main(["rules", "--axle-config", "7", "--total", "56000"]) == 0
         capsys.readouterr()
         assert main(["rules", "--axle-config", "2A", "--total", "18001"]) == 2
+
+    @pytest.mark.parametrize("measured", ["-1e308", "-5"])
+    def test_negative_measured_mass_is_refused(self, capsys, measured):
+        # -1e308 printed "error_kg":Infinity and exit 2; -5 was scored as a failed check
+        argv = ["rules", "--jurisdiction", "US", "--kind", "acceptance", f"--measured={measured}", "--reference", "1e308"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"weighsim: error: measured mass must be finite and >= 0, got {float(measured)}\n")
 
     def test_unknown_rule_is_error(self, capsys):
         assert main(["rules", "--jurisdiction", "NewZealand", "--kind", "re_verification", "--capacity", "20"]) == 1

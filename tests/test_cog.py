@@ -258,6 +258,18 @@ def test_non_finite_two_cell_mass_is_rejected(value):
         assess_two_cell((value, 1.0), GEOM, P1)
 
 
+def test_overflowing_sums_are_rejected():
+    # 3e306 kg a cell: every share w * 100 / total overflowed to inf and was
+    # flagged; two cells of 1e308 kg gave an infinite total
+    with pytest.raises(InvalidReadingError, match="^quadrant FL share must be finite, got inf$"):
+        assess_four_cell((3e306,) * 4, GEOM, P2)
+    with pytest.raises(InvalidReadingError, match="^total mass must be finite, got inf$"):
+        assess_four_cell((1e308,) * 4, GEOM, P2)
+    with pytest.raises(InvalidReadingError, match="^total mass must be finite, got inf$"):
+        assess_two_cell((1e308, 1e308), GEOM, P1)
+    assert assess_four_cell((1e306,) * 4, GEOM, P2).quadrant_pct == (25.0,) * 4
+
+
 @pytest.mark.parametrize("assess, count", [(assess_two_cell, 2), (assess_four_cell, 4)])
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_wrong_cell_count_is_a_value_error(assess, count, extra):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,7 @@ from weighsim.compliance import (
 )
 from weighsim.errors import (
     InsufficientDurationError,
+    InvalidValueError,
     NoVehicleError,
     UncoveredCapacityError,
 )
@@ -88,6 +91,14 @@ class TestCheckCompliance:
     def test_reference_must_be_positive(self):
         with pytest.raises(ValueError):
             check_compliance(100.0, 0.0, KENYA_REVERIFICATION)
+
+    @pytest.mark.parametrize("measured", [-5.0, -1e308, np.nan, np.inf, -np.inf])
+    def test_measured_must_be_finite_and_not_negative(self, measured):
+        # -5 kg was scored as a failed check; -1e308 gave an infinite error
+        message = re.escape(f"measured mass must be finite and >= 0, got {measured}")
+        with pytest.raises(InvalidValueError, match=f"^{message}$"):
+            check_compliance(measured, 1e308, US_HANDBOOK44)
+        assert check_compliance(0.0, 100.0, US_HANDBOOK44).error_kg == 100.0
 
 
 class TestGvw:
