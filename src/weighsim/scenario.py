@@ -14,6 +14,13 @@ mass m at (x, y) on an L×T deck are
     FL  m * (1 - x/L) * (y/T)        FR  m * (1 - x/L) * (1 - y/T)
     RL  m * (x/L)     * (y/T)        RR  m * (x/L)     * (1 - y/T)
 
+`run_end_to_end`, `ideal_calibration` and `calibrate_cell` (the CLI's
+`calibrate`) read every modeled cell through `read_code`: bridge, noise,
+`DEFAULT_ADC`, and the mean of the conversions off the rails, as `weigh`
+leaves rail frames out. A point whose every conversion sits on a rail is
+an InsufficientSamplesError naming its mass (and, in `run_end_to_end`,
+its cell), never a load.
+
 Scenario text format (`key = value`, see `Scenario.from_file`); the keys
 are the fields of `DeckGeometry`, of `FourCellReading` prefixed `curb_`
 and of `Scenario`, and any other key is an error:
