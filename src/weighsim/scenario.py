@@ -46,7 +46,7 @@ from .calibration import CalibrationState, calibrate, code_to_mass, tare
 from .cog import QUADRANT_NAMES, AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
 from .errors import ConfigError, InsufficientSamplesError, InvalidPlacementError, InvalidSeedError
 from .errors import InvalidValueError, UndefinedCentroidError, require_positive
-from .sensor import LoadCellSpec, add_noise, bridge_output, quantize
+from .sensor import RAILS, LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
 
@@ -200,8 +200,8 @@ def read_code(
         frames = [quantize(reading if rng is None else add_noise(reading, spec, rng)) for _ in range(samples)]
         if not all(frame.saturated for frame in frames):
             return tare(frames)
-    elif not (frame := quantize(reading if rng is None else add_noise(reading, spec, rng))).saturated:
-        return frame.code  # tare's rule on one conversion, without its list
+    elif (code := quantize(reading if rng is None else add_noise(reading, spec, rng)).code) not in RAILS:
+        return code  # tare's rule on one conversion, without its list
     raise InsufficientSamplesError(f"no non-saturated sample at {mass_kg} kg" + (f" on cell {cell}" if cell else ""))
 
 

@@ -263,6 +263,8 @@ def test_overflowing_sums_are_rejected():
     # flagged; two cells of 1e308 kg gave an infinite total
     with pytest.raises(InvalidReadingError, match="^quadrant FL share must be finite, got inf$"):
         assess_four_cell((3e306,) * 4, GEOM, P2)
+    with pytest.raises(InvalidReadingError, match="^quadrant RR share must be finite, got inf$"):
+        assess_four_cell((1.0, 1.0, 1.0, 3e306), GEOM, P2)
     with pytest.raises(InvalidReadingError, match="^total mass must be finite, got inf$"):
         assess_four_cell((1e308,) * 4, GEOM, P2)
     with pytest.raises(InvalidReadingError, match="^total mass must be finite, got inf$"):
