@@ -53,7 +53,7 @@ class TruncatedFrameError(FrameError):
 # calibration ----------------------------------------------------------------
 
 class InsufficientSamplesError(WeighSimError):
-    """Tare requested with no usable (non-saturated) samples."""
+    """No usable (non-saturated) sample: for a tare, a modeled cell's reading or a weighed cell."""
 
 
 class DegenerateCalibrationError(WeighSimError):
