@@ -30,7 +30,7 @@ Records, their JSON codec and the record store live in `weighsim.record`.
 
 from __future__ import annotations
 
-import uuid
+import os
 import warnings
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -357,7 +357,7 @@ def run_session(
         )
 
     return WeighRecord(
-        record_id=uuid.uuid4().hex[:12],
+        record_id=os.urandom(6).hex(),
         station_id=batch.station_id,
         started_at_ms=int(batch.timestamp_ms.min()),
         ended_at_ms=int(batch.timestamp_ms.max()),

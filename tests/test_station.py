@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -655,6 +656,11 @@ class TestRecordSerialization:
         da, db = json.loads(a.to_line()), json.loads(b.to_line())
         da.pop("record_id"), db.pop("record_id")
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+    def test_record_id_is_twelve_lowercase_hex_digits(self):
+        ids = [self.record().record_id for _ in range(20)]
+        assert all(re.fullmatch("[0-9a-f]{12}", i) for i in ids), ids
+        assert len(set(ids)) == len(ids)
 
     def test_bad_json_line(self):
         with pytest.raises(RecordParseError):
