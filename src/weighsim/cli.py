@@ -16,18 +16,19 @@ import sys
 from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-# Only numpy-free modules load here: `replay`, `assess` and `rules` start
-# without numpy, and the commands that need the signal chain import it.
-from . import codec, kvfile
-from .cog import DECKS, AlertPolicy, DeckGeometry, POLICIES, is_unsafe, policy as named_policy, render_lcd
-from .compliance import AXLE_CONFIGURATIONS, BUILTIN_RULES, AxleConfiguration, ToleranceRule
-from .compliance import check_compliance, load_axle_table, load_tolerance_rules, max_permissible_error
-from .compliance import JURISDICTIONS, within_gvw_limit
+# Only the error types and the key-value reader load here: each command
+# imports the modules it runs, and the parser imports what a subcommand's
+# choices come from only when that subcommand is parsed. So `replay`
+# starts without the deck, compliance, record and sensor modules, and
+# only `weigh`, `simulate` and `calibrate` load numpy.
+from . import kvfile
 from .errors import FrameError, RecordParseError, WeighSimError
-from .record import RecordStore, json_line, to_json
-from .sensor import RAILS
+
+if TYPE_CHECKING:
+    from .cog import AlertPolicy, DeckGeometry
+    from .compliance import AxleConfiguration, ToleranceRule
 
 EXIT_SAFE = 0
 EXIT_ERROR = 1
@@ -71,6 +72,8 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
     """Deck geometry and alert policy: each value from its flag, else the
     station config's key, else the default (a 2.0 m x 1.5 m deck, the
     prototype2 policy). `--policy` replaces the whole policy."""
+    from .cog import POLICIES, AlertPolicy, DeckGeometry, policy as named_policy
+
     flags = {f.name: v for f in fields(DeckGeometry) if (v := getattr(args, f.name, None)) is not None}
     defaults = {"wheelbase_m": 2.0, "track_m": 1.5, **flags}
     DeckGeometry(**defaults)  # a bad flag is the flag's error, not the file's
@@ -85,6 +88,8 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .cog import is_unsafe, render_lcd
+    from .record import json_line, to_json
     from .scenario import Scenario, ideal_calibration, run_end_to_end
     from .sensor import FOUR_CELL_120KG, LoadCellSpec
 
@@ -102,6 +107,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from .record import json_line
     from .scenario import calibrate_cell
     from .sensor import LoadCellSpec
 
@@ -114,6 +120,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_weigh(args: argparse.Namespace) -> int:
     from .calibration import CalibrationState
+    from .cog import render_lcd
+    from .record import RecordStore
     from .station import FrameBatch, FrameIngestor, check_tolerance_inputs, run_session
 
     # Every check that needs no frame comes before the capture is read.
@@ -148,6 +156,9 @@ def _cmd_weigh(args: argparse.Namespace) -> int:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
+    from .cog import render_lcd
+    from .record import RecordStore, to_json
+
     # An existing path is a record file: its last record, or the last with --record-id.
     path = Path(args.record)
     is_file = path.exists()
@@ -180,12 +191,14 @@ def _cmd_assess(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from . import codec
+
     # The whole file is read as text first, so a file that is not valid
     # text fails before anything reaches stdout.
     with kvfile.named(args.trace):
         text = Path(args.trace).read_text()
     labels = {config: "%d,%s" % config for config in codec.CONFIG_PULSES}
-    on_rail = frozenset(RAILS).__contains__
+    on_rail = frozenset(codec.RAILS).__contains__
     try:
         for numbers, codes, configs in codec.decode_lines(_split_lines(text)):
             rows = zip(numbers, codes, map(labels.__getitem__, configs), map(on_rail, codes))
@@ -212,6 +225,8 @@ def _split_lines(text: str, size: int = 1 << 16) -> Iterator[str]:
 
 
 def _tolerance_rule(args: argparse.Namespace) -> ToleranceRule:
+    from .compliance import BUILTIN_RULES, load_tolerance_rules
+
     rules = load_tolerance_rules(args.rules_file) if args.rules_file else BUILTIN_RULES
     try:
         return rules[(args.jurisdiction, args.kind)]
@@ -223,6 +238,8 @@ def _tolerance_rule(args: argparse.Namespace) -> ToleranceRule:
 
 
 def _axle_config(args: argparse.Namespace) -> AxleConfiguration:
+    from .compliance import AXLE_CONFIGURATIONS, load_axle_table
+
     table = load_axle_table(args.axle_file) if args.axle_file else AXLE_CONFIGURATIONS
     try:
         return table[args.axle_config]
@@ -231,6 +248,9 @@ def _axle_config(args: argparse.Namespace) -> AxleConfiguration:
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
+    from .compliance import check_compliance, max_permissible_error, within_gvw_limit
+    from .record import json_line, to_json
+
     if args.axle_config:
         config = _axle_config(args)
         if args.total is None:
@@ -257,11 +277,9 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     return EXIT_SAFE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="weighsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
+    from .cog import POLICIES
 
-    p = sub.add_parser("simulate", help="run a scenario file end to end")
     p.add_argument("scenario", help="scenario text file")
     p.add_argument("--cell-spec", help="load cell spec file (default: ideal 120 kg cell)")
     p.add_argument("--policy", choices=sorted(POLICIES), help="alert policy preset")
@@ -269,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lcd", action="store_true", help="also print the LCD rendering")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("calibrate", help="derive a calibration against a modeled cell")
+
+def _calibrate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cell-spec", required=True, help="load cell spec file")
     p.add_argument("--known-mass", type=_finite_float, required=True, help="reference mass in kg")
     p.add_argument("--out", required=True, help="calibration file to write")
@@ -280,7 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0, "an integer >= 0"), default=0, help="noise seed")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("weigh", help="run a weigh session from wire-format frames")
+
+def _weigh_arguments(p: argparse.ArgumentParser) -> None:
+    from .cog import DECKS, POLICIES
+    from .compliance import JURISDICTIONS
+
     p.add_argument("--mode", choices=["static", "wim"], required=True)
     p.add_argument("--frames", nargs="+", required=True, help="wire-format frame file(s)")
     p.add_argument("--cal", nargs="+", required=True, help="calibration file per cell, in cell order")
@@ -300,18 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lcd", action="store_true")
     p.set_defaults(func=_cmd_weigh)
 
-    p = sub.add_parser("assess", help="re-evaluate a stored weigh record")
+
+def _assess_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("record", help="record id in the store, or a record file path")
     p.add_argument("--record-id", help="pick one id when the argument is a file")
     p.add_argument("--data-dir")
     p.add_argument("--lcd", action="store_true")
     p.set_defaults(func=_cmd_assess)
 
-    p = sub.add_parser("replay", help="decode a serial bit-trace file")
+
+def _replay_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("trace", help="trace file, one '0'/'1' line per frame")
     p.set_defaults(func=_cmd_replay)
 
-    p = sub.add_parser("rules", help="tolerance and GVW table queries")
+
+def _rules_arguments(p: argparse.ArgumentParser) -> None:
+    from .compliance import JURISDICTIONS
+
     p.add_argument("--jurisdiction", choices=JURISDICTIONS)
     p.add_argument("--kind", default="re_verification")
     p.add_argument("--capacity", type=_finite_float, help="capacity/load in tonnes")
@@ -323,11 +351,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axle-file")
     p.set_defaults(func=_cmd_rules)
 
+
+#: Each subcommand, in help order: its help line and what adds its arguments.
+_COMMANDS = {
+    "simulate": ("run a scenario file end to end", _simulate_arguments),
+    "calibrate": ("derive a calibration against a modeled cell", _calibrate_arguments),
+    "weigh": ("run a weigh session from wire-format frames", _weigh_arguments),
+    "assess": ("re-evaluate a stored weigh record", _assess_arguments),
+    "replay": ("decode a serial bit-trace file", _replay_arguments),
+    "rules": ("tolerance and GVW table queries", _rules_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with `command`, one in which only
+    that subcommand gets its arguments. The top-level help and usage show
+    only the subcommands' names and help lines, so parsing an argv that
+    starts with `command` prints the same bytes either way."""
+    parser = _Parser(prog="weighsim", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -24,6 +24,11 @@ fault) is decoded in one pass: its codes come from a single base-2
 conversion of all its data bits, and its line numbers are a `range`. Any
 other chunk is stripped and numbered line by line, and its first invalid
 line raises the error `decode_frame` gives for that line alone.
+
+The code range lives here, with the wire code: `CODE_MIN`, `CODE_MAX` and
+`RAILS`, the two ends of that range, on either of which a code is
+saturated. `sensor` re-exports the three names, and every saturation test
+in the package reads `RAILS`.
 """
 
 from __future__ import annotations
@@ -32,12 +37,23 @@ import struct
 from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import FrameError, MalformedFrameError, TruncatedFrameError
-from .sensor import AdcFrame
+
+# `sensor` imports the code range from here; this module takes `AdcFrame`
+# from it only inside `decode_frame`, so `replay` loads no sensor model.
+if TYPE_CHECKING:
+    from .sensor import AdcFrame
 
 DATA_BITS = 24
+
+#: The signed range of a DATA_BITS-bit two's complement code.
+CODE_MIN = -(2 ** (DATA_BITS - 1))
+CODE_MAX = 2 ** (DATA_BITS - 1) - 1
+
+#: The two ends of the code range: a code on either is saturated.
+RAILS = (CODE_MIN, CODE_MAX)
 
 #: (gain, channel) → number of configuration pulses after the data bits.
 CONFIG_PULSES = {(128, "A"): 1, (32, "B"): 2, (64, "A"): 3}
@@ -98,6 +114,8 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
     when fewer than 24 data pulses arrived and MalformedFrameError for any
     other invalid pulse count or symbol.
     """
+    from .sensor import AdcFrame
+
     if isinstance(trace, (bytes, bytearray)):
         trace = trace.decode("latin-1")
     if isinstance(trace, str):

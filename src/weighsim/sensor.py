@@ -34,11 +34,13 @@ The full-scale differential input referred to the bridge is ±vref/gain
 
     code = round(v / full_scale * 2**23)
 
-clamped to the signed 24-bit range. A code sitting on either rail
-(`RAILS`) is saturated: at the rail an in-range reading is
+clamped to the signed 24-bit range, `CODE_MIN`..`CODE_MAX`. A code sitting
+on either rail (`RAILS`) is saturated: at the rail an in-range reading is
 indistinguishable from an overrange one, and the serial frame carries no
 separate flag. `RAILS` is the package's only saturation rule; every
-saturation test, on a frame, a wire line or a column, reads it.
+saturation test, on a frame, a wire line or a column, reads it. The three
+names are defined in `codec`, the module of the 24-bit wire code, and
+imported here, so `sensor.RAILS` and `codec.RAILS` are one object.
 
 Default excitation (5 V), noise (0) and sample rate (10 Sa/s) are
 implementer-chosen placeholders, not characterized hardware values.
@@ -51,18 +53,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .codec import CODE_MAX, CODE_MIN, RAILS  # noqa: F401 - the code range, re-exported
 from .errors import InvalidValueError, MechanicalOverrangeError, require_positive
 from . import kvfile
 
 # numpy is imported inside the functions that use it, to keep imports fast.
 if TYPE_CHECKING:
     import numpy as np
-
-CODE_MIN = -(2**23)
-CODE_MAX = 2**23 - 1
-
-#: The two ends of the 24-bit range: a code on either is saturated.
-RAILS = (CODE_MIN, CODE_MAX)
 
 #: Gain → valid channel. Gain is selected by the extra clock pulses of the
 #: serial frame; only these three combinations exist.

@@ -1,4 +1,4 @@
-"""Cold start: which commands load numpy, and the lazy public names."""
+"""Cold start: the modules each command loads, and the lazy public names."""
 
 import importlib
 import json
@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import weighsim
 from weighsim.calibration import CalibrationState
@@ -17,58 +19,80 @@ from weighsim.station import SensorFrameRecord, run_session
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
-#: Each child step runs `main` on one argv and reports its exit code and
-#: whether numpy is loaded afterwards.
+#: A fresh child imports the CLI, runs `main` on the argv given (if any)
+#: and reports its exit code, the weighsim modules then loaded, and whether
+#: numpy and uuid are.
 CHILD = """
 import contextlib, io, json, sys
 import weighsim.cli
-report = [["import", None, "numpy" in sys.modules]]
-for argv in json.loads(sys.argv[1]):
+code = None
+if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = weighsim.cli.main(argv)
-    report.append([argv[0], code, "numpy" in sys.modules])
-print(json.dumps(report))
+        code = weighsim.cli.main(sys.argv[1:])
+modules = sorted(m.removeprefix("weighsim.") for m in sys.modules if m.split(".")[0] == "weighsim")
+print(json.dumps([code, modules, "numpy" in sys.modules, "uuid" in sys.modules]))
 """
-
 
 CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),))
 
+#: What `import weighsim.cli` loads of the package, and what each command adds.
+CLI = ["cli", "errors", "kvfile", "weighsim"]
+REPLAY = sorted(CLI + ["codec"])
+ASSESS = sorted(CLI + ["cog", "record"])
+RULES = sorted(CLI + ["cog", "compliance", "record"])
 
-def run_child(steps, cwd):
+
+def run_child(argv, cwd):
     env = {**os.environ, "PYTHONPATH": str(Path(weighsim.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(steps)], cwd=cwd, env=env,
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", CHILD, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_replay_assess_and_rules_load_no_numpy(tmp_path):
-    (tmp_path / "trace.txt").write_text(encode_frame(AdcFrame(-123, gain=64)).to_line() + "\n")
+@pytest.fixture(scope="module")
+def station(tmp_path_factory):
+    """A directory with a one-line trace and a store of one record, and that record's id."""
+    root = tmp_path_factory.mktemp("station")
+    (root / "trace.txt").write_text(encode_frame(AdcFrame(-123, gain=64)).to_line() + "\n")
     frames = [SensorFrameRecord("st1", cell, i * 100, 100_000) for cell in range(4) for i in range(151)]
     record = run_session(frames, [CAL] * 4, "static", POLICIES["prototype2"], DeckGeometry(2.0, 1.5))
-    RecordStore(tmp_path / "records").append(record)
-    steps = [
-        ["replay", "trace.txt"],
-        ["assess", record.record_id, "--data-dir", "records"],
-        ["assess", "records/records.ndjson"],
-        ["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "20"],
-        ["rules", "--axle-config", "7", "--total", "50000"],
-        ["rules", "--jurisdiction", "US", "--kind", "acceptance", "--measured", "10", "--reference", "10"],
-    ]
-    report = run_child(steps, tmp_path)
-    assert report == [["import", None, False]] + [[argv[0], 0, False] for argv in steps]
+    RecordStore(root / "records").append(record)
+    return root, record.record_id
 
 
-def test_weigh_and_simulate_load_numpy(tmp_path):
+def test_importing_the_cli_loads_errors_and_kvfile_only(tmp_path):
+    assert run_child([], tmp_path) == [None, CLI, False, False]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["replay", "trace.txt"], REPLAY),
+        (["assess", "{id}", "--data-dir", "records"], ASSESS),
+        (["assess", "records/records.ndjson"], ASSESS),
+        (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "20"], RULES),
+        (["rules", "--axle-config", "7", "--total", "50000"], RULES),
+        (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--measured", "10", "--reference", "10"], RULES),
+    ],
+    ids=["replay", "assess-id", "assess-file", "rules-capacity", "rules-gvw", "rules-measured"],
+)
+def test_replay_assess_and_rules_load_only_their_modules(argv, modules, station):
+    root, record_id = station
+    argv = [arg.format(id=record_id) for arg in argv]
+    assert run_child(argv, root) == [0, modules, False, False]
+
+
+def test_weigh_and_simulate_load_numpy_and_no_uuid(tmp_path):
     cal = tmp_path / "cal.cfg"
     CAL.to_file(cal)
     frames = "".join(f"st9,{c},{t},10000,128,0\n" for t in range(0, 15_001, 100) for c in range(4))
     (tmp_path / "frames.txt").write_text(frames)
     weigh = ["weigh", "--mode", "static", "--frames", "frames.txt", "--cal", *[str(cal)] * 4]
     for argv in (weigh, ["simulate", str(DEMOS / "scenarios" / "balanced.cfg")]):
-        assert run_child([argv], tmp_path) == [["import", None, False], [argv[0], 0, True]]
+        code, _, numpy_loaded, uuid_loaded = run_child(argv, tmp_path)
+        assert (code, numpy_loaded, uuid_loaded) == (0, True, False)
 
 
 #: The public names of the package and the submodule each comes from.
