@@ -25,10 +25,9 @@ conversion of all its data bits, and its line numbers are a `range`. Any
 other chunk is stripped and numbered line by line, and its first invalid
 line raises the error `decode_frame` gives for that line alone.
 
-The code range lives here, with the wire code: `CODE_MIN`, `CODE_MAX` and
-`RAILS`, the two ends of that range, on either of which a code is
-saturated. `sensor` re-exports the three names, and every saturation test
-in the package reads `RAILS`.
+The 24-bit code range, `CODE_MIN`..`CODE_MAX`, and its two ends, `RAILS`
+(a code on either is saturated), are defined here, with the wire code;
+`sensor` re-exports the three names.
 """
 
 from __future__ import annotations

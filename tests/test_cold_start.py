@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import weighsim
 from weighsim.calibration import CalibrationState
 from weighsim.codec import encode_frame
@@ -51,40 +49,30 @@ def run_child(argv, cwd):
     return json.loads(proc.stdout)
 
 
-@pytest.fixture(scope="module")
-def station(tmp_path_factory):
-    """A directory with a one-line trace and a store of one record, and that record's id."""
-    root = tmp_path_factory.mktemp("station")
-    (root / "trace.txt").write_text(encode_frame(AdcFrame(-123, gain=64)).to_line() + "\n")
-    frames = [SensorFrameRecord("st1", cell, i * 100, 100_000) for cell in range(4) for i in range(151)]
-    record = run_session(frames, [CAL] * 4, "static", POLICIES["prototype2"], DeckGeometry(2.0, 1.5))
-    RecordStore(root / "records").append(record)
-    return root, record.record_id
-
-
 def test_importing_the_cli_loads_errors_and_kvfile_only(tmp_path):
     assert run_child([], tmp_path) == [None, CLI, False, False]
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
+def test_replay_assess_and_rules_load_no_numpy(tmp_path):
+    """Each command, in a fresh child, loads no numpy and exactly its own modules."""
+    (tmp_path / "trace.txt").write_text(encode_frame(AdcFrame(-123, gain=64)).to_line() + "\n")
+    frames = [SensorFrameRecord("st1", cell, i * 100, 100_000) for cell in range(4) for i in range(151)]
+    record = run_session(frames, [CAL] * 4, "static", POLICIES["prototype2"], DeckGeometry(2.0, 1.5))
+    RecordStore(tmp_path / "records").append(record)
+    steps = [
         (["replay", "trace.txt"], REPLAY),
-        (["assess", "{id}", "--data-dir", "records"], ASSESS),
+        (["assess", record.record_id, "--data-dir", "records"], ASSESS),
         (["assess", "records/records.ndjson"], ASSESS),
         (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "20"], RULES),
         (["rules", "--axle-config", "7", "--total", "50000"], RULES),
         (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--measured", "10", "--reference", "10"], RULES),
-    ],
-    ids=["replay", "assess-id", "assess-file", "rules-capacity", "rules-gvw", "rules-measured"],
-)
-def test_replay_assess_and_rules_load_only_their_modules(argv, modules, station):
-    root, record_id = station
-    argv = [arg.format(id=record_id) for arg in argv]
-    assert run_child(argv, root) == [0, modules, False, False]
+    ]
+    for argv, modules in steps:
+        assert run_child(argv, tmp_path) == [0, modules, False, False], argv
 
 
-def test_weigh_and_simulate_load_numpy_and_no_uuid(tmp_path):
+def test_weigh_and_simulate_load_numpy(tmp_path):
+    """They load numpy but not uuid: a record id comes from os.urandom."""
     cal = tmp_path / "cal.cfg"
     CAL.to_file(cal)
     frames = "".join(f"st9,{c},{t},10000,128,0\n" for t in range(0, 15_001, 100) for c in range(4))
@@ -92,7 +80,7 @@ def test_weigh_and_simulate_load_numpy_and_no_uuid(tmp_path):
     weigh = ["weigh", "--mode", "static", "--frames", "frames.txt", "--cal", *[str(cal)] * 4]
     for argv in (weigh, ["simulate", str(DEMOS / "scenarios" / "balanced.cfg")]):
         code, _, numpy_loaded, uuid_loaded = run_child(argv, tmp_path)
-        assert (code, numpy_loaded, uuid_loaded) == (0, True, False)
+        assert (code, numpy_loaded, uuid_loaded) == (0, True, False), argv[0]
 
 
 #: The public names of the package and the submodule each comes from.
