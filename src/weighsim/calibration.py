@@ -16,7 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -28,8 +28,11 @@ from .errors import (
     TareRangeError,
     require_positive,
 )
-from .sensor import CODE_MAX, CODE_MIN, AdcFrame
+from .codec import CODE_MAX, CODE_MIN
 from . import kvfile
+
+if TYPE_CHECKING:
+    from .sensor import AdcFrame
 
 #: Warn when operating this many °C away from the calibration temperature.
 DEFAULT_TEMP_DELTA_C = 10.0

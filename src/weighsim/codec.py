@@ -25,9 +25,10 @@ conversion of all its data bits, and its line numbers are a `range`. Any
 other chunk is stripped and numbered line by line, and its first invalid
 line raises the error `decode_frame` gives for that line alone.
 
-The 24-bit code range, `CODE_MIN`..`CODE_MAX`, and its two ends, `RAILS`
-(a code on either is saturated), are defined here, with the wire code;
-`sensor` re-exports the three names.
+The wire code's four tables are defined here only: the 24-bit code range
+`CODE_MIN`..`CODE_MAX`, its ends `RAILS` (a code on either is saturated)
+and `GAIN_CHANNELS`, each gain's channel, from `CONFIG_PULSES`. `sensor`
+re-exports them; `station` and `calibration` import them from here.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import FrameError, MalformedFrameError, TruncatedFrameError
 
-# `sensor` imports the code range from here; this module takes `AdcFrame`
-# from it only inside `decode_frame`, so `replay` loads no sensor model.
+# `sensor` imports its tables from here; `decode_frame` takes `AdcFrame`
+# from it only for a line that decodes, so a bad trace loads no numpy.
 if TYPE_CHECKING:
     from .sensor import AdcFrame
 
@@ -56,6 +57,9 @@ RAILS = (CODE_MIN, CODE_MAX)
 
 #: (gain, channel) → number of configuration pulses after the data bits.
 CONFIG_PULSES = {(128, "A"): 1, (32, "B"): 2, (64, "A"): 3}
+
+#: Gain → valid channel: only the three settings of CONFIG_PULSES exist.
+GAIN_CHANNELS = {gain: channel for gain, channel in CONFIG_PULSES}
 
 #: Total pulse count → (gain, channel). Bijective with CONFIG_PULSES.
 PULSE_COUNT_GAIN = {DATA_BITS + n: gc for gc, n in CONFIG_PULSES.items()}
@@ -113,8 +117,6 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
     when fewer than 24 data pulses arrived and MalformedFrameError for any
     other invalid pulse count or symbol.
     """
-    from .sensor import AdcFrame
-
     if isinstance(trace, (bytes, bytearray)):
         trace = trace.decode("latin-1")
     if isinstance(trace, str):
@@ -124,6 +126,8 @@ def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
         raise TruncatedFrameError(f"only {n} pulses, need {DATA_BITS} data bits")
     if n not in PULSE_COUNT_GAIN:
         raise MalformedFrameError(f"invalid pulse count {n}, expected one of {sorted(PULSE_COUNT_GAIN)}")
+    from .sensor import AdcFrame
+
     gain, channel = PULSE_COUNT_GAIN[n]
     return AdcFrame(_data_codes([trace.bits])[0], gain, channel)
 

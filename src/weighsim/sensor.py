@@ -39,8 +39,8 @@ on either rail (`RAILS`) is saturated: at the rail an in-range reading is
 indistinguishable from an overrange one, and the serial frame carries no
 separate flag. `RAILS` is the package's only saturation rule; every
 saturation test, on a frame, a wire line or a column, reads it. The three
-names are defined in `codec`, the module of the 24-bit wire code, and
-imported here, so `sensor.RAILS` and `codec.RAILS` are one object.
+names and `GAIN_CHANNELS` are defined in `codec`, the module of the wire
+code, and imported here, so `sensor.RAILS` and `codec.RAILS` are one object.
 
 Default excitation (5 V), noise (0) and sample rate (10 Sa/s) are
 implementer-chosen placeholders, not characterized hardware values.
@@ -51,19 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .codec import CODE_MAX, CODE_MIN, RAILS  # noqa: F401 - the code range, re-exported
+import numpy as np
+
+from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS  # noqa: F401 - re-exported
 from .errors import InvalidValueError, MechanicalOverrangeError, require_positive
 from . import kvfile
-
-# numpy is imported inside the functions that use it, to keep imports fast.
-if TYPE_CHECKING:
-    import numpy as np
-
-#: Gain → valid channel. Gain is selected by the extra clock pulses of the
-#: serial frame; only these three combinations exist.
-GAIN_CHANNELS = {128: "A", 64: "A", 32: "B"}
 
 #: Mechanical overrange: loads beyond this fraction of capacity risk
 #: permanent deformation and are rejected rather than simulated.
@@ -243,8 +236,6 @@ def add_noise(
     """
     if spec.noise_sigma_mv == 0.0:
         return reading
-    import numpy as np
-
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     noisy = reading.differential_mv + rng.normal(0.0, spec.noise_sigma_mv)

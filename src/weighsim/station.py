@@ -7,7 +7,7 @@ Wire format is one ADC frame per line, ASCII, comma-separated:
 `station_id` is any non-empty comma-free token, `cell_index` counts from
 0 (FL, FR, RL, RR on a four-cell station; left, right in two-cell mode),
 `gain` is one of 128/64/32, and `saturated` is 1 exactly when `adc_code`
-is on a rail (`sensor.RAILS`) and 0 otherwise: any other value is a parse
+is on a rail (`codec.RAILS`) and 0 otherwise: any other value is a parse
 error. Timestamps are signed 64-bit and must be non-decreasing per cell.
 
 One weighing is one vehicle on one deck, so a `FrameBatch` holds one
@@ -16,14 +16,16 @@ field but `saturated`, which the code implies, one row per frame in input
 order. `FrameIngestor.ingest_lines` parses any iterable of lines (an open
 file included) in the chunks of `codec.chunks`, so the strings of one
 chunk at a time are alive. Each chunk is stripped of blank lines and
-surrounding whitespace, then taken in bulk: numpy's text reader parses
-its numeric columns and array checks cover the rest. Any chunk it refuses
-is parsed line by line, which either raises the error of the first line
-that fails to parse (RecordParseError), is of a second station
-(IncompleteStationError) or goes back in time on its cell
-(SequencingError), or returns the same rows, whatever the chunk size. So
-the result depends on neither parser's quirks. `run_session` reduces each
-cell's column slice: code→mass, then the static-window or WIM mean.
+surrounding whitespace and read into columns: by numpy's text reader when
+it can vouch for every line, else by `str.split` and `int()`, which find
+the field-count, empty-station and non-numeric faults. One set of array
+checks judges the columns either way; the first line that fails raises
+its first failing check of: field count, empty station, non-numeric
+field, cell, code, gain, flag, timestamp width (RecordParseError), a
+second station (IncompleteStationError), time order on its cell
+(SequencingError). So neither reader nor chunk size changes a result.
+`run_session` reduces each cell's column slice: code→mass, then the
+static-window or WIM mean.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -40,7 +42,7 @@ import numpy as np
 # code_to_mass, RecordStore and assessment_line are unused here but stay module
 # attributes: callers, the benchmark among them, look them up on this module.
 from .calibration import CalibrationState, code_to_mass, codes_to_kg  # noqa: F401
-from .codec import chunks, numbered
+from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS, chunks, numbered
 from .cog import DECKS, AlertPolicy, DeckGeometry, assess
 from .compliance import (
     AxleConfiguration,
@@ -53,12 +55,10 @@ from .compliance import (
 from .errors import IncompleteStationError, InsufficientSamplesError, RecordParseError
 from .errors import InvalidValueError, SequencingError, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
-from .sensor import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS
 
 MODES = ("static", "wim")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_GAINS = np.array(sorted(GAIN_CHANNELS), dtype=np.int64)
 #: Characters a chunk taken in bulk must not hold: a line break, which
 #: would split a line in numpy's text reader, and the separators \x1c-\x1f,
 #: which the reader strips from an integer field and int() does not.
@@ -90,32 +90,29 @@ def format_frame_line(rec: SensorFrameRecord) -> str:
 
 
 def parse_frame_line(line: str, line_no: int | None = None, cell_count: int = 4) -> SensorFrameRecord:
-    """Parse one wire line; every failure is a RecordParseError with the line number."""
-    fields = line.strip().split(",")
-    if len(fields) != 6:
-        raise RecordParseError(f"expected 6 fields, got {len(fields)}", line_no)
-    station_id, cell_s, ts_s, code_s, gain_s, sat_s = fields
-    if not station_id:
-        raise RecordParseError("empty station id", line_no)
-    try:
-        cell = int(cell_s)
-        ts = int(ts_s)
-        code = int(code_s)
-        gain = int(gain_s)
-        sat = int(sat_s)
-    except ValueError:
-        raise RecordParseError(f"non-numeric field in {line.strip()!r}", line_no) from None
-    if not 0 <= cell < cell_count:
-        raise RecordParseError(f"cell index {cell} outside 0-{cell_count - 1}", line_no)
-    if not CODE_MIN <= code <= CODE_MAX:
-        raise RecordParseError(f"code {code} outside signed 24-bit range", line_no)
-    if gain not in GAIN_CHANNELS:
-        raise RecordParseError(f"gain {gain} not one of {sorted(GAIN_CHANNELS)}", line_no)
-    if sat != (on_rail := code in RAILS):
-        raise RecordParseError(f"saturated flag must be {int(on_rail)} for code {code}, got {sat_s}", line_no)
-    if not _INT64_MIN <= ts <= _INT64_MAX:
-        raise RecordParseError(f"timestamp {ts_s} ms does not fit in 64 bits", line_no)
-    return SensorFrameRecord(station_id, cell, ts, code, gain, bool(sat))
+    """The frame of one wire line, judged as `FrameIngestor` judges it alone:
+    every failure is a RecordParseError with the line number."""
+    batch = FrameIngestor(cell_count)._chunk([line.strip()], [line_no])
+    cell, ts, code, gain = (getattr(batch, c).item() for c in _COLUMNS)
+    return SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS)
+
+
+def _outside(cell: np.ndarray, cell_count: int) -> np.ndarray:
+    """The rows whose cell index is not one of `cell_count` cells."""
+    return (cell < 0) | (cell >= cell_count)
+
+
+def _frame_faults(ts: np.ndarray, code: np.ndarray, gain: np.ndarray, sat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A mask of the rows failing each check of a frame's values, in the
+    order a wire line reports them after its cell: code range, gain,
+    saturated flag, timestamp width. Columns of object dtype may hold any int."""
+    on_rail = np.logical_or.reduce([code == rail for rail in RAILS])
+    return (
+        (code < CODE_MIN) | (code > CODE_MAX),
+        np.logical_and.reduce([gain != g for g in GAIN_CHANNELS]),
+        sat != on_rail,
+        (ts < _INT64_MIN) | (ts > _INT64_MAX),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +121,7 @@ class FrameBatch:
 
     `station_id` is None for an empty batch. The other columns hold the
     `SensorFrameRecord` field of the same name, int64; a row's saturation
-    is its code's (`sensor.RAILS`).
+    is its code's (`codec.RAILS`).
     """
 
     station_id: str | None
@@ -192,79 +189,89 @@ class FrameIngestor:
         for first_no, chunk in chunks(lines):
             kept, numbers = numbered(chunk, first_no)
             if kept:
-                batch = self._good_chunk(kept)
-                batches.append(self._line_by_line(kept, numbers) if batch is None else batch)
+                batches.append(self._chunk(kept, numbers))
         return FrameBatch.concat(batches) if batches else FrameBatch.from_records(())
 
-    def _good_chunk(self, kept: list[str]) -> FrameBatch | None:
-        """The batch of stripped non-blank wire lines, taken in bulk after the
-        frames ingested so far, or None when the bulk path cannot vouch for
-        every line: it then parsed none, and `_line_by_line` must. Only a
-        good chunk advances the state."""
-        n = len(kept)
-        text = "\n".join(kept)
+    def _chunk(self, kept: list[str], numbers: list[int | None]) -> FrameBatch:
+        """The batch of stripped non-blank wire lines, judged after the frames
+        ingested so far; only a good chunk advances the state."""
         station = self.station_id or kept[0].partition(",")[0]
-        # numpy's reader takes some non-ASCII letters for digits. It refuses
-        # a line of fewer than 6 fields, so 5 commas per line on average are
-        # 5 on every line.
-        if (
-            not station
-            or not text.isascii()
-            or any(c in text for c in _NOT_IN_BULK)
-            or text.count("\n") != n - 1
-            or text.count(",") != 5 * n
-            or not text.startswith(station + ",")
-            or text.count("\n" + station + ",") != n - 1
-        ):
-            return None
-        try:
-            with warnings.catch_warnings():
-                # numpy < 2 reads "1.0" as 1 with a DeprecationWarning
-                warnings.simplefilter("error", DeprecationWarning)
-                table = np.loadtxt(
-                    kept, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2
-                )
-        except (ValueError, DeprecationWarning):
-            return None
-        cell, ts, code, gain, sat = np.ascontiguousarray(table.T)
-        bad = (
-            (cell < 0)
-            | (cell >= self.cell_count)
-            | (code < CODE_MIN)
-            | (code > CODE_MAX)
-            | ~np.isin(gain, _GAINS)
-            | (sat != np.isin(code, RAILS))
-        )
-        if bad.any():
-            return None
-        last_ts = self._last_ts.copy()
+        stations, (cell, ts, code, gain, sat), error = _bulk(kept, station) or _split(kept)
+        # prev: each row's cell's timestamp before it (its own off the cells)
+        last, prev = self._last_ts.tolist(), ts.copy()
         for c in range(self.cell_count):
-            t = np.append(last_ts[c], ts[cell == c])  # the cell's last timestamp, then the chunk's
-            if (t[1:] < t[:-1]).any():
-                return None
-            last_ts[c] = t[-1]
-        self.station_id, self._last_ts = station, last_ts
-        return FrameBatch(station, cell, ts, code, gain)
-
-    def _line_by_line(self, kept: list[str], numbers: list[int]) -> FrameBatch:
-        """The batch of a chunk `_good_chunk` refused, read as the module
-        docstring says: each line in turn is parsed, then checked for its
-        station, then for its cell's time order, and the first that fails
-        raises. A chunk whose every line passes advances the state."""
-        station, last_ts, frames = self.station_id, self._last_ts.tolist(), []
-        for text, line_no in zip(kept, numbers):
-            frame = parse_frame_line(text, line_no, self.cell_count)
-            station = _one_station([station, frame.station_id])
-            cell, ts = frame.cell_index, frame.timestamp_ms
-            if ts < last_ts[cell]:
+            rows = np.flatnonzero(cell == c)
+            t = np.append(last[c], ts[rows])
+            prev[rows], last[c] = t[:-1], t[-1]
+        other = np.zeros(len(ts), bool) if stations is None else stations != station
+        masks = (_outside(cell, self.cell_count), *_frame_faults(ts, code, gain, sat), other, ts < prev)
+        bad = np.logical_or.reduce(masks)
+        if bad.any():
+            row = int(bad.argmax())
+            check, line_no = [mask[row] for mask in masks].index(True), numbers[row]
+            if check == 5:
+                _one_station([station, stations[row]])  # raises
+            if check == 6:
                 raise SequencingError(
-                    f"timestamp {ts} ms before {last_ts[cell]} ms on"
-                    f" station {station!r} cell {cell} (line {line_no})"
+                    f"timestamp {ts[row]} ms before {prev[row]} ms on"
+                    f" station {station!r} cell {cell[row]} (line {line_no})"
                 )
-            last_ts[cell] = ts
-            frames.append(frame)
-        self.station_id, self._last_ts = station, np.array(last_ts, np.int64)
-        return FrameBatch.from_records(frames)
+            _, _, ts_s, _, _, sat_s = kept[row].split(",")
+            reasons = [
+                f"cell index {cell[row]} outside 0-{self.cell_count - 1}",
+                f"code {code[row]} outside signed 24-bit range",
+                f"gain {gain[row]} not one of {sorted(GAIN_CHANNELS)}",
+                f"saturated flag must be {int(code[row] in RAILS)} for code {code[row]}, got {sat_s}",
+                f"timestamp {ts_s} ms does not fit in 64 bits",
+            ]
+            raise RecordParseError(reasons[check], line_no)
+        if error is not None:
+            raise RecordParseError(error, numbers[len(ts)])
+        self.station_id, self._last_ts = station, np.array(last, np.int64)
+        return FrameBatch(station, *(np.asarray(c, np.int64) for c in (cell, ts, code, gain)))
+
+
+def _bulk(kept: list[str], station: str) -> tuple[None, list[np.ndarray], None] | None:
+    """As `_split`, stripped wire lines all of `station` read by numpy's text
+    reader, or None when it cannot vouch for every line."""
+    n, text = len(kept), "\n".join(kept)
+    # numpy's reader takes some non-ASCII letters for digits. It refuses a
+    # line of fewer than 6 fields, so 5 commas per line on average are 5 on
+    # every line.
+    if (not station or not text.isascii() or any(c in text for c in _NOT_IN_BULK) or text.count(",") != 5 * n
+            or text.count("\n") != n - 1 or not text.startswith(station + ",") or text.count("\n" + station + ",") != n - 1):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "1.0" as 1 with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(kept, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return None, list(np.ascontiguousarray(table.T)), None
+
+
+def _split(kept: list[str]) -> tuple[np.ndarray, list[np.ndarray], str | None]:
+    """Stripped wire lines read by `str.split` and `int()` up to the first
+    that does not parse: the station column and the five numeric columns of
+    the lines before it (object dtype, so no value overflows), and the
+    message of that line, or None."""
+    rows, error = [], None
+    for line in kept:
+        fields = line.split(",")
+        if len(fields) != 6:
+            error = f"expected 6 fields, got {len(fields)}"
+        elif not fields[0]:
+            error = "empty station id"
+        else:
+            try:
+                rows.append([fields[0], *map(int, fields[1:])])
+                continue
+            except ValueError:
+                error = f"non-numeric field in {line!r}"
+        break
+    stations, *columns = np.array(rows, object).reshape(-1, 6).T
+    return stations, columns, error
 
 
 def check_tolerance_inputs(tolerance_rule: ToleranceRule | None, reference_kg: float | None) -> None:
@@ -288,7 +295,7 @@ def run_session(
 ) -> WeighRecord:
     """Weigh one vehicle on a deck of one cell per calibration.
 
-    Each cell's frames off the rails (`sensor.RAILS`) are taken in
+    Each cell's frames off the rails (`codec.RAILS`) are taken in
     timestamp order (ties in input order); a cell with none raises
     InsufficientSamplesError. A record whose `saturated` flag disagrees
     with its code is an InvalidValueError.
@@ -306,7 +313,7 @@ def run_session(
 
     batch = frames if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames)
     cell = batch.cell_index
-    outside = (cell < 0) | (cell >= cell_count)
+    outside = _outside(cell, cell_count)
     if outside.any():
         raise IncompleteStationError(
             f"frame for cell {cell[outside.argmax()]} on a {cell_count}-cell station"

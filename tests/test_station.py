@@ -336,7 +336,7 @@ class TestIngestor:
             lines = [f" {line}\t" if i % 50 else "" for i, line in enumerate(lines)]
         path = tmp_path / "frames.txt"
         path.write_text("\n".join(lines) + final_newline)
-        refuse = mock.patch.object(FrameIngestor, "_line_by_line", side_effect=AssertionError("read line by line"))
+        refuse = mock.patch("weighsim.station._split", side_effect=AssertionError("read line by line"))
         with refuse, mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
             from_list = FrameIngestor().ingest_lines(lines)
             with open(path) as fh:
@@ -364,11 +364,39 @@ class TestIngestor:
             FrameBatch.from_records([SensorFrameRecord("s1", 0, 1, 2), SensorFrameRecord("s0", 0, 1, 2)])
 
 
+def reference_frame(line, line_no, cell_count):
+    """One wire line read by the wire format in the `station` docstring,
+    with none of the code under test: its SensorFrameRecord, or the
+    RecordParseError of its first failing check."""
+    fields = line.strip().split(",")
+    if len(fields) != 6:
+        raise RecordParseError(f"expected 6 fields, got {len(fields)}", line_no)
+    station, cell_s, ts_s, code_s, gain_s, sat_s = fields
+    if not station:
+        raise RecordParseError("empty station id", line_no)
+    try:
+        cell, ts, code, gain, sat = map(int, (cell_s, ts_s, code_s, gain_s, sat_s))
+    except ValueError:
+        raise RecordParseError(f"non-numeric field in {line.strip()!r}", line_no) from None
+    on_rail = code in (-(2**23), 2**23 - 1)
+    for ok, message in [
+        (0 <= cell < cell_count, f"cell index {cell} outside 0-{cell_count - 1}"),
+        (-(2**23) <= code < 2**23, f"code {code} outside signed 24-bit range"),
+        (gain in (32, 64, 128), f"gain {gain} not one of [32, 64, 128]"),
+        (sat == on_rail, f"saturated flag must be {int(on_rail)} for code {code}, got {sat_s}"),
+        (-(2**63) <= ts < 2**63, f"timestamp {ts_s} ms does not fit in 64 bits"),
+    ]:
+        if not ok:
+            raise RecordParseError(message, line_no)
+    return SensorFrameRecord(station, cell, ts, code, gain, on_rail)
+
+
 def reference_ingest(files, cell_count):
     """The per-line reading of the wire files of one session that
     `FrameIngestor.ingest_lines` must match: the frames of each file, then
-    the (type, message) of the first error, or None. Each line is parsed,
-    then checked for its station, then for its cell's time order."""
+    the (type, message) of the first error, or None. Each line is parsed
+    by `reference_frame`, then checked for its station, then for its
+    cell's time order."""
     station, last_ts, batches = None, {}, []
     try:
         for lines in files:
@@ -376,7 +404,7 @@ def reference_ingest(files, cell_count):
             for line_no, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
-                frame = parse_frame_line(line, line_no, cell_count)
+                frame = reference_frame(line, line_no, cell_count)
                 station = station or frame.station_id
                 if frame.station_id != station:
                     raise IncompleteStationError(
