@@ -102,17 +102,28 @@ def _outside(cell: np.ndarray, cell_count: int) -> np.ndarray:
     return (cell < 0) | (cell >= cell_count)
 
 
-def _frame_faults(ts: np.ndarray, code: np.ndarray, gain: np.ndarray, sat: np.ndarray) -> tuple[np.ndarray, ...]:
+def _frame_faults(ts: np.ndarray, code: np.ndarray, gain: np.ndarray, sat: np.ndarray | None) -> tuple[np.ndarray, ...]:
     """A mask of the rows failing each check of a frame's values, in the
     order a wire line reports them after its cell: code range, gain,
-    saturated flag, timestamp width. Columns of object dtype may hold any int."""
+    saturated flag (`sat`; None stands for each code's own), timestamp
+    width. Columns of object dtype may hold any int."""
     on_rail = np.logical_or.reduce([code == rail for rail in RAILS])
     return (
         (code < CODE_MIN) | (code > CODE_MAX),
         np.logical_and.reduce([gain != g for g in GAIN_CHANNELS]),
-        sat != on_rail,
+        on_rail != (on_rail if sat is None else sat),
         (ts < _INT64_MIN) | (ts > _INT64_MAX),
     )
+
+
+def _reasons(ts: object, code: int, gain: int, sat: object) -> list[str]:
+    """What each check of `_frame_faults` says of a frame that fails it."""
+    return [
+        f"code {code} outside signed 24-bit range",
+        f"gain {gain} not one of {sorted(GAIN_CHANNELS)}",
+        f"saturated flag must be {int(code in RAILS)} for code {code}, got {sat}",
+        f"timestamp {ts} ms does not fit in 64 bits",
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +146,12 @@ class FrameBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
-        """The batch of `records`; InvalidValueError when a `saturated` flag disagrees with its code."""
+        """The batch of `records`, checked by `_checked` against their own
+        saturated flags."""
         records = list(records)
-        batch = cls(
-            _one_station(r.station_id for r in records),
-            *(np.array([getattr(r, c) for r in records], np.int64) for c in _COLUMNS),
-        )
-        wrong = np.array([r.saturated for r in records], bool) != np.isin(batch.adc_code, RAILS)
-        if wrong.any():
-            rec = records[int(wrong.argmax())]
-            raise InvalidValueError(f"saturated flag {rec.saturated} disagrees with code {rec.adc_code}: {rec}")
-        return batch
+        station = _one_station(r.station_id for r in records)
+        *columns, flags = (np.array([getattr(r, c) for r in records], object) for c in (*_COLUMNS, "saturated"))
+        return _checked(cls(station, *columns), flags)
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
@@ -165,6 +171,23 @@ def _one_station(ids: Iterable[str | None]) -> str | None:
     if len(names) > 1:
         raise IncompleteStationError(f"frames span multiple stations: {sorted(names)}")
     return next(iter(names), None)
+
+
+def _checked(batch: FrameBatch, flags: np.ndarray | None = None) -> FrameBatch:
+    """`batch` with int64 columns. The first frame that fails a check of
+    `_frame_faults`, with its saturated flag from `flags` (its code's when
+    None), is an InvalidValueError that names it."""
+    columns = [getattr(batch, c) for c in _COLUMNS]
+    faults = _frame_faults(*columns[1:], None if flags is None else flags.astype(bool))
+    bad = np.logical_or.reduce(faults)
+    if bad.any():
+        i = int(bad.argmax())
+        cell, ts, code, gain = (c.tolist()[i] for c in columns)
+        frame = SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS if flags is None else flags[i])
+        reasons = _reasons(ts, code, gain, frame.saturated)
+        reasons[2] = f"saturated flag {frame.saturated} disagrees with code {code}"
+        raise InvalidValueError(f"{reasons[[f[i] for f in faults].index(True)]}: {frame}")
+    return FrameBatch(batch.station_id, *(np.asarray(c, np.int64) for c in columns))
 
 
 class FrameIngestor:
@@ -217,13 +240,7 @@ class FrameIngestor:
                     f" station {station!r} cell {cell[row]} (line {line_no})"
                 )
             _, _, ts_s, _, _, sat_s = kept[row].split(",")
-            reasons = [
-                f"cell index {cell[row]} outside 0-{self.cell_count - 1}",
-                f"code {code[row]} outside signed 24-bit range",
-                f"gain {gain[row]} not one of {sorted(GAIN_CHANNELS)}",
-                f"saturated flag must be {int(code[row] in RAILS)} for code {code[row]}, got {sat_s}",
-                f"timestamp {ts_s} ms does not fit in 64 bits",
-            ]
+            reasons = [f"cell index {cell[row]} outside 0-{self.cell_count - 1}", *_reasons(ts_s, code[row], gain[row], sat_s)]
             raise RecordParseError(reasons[check], line_no)
         if error is not None:
             raise RecordParseError(error, numbers[len(ts)])
@@ -297,8 +314,9 @@ def run_session(
 
     Each cell's frames off the rails (`codec.RAILS`) are taken in
     timestamp order (ties in input order); a cell with none raises
-    InsufficientSamplesError. A record whose `saturated` flag disagrees
-    with its code is an InvalidValueError.
+    InsufficientSamplesError. A frame whose code, gain or timestamp no
+    wire line could carry, or a record whose `saturated` flag disagrees
+    with its code, is an InvalidValueError that names it.
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
     pass-over segment. A tolerance rule with a reference mass (both or
@@ -311,7 +329,7 @@ def run_session(
         raise InvalidValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
     check_tolerance_inputs(tolerance_rule, reference_kg)
 
-    batch = frames if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames)
+    batch = _checked(frames) if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames)
     cell = batch.cell_index
     outside = _outside(cell, cell_count)
     if outside.any():

@@ -1,6 +1,7 @@
 import json
 import re
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from weighsim.errors import (
     InsufficientDurationError,
     InsufficientSamplesError,
     InvalidReadingError,
+    InvalidValueError,
     RecordParseError,
     SequencingError,
     WeighSimError,
@@ -639,6 +641,28 @@ class TestRunSession:
             run_session(frames, [CAL] * 4, "static", P2, GEOM)
         with pytest.raises(ValueError):
             FrameBatch.from_records(frames)
+
+    @pytest.mark.parametrize("as_batch", [False, True], ids=["records", "batch"])
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            # the 9,000,000 code used to read as a 9000.0 kg cell and an overload
+            ("adc_code", 9_000_000, "code 9000000 outside signed 24-bit range"),
+            # gain 7 used to pass, and a 2**63 timestamp to raise a bare OverflowError
+            ("gain", 7, "gain 7 not one of [32, 64, 128]"),
+            ("timestamp_ms", 2**63, "timestamp 9223372036854775808 ms does not fit in 64 bits"),
+        ],
+        ids=["code", "gain", "timestamp"],
+    )
+    def test_a_frame_no_wire_line_could_carry_is_named(self, field, value, reason, as_batch):
+        frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
+        frames[0] = replace(frames[0], **{field: value})
+        named = re.escape(f"{reason}: {frames[0]}")
+        if as_batch:
+            columns = zip(*((f.cell_index, f.timestamp_ms, f.adc_code, f.gain) for f in frames))
+            frames = FrameBatch("st1", *(np.array(c, object) for c in columns))
+        with pytest.raises(InvalidValueError, match=f"^{named}$"):
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
 
     @pytest.mark.parametrize("mode", ["static", "wim"])
     def test_a_cell_with_only_saturated_frames_is_named(self, mode):
