@@ -38,6 +38,7 @@ CLI = ["cli", "errors", "kvfile", "weighsim"]
 REPLAY = sorted(CLI + ["codec"])
 ASSESS = sorted(CLI + ["cog", "record"])
 RULES = sorted(CLI + ["cog", "compliance", "record"])
+WEIGH = sorted(CLI + ["calibration", "codec", "cog", "compliance", "record", "station"])
 
 
 def run_child(argv, cwd):
@@ -71,16 +72,30 @@ def test_replay_assess_and_rules_load_no_numpy(tmp_path):
         assert run_child(argv, tmp_path) == [0, modules, False, False], argv
 
 
-def test_weigh_and_simulate_load_numpy(tmp_path):
-    """They load numpy but not uuid: a record id comes from os.urandom."""
+def weigh_argv(tmp_path):
+    """A `weigh` of a good four-cell capture in `tmp_path`."""
     cal = tmp_path / "cal.cfg"
     CAL.to_file(cal)
     frames = "".join(f"st9,{c},{t},10000,128,0\n" for t in range(0, 15_001, 100) for c in range(4))
     (tmp_path / "frames.txt").write_text(frames)
-    weigh = ["weigh", "--mode", "static", "--frames", "frames.txt", "--cal", *[str(cal)] * 4]
+    return ["weigh", "--mode", "static", "--frames", "frames.txt", "--cal", *[str(cal)] * 4]
+
+
+def test_weigh_and_simulate_load_numpy(tmp_path):
+    """They load numpy but not uuid: a record id comes from os.urandom."""
+    weigh = weigh_argv(tmp_path)
     for argv in (weigh, ["simulate", str(DEMOS / "scenarios" / "balanced.cfg")]):
         code, _, numpy_loaded, uuid_loaded = run_child(argv, tmp_path)
         assert (code, numpy_loaded, uuid_loaded) == (0, True, False), argv[0]
+
+
+def test_weigh_and_a_bad_replay_load_no_sensor_model(tmp_path):
+    """`weigh` takes the code range and the gains from `codec`, and `replay`
+    imports the sensor model (and with it numpy) only for a line that
+    `decode_frame` decodes: replaying a trace with a bad line loads neither."""
+    assert run_child(weigh_argv(tmp_path), tmp_path) == [0, WEIGH, True, False]
+    (tmp_path / "bad.txt").write_text("0" * 25 + "\n" + "0" * 24 + "1111\n")
+    assert run_child(["replay", "bad.txt"], tmp_path) == [1, REPLAY, False, False]
 
 
 #: The public names of the package and the submodule each comes from.

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import warnings
@@ -326,6 +327,27 @@ class TestIngestor:
         lines[20] = bad
         with pytest.raises(RecordParseError, match=f"^line 21: {message}$"):
             FrameIngestor().ingest_lines(lines)
+
+    @pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "split"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("st1,4,500,9000000,128,0", "cell index 4 outside 0-3"),
+            ("st1,0,500,100000,7,1", "gain 7 not one of [32, 64, 128]"),
+            (f"st1,0,{2**63},100000,128,1", "saturated flag must be 0 for code 100000, got 1"),
+        ],
+        ids=["cell+code", "gain+flag", "flag+timestamp"],
+    )
+    def test_a_line_that_fails_two_checks_reports_the_first(self, bad, message, bulk):
+        # alone, and inside a chunk of CHUNK_LINES lines that is clean but for
+        # it; without `bulk`, numpy's reader refuses every chunk
+        lines = [f"st1,{i % 4},{i // 4 * 100},100000,128,0" for i in range(CHUNK_LINES)]
+        lines[20] = bad
+        with contextlib.nullcontext() if bulk else mock.patch("weighsim.station._bulk", return_value=None):
+            with pytest.raises(RecordParseError, match=f"^line 1: {re.escape(message)}$"):
+                FrameIngestor().ingest_lines([bad])
+            with pytest.raises(RecordParseError, match=f"^line 21: {re.escape(message)}$"):
+                FrameIngestor().ingest_lines(lines)
 
     @pytest.mark.parametrize("chunk_lines", [CHUNK_LINES, 100])
     @pytest.mark.parametrize("final_newline", ["\n", ""])
