@@ -146,12 +146,15 @@ class FrameBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
-        """The batch of `records`, checked by `_checked` against their own
-        saturated flags."""
+        """The batch of `records`, checked by `_checked`."""
         records = list(records)
         station = _one_station(r.station_id for r in records)
-        *columns, flags = (np.array([getattr(r, c) for r in records], object) for c in (*_COLUMNS, "saturated"))
-        return _checked(cls(station, *columns), flags)
+        columns = [[getattr(r, c) for r in records] for c in _COLUMNS]
+        try:
+            batch = cls(station, *(np.array(c, np.int64) for c in columns))
+        except OverflowError:  # a value no int64 holds, which `_checked` names
+            batch = cls(station, *(np.array(c, object) for c in columns))
+        return _checked(batch, records)
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
@@ -173,19 +176,20 @@ def _one_station(ids: Iterable[str | None]) -> str | None:
     return next(iter(names), None)
 
 
-def _checked(batch: FrameBatch, flags: np.ndarray | None = None) -> FrameBatch:
+def _checked(batch: FrameBatch, records: list[SensorFrameRecord] | None = None) -> FrameBatch:
     """`batch` with int64 columns. The first frame that fails a check of
-    `_frame_faults`, with its saturated flag from `flags` (its code's when
-    None), is an InvalidValueError that names it."""
+    `_frame_faults` is an InvalidValueError that names it: its row, or the
+    record of `records` it came from, whose saturated flag is checked too."""
     columns = [getattr(batch, c) for c in _COLUMNS]
-    faults = _frame_faults(*columns[1:], None if flags is None else flags.astype(bool))
+    flags = None if records is None else np.array([r.saturated for r in records], bool)
+    faults = _frame_faults(*columns[1:], flags)
     bad = np.logical_or.reduce(faults)
     if bad.any():
         i = int(bad.argmax())
         cell, ts, code, gain = (c.tolist()[i] for c in columns)
-        frame = SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS if flags is None else flags[i])
-        reasons = _reasons(ts, code, gain, frame.saturated)
-        reasons[2] = f"saturated flag {frame.saturated} disagrees with code {code}"
+        frame = SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS) if records is None else records[i]
+        reasons = _reasons(frame.timestamp_ms, frame.adc_code, frame.gain, frame.saturated)
+        reasons[2] = f"saturated flag {frame.saturated} disagrees with code {frame.adc_code}"
         raise InvalidValueError(f"{reasons[[f[i] for f in faults].index(True)]}: {frame}")
     return FrameBatch(batch.station_id, *(np.asarray(c, np.int64) for c in columns))
 
@@ -249,8 +253,8 @@ class FrameIngestor:
 
 
 def _bulk(kept: list[str], station: str) -> tuple[None, list[np.ndarray], None] | None:
-    """As `_split`, stripped wire lines all of `station` read by numpy's text
-    reader, or None when it cannot vouch for every line."""
+    """`_split`'s result for stripped wire lines all of `station`, read by
+    numpy's text reader, or None when that reader cannot vouch for them."""
     n, text = len(kept), "\n".join(kept)
     # numpy's reader takes some non-ASCII letters for digits. It refuses a
     # line of fewer than 6 fields, so 5 commas per line on average are 5 on
