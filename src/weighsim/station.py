@@ -35,6 +35,8 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,9 +79,10 @@ class SensorFrameRecord:
     saturated: bool = False
 
 
+_FIELDS = tuple(f.name for f in fields(SensorFrameRecord))
 #: The `FrameBatch` columns: the `SensorFrameRecord` fields but the station
 #: and the saturated flag, which the code implies.
-_COLUMNS = tuple(f.name for f in fields(SensorFrameRecord)[1:5])
+_COLUMNS = _FIELDS[1:5]
 
 
 def format_frame_line(rec: SensorFrameRecord) -> str:
@@ -145,16 +148,24 @@ class FrameBatch:
         return len(self.cell_index)
 
     @classmethod
-    def from_records(cls, records: Iterable[SensorFrameRecord]) -> "FrameBatch":
-        """The batch of `records`, checked by `_checked`."""
+    def from_records(cls, records: Iterable[SensorFrameRecord], cell_count: int = 4) -> "FrameBatch":
+        """The batch of `records`, checked by `_checked` for a deck of
+        `cell_count` cells. A numeric field that is not an integer (numpy
+        integers are) is an InvalidValueError that names its record: a
+        bool, a str or a float, even an integral one."""
         records = list(records)
-        station = _one_station(r.station_id for r in records)
-        columns = [[getattr(r, c) for r in records] for c in _COLUMNS]
+        stations, *columns, flags = list(zip(*map(attrgetter(*_FIELDS), records))) or [()] * len(_FIELDS)
+        station = _one_station(stations)
+        if {*map(type, chain(*columns))} - {int}:
+            for record, row in zip(records, zip(*columns)):
+                for name, value in zip(_COLUMNS, row):
+                    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                        raise InvalidValueError(f"{name} {value!r} is not an integer: {record}")
         try:
-            batch = cls(station, *(np.array(c, np.int64) for c in columns))
+            batch = cls(station, *np.array(columns, np.int64))
         except OverflowError:  # a value no int64 holds, which `_checked` names
-            batch = cls(station, *(np.array(c, object) for c in columns))
-        return _checked(batch, records)
+            batch = cls(station, *np.array(columns, object))
+        return _checked(batch, cell_count, records, np.array(flags, bool))
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
@@ -176,12 +187,16 @@ def _one_station(ids: Iterable[str | None]) -> str | None:
     return next(iter(names), None)
 
 
-def _checked(batch: FrameBatch, records: list[SensorFrameRecord] | None = None) -> FrameBatch:
+def _checked(
+    batch: FrameBatch, cell_count: int, records: list[SensorFrameRecord] | None = None, flags: np.ndarray | None = None
+) -> FrameBatch:
     """`batch` with int64 columns. The first frame that fails a check of
     `_frame_faults` is an InvalidValueError that names it: its row, or the
-    record of `records` it came from, whose saturated flag is checked too."""
+    record of `records` it came from, whose saturated flag (`flags`) is
+    checked too.
+    Then the first frame for a cell off a deck of `cell_count` cells, one
+    beyond int64 included, is an IncompleteStationError that names the cell."""
     columns = [getattr(batch, c) for c in _COLUMNS]
-    flags = None if records is None else np.array([r.saturated for r in records], bool)
     faults = _frame_faults(*columns[1:], flags)
     bad = np.logical_or.reduce(faults)
     if bad.any():
@@ -191,6 +206,9 @@ def _checked(batch: FrameBatch, records: list[SensorFrameRecord] | None = None) 
         reasons = _reasons(frame.timestamp_ms, frame.adc_code, frame.gain, frame.saturated)
         reasons[2] = f"saturated flag {frame.saturated} disagrees with code {frame.adc_code}"
         raise InvalidValueError(f"{reasons[[f[i] for f in faults].index(True)]}: {frame}")
+    outside = _outside(columns[0], cell_count)
+    if outside.any():
+        raise IncompleteStationError(f"frame for cell {columns[0][outside.argmax()]} on a {cell_count}-cell station")
     return FrameBatch(batch.station_id, *(np.asarray(c, np.int64) for c in columns))
 
 
@@ -333,13 +351,11 @@ def run_session(
         raise InvalidValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
     check_tolerance_inputs(tolerance_rule, reference_kg)
 
-    batch = _checked(frames) if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames)
+    if isinstance(frames, FrameBatch):
+        batch = _checked(frames, cell_count)
+    else:
+        batch = FrameBatch.from_records(frames, cell_count)
     cell = batch.cell_index
-    outside = _outside(cell, cell_count)
-    if outside.any():
-        raise IncompleteStationError(
-            f"frame for cell {cell[outside.argmax()]} on a {cell_count}-cell station"
-        )
     if not len(batch):
         raise IncompleteStationError("no frames at all")
     counts = np.bincount(cell, minlength=cell_count).tolist()

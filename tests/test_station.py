@@ -686,6 +686,48 @@ class TestRunSession:
         with pytest.raises(InvalidValueError, match=f"^{named}$"):
             run_session(frames, [CAL] * 4, "static", P2, GEOM)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # each used to be weighed as the int it truncates to: a first
+            # frame at 500 ms (InsufficientDurationError: stream spans
+            # 14.500 s), code 100000, gain 128, cell 1, cell 1, code 100000
+            ("timestamp_ms", 500.9),
+            ("adc_code", 100_000.9),
+            ("gain", 128.0),
+            ("cell_index", 1.5),
+            ("cell_index", True),
+            ("adc_code", "100000"),
+        ],
+        ids=["timestamp", "code", "integral-gain", "cell", "bool-cell", "str-code"],
+    )
+    def test_a_field_that_is_not_an_integer_is_named(self, field, value):
+        frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
+        frames[0] = replace(frames[0], **{field: value})
+        named = re.escape(f"{field} {value!r} is not an integer: {frames[0]}")
+        with pytest.raises(InvalidValueError, match=f"^{named}$"):
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
+
+    def test_numpy_integers_are_integers(self):
+        frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
+        as_numpy = [
+            replace(f, cell_index=np.int8(f.cell_index), adc_code=np.int64(f.adc_code), gain=np.uint8(f.gain))
+            for f in frames
+        ]
+        record = run_session(as_numpy, [CAL] * 4, "static", P2, GEOM)
+        assert record.cell_masses_kg == run_session(frames, [CAL] * 4, "static", P2, GEOM).cell_masses_kg
+
+    @pytest.mark.parametrize("as_batch", [False, True], ids=["records", "batch"])
+    def test_a_cell_beyond_int64_is_off_the_deck(self, as_batch):
+        # used to raise a bare OverflowError
+        frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
+        frames[0] = replace(frames[0], cell_index=2**70)
+        if as_batch:
+            columns = zip(*((f.cell_index, f.timestamp_ms, f.adc_code, f.gain) for f in frames))
+            frames = FrameBatch("st1", *(np.array(c, object) for c in columns))
+        with pytest.raises(IncompleteStationError, match=f"^frame for cell {2**70} on a 4-cell station$"):
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
+
     @pytest.mark.parametrize("mode", ["static", "wim"])
     def test_a_cell_with_only_saturated_frames_is_named(self, mode):
         frames = session_frames([1000] * 4)
