@@ -11,12 +11,13 @@ human-readable multi-line rendering as well.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 
 # Only the error types and the key-value reader load here: each command
 # imports the modules it runs, and the parser imports what a subcommand's
@@ -388,5 +389,25 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m weighsim.cli` and of the `weighsim`
+    console script: `main` on `sys.argv`, then exit with its code.
+
+    The process runs without the cyclic garbage collector and freezes its
+    heap before it exits. A cold command makes tens of thousands of
+    objects, numpy's and its modules', that live until exit, and reference
+    counting frees nearly all it discards, so each collection walks live
+    objects for next to nothing. The one at exit cost most: after `main` returned,
+    a cold 604-line `weigh` took 29-34 ms to exit, and 9 ms with the heap
+    frozen (medians of 11, 2-vCPU host, Python 3.11). Output is flushed
+    at exit as before. `main(argv)` called in process (tests, the
+    benchmark's launcher, library use) leaves the collector as it is.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
