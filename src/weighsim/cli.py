@@ -397,10 +397,10 @@ def run() -> NoReturn:
     heap before it exits. A cold command makes tens of thousands of
     objects, numpy's and its modules', that live until exit, and reference
     counting frees nearly all it discards, so each collection walks live
-    objects for next to nothing. The one at exit cost most: after `main` returned,
-    a cold 604-line `weigh` took 29-34 ms to exit, and 9 ms with the heap
-    frozen (medians of 11, 2-vCPU host, Python 3.11). Output is flushed
-    at exit as before. `main(argv)` called in process (tests, the
+    objects for next to nothing. The one at exit cost most: after `main`
+    returned, a cold 604-line `weigh` took 29-34 ms to exit, and 9 ms with
+    the heap frozen (medians of 11, 2-vCPU host, Python 3.11). Output is
+    flushed at exit as before. `main(argv)` called in process (tests, the
     benchmark's launcher, library use) leaves the collector as it is.
     """
     gc.disable()

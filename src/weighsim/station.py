@@ -36,7 +36,6 @@ import os
 import warnings
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -79,10 +78,9 @@ class SensorFrameRecord:
     saturated: bool = False
 
 
-_FIELDS = tuple(f.name for f in fields(SensorFrameRecord))
 #: The `FrameBatch` columns: the `SensorFrameRecord` fields but the station
 #: and the saturated flag, which the code implies.
-_COLUMNS = _FIELDS[1:5]
+_COLUMNS = tuple(f.name for f in fields(SensorFrameRecord)[1:5])
 
 
 def format_frame_line(rec: SensorFrameRecord) -> str:
@@ -154,8 +152,15 @@ class FrameBatch:
         integers are) is an InvalidValueError that names its record: a
         bool, a str or a float, even an integral one."""
         records = list(records)
-        stations, *columns, flags = list(zip(*map(attrgetter(*_FIELDS), records))) or [()] * len(_FIELDS)
-        station = _one_station(stations)
+        station = _one_station([r.station_id for r in records])
+        # Plain attribute reads, which the interpreter specializes: twice as
+        # fast as getattr, and that saving pays for the type scan.
+        columns = [
+            [r.cell_index for r in records],
+            [r.timestamp_ms for r in records],
+            [r.adc_code for r in records],
+            [r.gain for r in records],
+        ]
         if {*map(type, chain(*columns))} - {int}:
             for record, row in zip(records, zip(*columns)):
                 for name, value in zip(_COLUMNS, row):
@@ -165,7 +170,7 @@ class FrameBatch:
             batch = cls(station, *np.array(columns, np.int64))
         except OverflowError:  # a value no int64 holds, which `_checked` names
             batch = cls(station, *np.array(columns, object))
-        return _checked(batch, cell_count, records, np.array(flags, bool))
+        return _checked(batch, cell_count, records)
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
@@ -187,16 +192,14 @@ def _one_station(ids: Iterable[str | None]) -> str | None:
     return next(iter(names), None)
 
 
-def _checked(
-    batch: FrameBatch, cell_count: int, records: list[SensorFrameRecord] | None = None, flags: np.ndarray | None = None
-) -> FrameBatch:
+def _checked(batch: FrameBatch, cell_count: int, records: list[SensorFrameRecord] | None = None) -> FrameBatch:
     """`batch` with int64 columns. The first frame that fails a check of
     `_frame_faults` is an InvalidValueError that names it: its row, or the
-    record of `records` it came from, whose saturated flag (`flags`) is
-    checked too.
+    record of `records` it came from, whose saturated flag is checked too.
     Then the first frame for a cell off a deck of `cell_count` cells, one
     beyond int64 included, is an IncompleteStationError that names the cell."""
     columns = [getattr(batch, c) for c in _COLUMNS]
+    flags = None if records is None else np.array([r.saturated for r in records], bool)
     faults = _frame_faults(*columns[1:], flags)
     bad = np.logical_or.reduce(faults)
     if bad.any():
@@ -338,7 +341,9 @@ def run_session(
     timestamp order (ties in input order); a cell with none raises
     InsufficientSamplesError. A frame whose code, gain or timestamp no
     wire line could carry, or a record whose `saturated` flag disagrees
-    with its code, is an InvalidValueError that names it.
+    with its code or whose numeric field is not an integer, is an
+    InvalidValueError that names it; a cell off the deck, one beyond int64
+    included, is an IncompleteStationError.
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
     pass-over segment. A tolerance rule with a reference mass (both or
@@ -351,10 +356,7 @@ def run_session(
         raise InvalidValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
     check_tolerance_inputs(tolerance_rule, reference_kg)
 
-    if isinstance(frames, FrameBatch):
-        batch = _checked(frames, cell_count)
-    else:
-        batch = FrameBatch.from_records(frames, cell_count)
+    batch = _checked(frames, cell_count) if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames, cell_count)
     cell = batch.cell_index
     if not len(batch):
         raise IncompleteStationError("no frames at all")
