@@ -689,8 +689,8 @@ class TestRunSession:
     @pytest.mark.parametrize(
         "field, value",
         [
-            # each used to be weighed as the int it truncates to: a first
-            # frame at 500 ms (InsufficientDurationError: stream spans
+            # each used to be weighed as the int numpy converts it to: a
+            # first frame at 500 ms (InsufficientDurationError: stream spans
             # 14.500 s), code 100000, gain 128, cell 1, cell 1, code 100000
             ("timestamp_ms", 500.9),
             ("adc_code", 100_000.9),
