@@ -14,7 +14,6 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import asdict, fields
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
@@ -22,8 +21,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 # Only the error types and the key-value reader load here: each command
 # imports the modules it runs, and the parser imports what a subcommand's
 # choices come from only when that subcommand is parsed. So `replay`
-# starts without the deck, compliance, record and sensor modules, and
-# only `weigh`, `simulate` and `calibrate` load numpy.
+# starts without the deck, compliance, record, sensor and `dataclasses`
+# modules, and only `weigh`, `simulate` and `calibrate` load numpy.
 from . import kvfile
 from .errors import FrameError, RecordParseError, WeighSimError
 
@@ -73,6 +72,8 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
     """Deck geometry and alert policy: each value from its flag, else the
     station config's key, else the default (a 2.0 m x 1.5 m deck, the
     prototype2 policy). `--policy` replaces the whole policy."""
+    from dataclasses import asdict, fields
+
     from .cog import POLICIES, AlertPolicy, DeckGeometry, policy as named_policy
 
     flags = {f.name: v for f in fields(DeckGeometry) if (v := getattr(args, f.name, None)) is not None}

@@ -16,14 +16,15 @@ Wire text format: one frame per line, each line a string of '0'/'1'
 characters, length 25-27. The decoder is total over arbitrary lines:
 anything invalid raises a typed FrameError, never an unhandled crash.
 
-`decode_frame` decodes one line into an `AdcFrame`. `decode_lines`
-decodes a whole trace `CHUNK_LINES` lines at a time into columns (line
-numbers, codes, (gain, channel) configs), without a per-line object. A
-chunk whose every line is a frame as it stands (no blank line, padding or
-fault) is decoded in one pass: its codes come from a single base-2
-conversion of all its data bits, and its line numbers are a `range`. Any
-other chunk is stripped and numbered line by line, and its first invalid
-line raises the error `decode_frame` gives for that line alone.
+One verdict, `_fault`, judges a stripped line: a non-bit symbol, then
+fewer than 24 pulses, then a pulse count other than 25-27 is its
+FrameError. `decode_frame` decodes one line into an `AdcFrame`;
+`decode_lines` decodes a trace `CHUNK_LINES` lines at a time into columns
+(line numbers, codes, (gain, channel) configs), with no per-line object.
+A chunk of frames as they stand is decoded in one pass (one base-2
+conversion of all its data bits, a `range` of line numbers); any other is
+stripped and numbered, and if it still holds a bad line, `_fault` finds
+the first. A `BitTrace` is a `str` of bits only: a trace is its wire line.
 
 The wire code's four tables are defined here only: the 24-bit code range
 `CODE_MIN`..`CODE_MAX`, its ends `RAILS` (a code on either is saturated)
@@ -34,7 +35,6 @@ re-exports them; `station` and `calibration` import them from here.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -81,25 +81,19 @@ _SIGN_BYTE = bytes(0xFF if byte & 0x80 else 0 for byte in range(256))
 TraceColumns = tuple[Sequence[int], Sequence[int], list[tuple[int, str]]]
 
 
-@dataclass(frozen=True)
-class BitTrace:
-    """Clock-pulse sequence; each pulse carries one data-line bit."""
+class BitTrace(str):
+    """A trace line: one '0'/'1' data-line bit per clock pulse."""
 
-    bits: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.bits.translate(_DROP_BITS):
-            raise MalformedFrameError(f"trace contains non-bit symbols: {self.bits!r}")
+    def __new__(cls, bits: str) -> BitTrace:
+        if bits.translate(_DROP_BITS):
+            raise _fault(bits)
+        return super().__new__(cls, bits)
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def to_line(self) -> str:
-        return self.bits
-
-    @classmethod
-    def from_line(cls, line: str) -> "BitTrace":
-        return cls(line.strip())
+    #: The line as a plain `str`.
+    bits = property(str.__str__)
+    to_line = str.__str__
 
 
 def encode_frame(frame: AdcFrame) -> BitTrace:
@@ -110,60 +104,58 @@ def encode_frame(frame: AdcFrame) -> BitTrace:
     return BitTrace(data + config)
 
 
-def decode_frame(trace: BitTrace | str | bytes) -> AdcFrame:
-    """Inverse of encode_frame; sign-extends bit 23.
-
-    Total over arbitrary text or byte lines: raises TruncatedFrameError
-    when fewer than 24 data pulses arrived and MalformedFrameError for any
-    other invalid pulse count or symbol.
-    """
+def decode_frame(trace: str | bytes) -> AdcFrame:
+    """Inverse of encode_frame; sign-extends bit 23. Total over arbitrary
+    text or byte lines: an invalid line raises the FrameError of `_fault`."""
     if isinstance(trace, (bytes, bytearray)):
         trace = trace.decode("latin-1")
-    if isinstance(trace, str):
-        trace = BitTrace.from_line(trace)
-    n = len(trace)
-    if n < DATA_BITS:
-        raise TruncatedFrameError(f"only {n} pulses, need {DATA_BITS} data bits")
-    if n not in PULSE_COUNT_GAIN:
-        raise MalformedFrameError(f"invalid pulse count {n}, expected one of {sorted(PULSE_COUNT_GAIN)}")
+    line = trace.strip()
+    if fault := _fault(line):
+        raise fault
     from .sensor import AdcFrame
 
-    gain, channel = PULSE_COUNT_GAIN[n]
-    return AdcFrame(_data_codes([trace.bits])[0], gain, channel)
+    return AdcFrame(_data_codes([line])[0], *PULSE_COUNT_GAIN[len(line)])
+
+
+def _fault(line: str) -> FrameError | None:
+    """The verdict on a stripped trace line: None for a frame, else the
+    FrameError of its first fault, checked in this order: a non-bit symbol,
+    fewer than 24 pulses, a pulse count other than 25-27."""
+    n = len(line)
+    if line.translate(_DROP_BITS):
+        return MalformedFrameError(f"trace contains non-bit symbols: {line!r}")
+    if n < DATA_BITS:
+        return TruncatedFrameError(f"only {n} pulses, need {DATA_BITS} data bits")
+    if n not in PULSE_COUNT_GAIN:
+        return MalformedFrameError(f"invalid pulse count {n}, expected one of {sorted(PULSE_COUNT_GAIN)}")
+    return None
 
 
 def decode_lines(lines: Iterable[str]) -> Iterator[TraceColumns]:
-    """Decode trace lines (any iterable, e.g. an open file) chunk by chunk.
-
-    Yields, per chunk of `CHUNK_LINES` lines, the columns of its non-blank
-    lines: line numbers (counted from 1, blank lines included), codes and
-    (gain, channel) configs, row i holding what `decode_frame` gives for
-    the i-th non-blank line. A chunk of frames as they stand takes one
-    bulk pass and a `range` of line numbers. At the first invalid line,
-    the columns of the lines before it are yielded, then the FrameError
-    `decode_frame` raises for that line propagates with its `line_no` set.
-    """
+    """Decode trace lines (any iterable, e.g. an open file) chunk by chunk:
+    per chunk, the columns of its non-blank lines, row i holding what
+    `decode_frame` gives for the i-th (line numbers count blank lines). At
+    the first invalid line, the rows before it are yielded, then its
+    FrameError is raised with `line_no` set."""
     for first_no, chunk in chunks(lines):
-        configs = list(map(PULSE_COUNT_GAIN.get, map(len, chunk)))
-        if None not in configs and not "".join(chunk).translate(_DROP_BITS):
-            yield range(first_no, first_no + len(chunk)), _data_codes(chunk), configs
-            continue
-        kept, numbers = numbered(chunk, first_no)
-        configs = list(map(PULSE_COUNT_GAIN.get, map(len, kept)))
-        bad = len(kept)
-        if None in configs or "".join(kept).translate(_DROP_BITS):
-            bad = next(
-                j for j, (bits, config) in enumerate(zip(kept, configs))
-                if config is None or bits.translate(_DROP_BITS)
-            )
-        yield numbers[:bad], _data_codes(kept[:bad]), configs[:bad]
-        if bad < len(kept):
-            try:
-                decode_frame(kept[bad])
-            except FrameError as exc:
-                exc.line_no = numbers[bad]
-                raise
-            raise AssertionError(f"line {numbers[bad]} rejected although it decodes")
+        numbers, configs = range(first_no, first_no + len(chunk)), _configs(chunk)
+        if configs is None:
+            chunk, numbers = numbered(chunk, first_no)
+            configs = _configs(chunk)
+        bad = len(chunk) if configs is not None else next(compress(count(), map(_fault, chunk)))
+        good = chunk[:bad]
+        yield numbers[:bad], _data_codes(good), configs or _configs(good)
+        if bad < len(chunk):
+            fault = _fault(chunk[bad])
+            fault.line_no = numbers[bad]
+            raise fault
+
+
+def _configs(lines: list[str]) -> list[tuple[int, str]] | None:
+    """Each line's (gain, channel) if every line is a frame as it stands,
+    else None: the verdict of `_fault` on a whole chunk at once."""
+    configs = list(map(PULSE_COUNT_GAIN.get, map(len, lines)))
+    return None if None in configs or "".join(lines).translate(_DROP_BITS) else configs
 
 
 def chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

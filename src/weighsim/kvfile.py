@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, get_type_hints
@@ -89,6 +88,8 @@ _PARSERS: dict[Any, Callable] = {float: parse_float, float | None: parse_float, 
 @cache
 def _parsers(cls: type) -> dict[str, Callable[[str, str], Any]]:
     """Parser of each field of `cls` that a file can set, in field order."""
+    from dataclasses import fields
+
     hints = get_type_hints(cls)
     return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if hints[f.name] in _PARSERS}
 
@@ -108,6 +109,8 @@ def build(cls: type, values: dict[str, str], prefix: str = "", **defaults: Any) 
     Fields of a type no file spells (tuples, nested dataclasses) come from
     `defaults` only.
     """
+    from dataclasses import MISSING, fields
+
     parsers = _parsers(cls)
     kwargs = dict(defaults)
     for f in fields(cls):
