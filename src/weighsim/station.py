@@ -36,7 +36,7 @@ import os
 import warnings
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -147,10 +147,8 @@ class FrameBatch:
 
     @classmethod
     def from_records(cls, records: Iterable[SensorFrameRecord], cell_count: int = 4) -> "FrameBatch":
-        """The batch of `records`, checked by `_checked` for a deck of
-        `cell_count` cells. A numeric field that is not an integer (numpy
-        integers are) is an InvalidValueError that names its record: a
-        bool, a str or a float, even an integral one."""
+        """The batch of `records`, checked by `_require_integers` and by
+        `_checked` for a deck of `cell_count` cells."""
         records = list(records)
         station = _one_station([r.station_id for r in records])
         # Plain attribute reads, which the interpreter specializes: twice as
@@ -161,11 +159,7 @@ class FrameBatch:
             [r.adc_code for r in records],
             [r.gain for r in records],
         ]
-        if {*map(type, chain(*columns))} - {int}:
-            for record, row in zip(records, zip(*columns)):
-                for name, value in zip(_COLUMNS, row):
-                    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                        raise InvalidValueError(f"{name} {value!r} is not an integer: {record}")
+        _require_integers(dict(zip(_COLUMNS, columns)), records.__getitem__)
         try:
             batch = cls(station, *np.array(columns, np.int64))
         except OverflowError:  # a value no int64 holds, which `_checked` names
@@ -192,20 +186,39 @@ def _one_station(ids: Iterable[str | None]) -> str | None:
     return next(iter(names), None)
 
 
+def _require_integers(columns: dict[str, list], frame: Callable[[int], SensorFrameRecord]) -> None:
+    """Raise InvalidValueError("<field> <value!r> is not an integer: <frame(i)>")
+    for the first row i, fields in `columns` order, holding a value that is
+    not an int or a numpy integer: a bool, a str or a float, even an integral one."""
+    if {*map(type, chain(*columns.values()))} - {int}:
+        for i, row in enumerate(zip(*columns.values())):
+            for name, value in zip(columns, row):
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise InvalidValueError(f"{name} {value!r} is not an integer: {frame(i)}")
+
+
 def _checked(batch: FrameBatch, cell_count: int, records: list[SensorFrameRecord] | None = None) -> FrameBatch:
-    """`batch` with int64 columns. The first frame that fails a check of
+    """`batch` with int64 columns. A batch without `records` holds integers
+    as `_require_integers` says, read as Python objects unless its dtype is
+    an integer one. The first frame that fails a check of
     `_frame_faults` is an InvalidValueError that names it: its row, or the
     record of `records` it came from, whose saturated flag is checked too.
     Then the first frame for a cell off a deck of `cell_count` cells, one
     beyond int64 included, is an IncompleteStationError that names the cell."""
     columns = [getattr(batch, c) for c in _COLUMNS]
+
+    def row(i: int) -> SensorFrameRecord:
+        cell, ts, code, gain = (c.tolist()[i] for c in columns)
+        return SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS)
+
+    if records is None:
+        _require_integers({n: c.tolist() for n, c in zip(_COLUMNS, columns) if c.dtype.kind not in "iu"}, row)
     flags = None if records is None else np.array([r.saturated for r in records], bool)
     faults = _frame_faults(*columns[1:], flags)
     bad = np.logical_or.reduce(faults)
     if bad.any():
         i = int(bad.argmax())
-        cell, ts, code, gain = (c.tolist()[i] for c in columns)
-        frame = SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS) if records is None else records[i]
+        frame = row(i) if records is None else records[i]
         reasons = _reasons(frame.timestamp_ms, frame.adc_code, frame.gain, frame.saturated)
         reasons[2] = f"saturated flag {frame.saturated} disagrees with code {frame.adc_code}"
         raise InvalidValueError(f"{reasons[[f[i] for f in faults].index(True)]}: {frame}")

@@ -75,6 +75,10 @@ def cell_frames(cell, code, n=151, station="st1", t0=0, dt_ms=100):
     ]
 
 
+#: The fields of a `SensorFrameRecord` that a `FrameBatch` holds as columns.
+BATCH_COLUMNS = ("cell_index", "timestamp_ms", "adc_code", "gain")
+
+
 def session_frames(codes, **kwargs):
     frames = []
     for cell, code in enumerate(codes):
@@ -707,6 +711,37 @@ class TestRunSession:
         named = re.escape(f"{field} {value!r} is not an integer: {frames[0]}")
         with pytest.raises(InvalidValueError, match=f"^{named}$"):
             run_session(frames, [CAL] * 4, "static", P2, GEOM)
+
+    @pytest.mark.parametrize(
+        "field, column, row, value",
+        [
+            # the first three used to be weighed as the int64 numpy casts
+            # them to: every code 100000 (100.0 kg per cell), a first frame
+            # at 500 ms (InsufficientDurationError: stream spans 14.500 s),
+            # every code 1
+            ("adc_code", lambda c: c + 0.9, 0, 100_000.9),
+            ("timestamp_ms", lambda c: np.array([500.9, *c[1:]]), 0, 500.9),
+            ("adc_code", lambda c: c == 100_000, 0, True),
+            ("gain", lambda c: c.astype(np.float64), 0, 128.0),
+            ("adc_code", lambda c: np.array([*c[:5], "100000", *c[6:]], object), 5, "100000"),
+            ("timestamp_ms", lambda c: np.array([*c[:2], 2000.0, *c[3:]], object), 2, 2000.0),
+        ],
+        ids=["float-code", "float-timestamp", "bool-code", "integral-float-gain", "str-in-object", "float-in-object"],
+    )
+    def test_a_batch_column_that_is_not_integers_is_named(self, field, column, row, value):
+        frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
+        columns = {name: np.array([getattr(f, name) for f in frames]) for name in BATCH_COLUMNS}
+        columns[field] = column(columns[field])
+        named = re.escape(f"{field} {value!r} is not an integer: {replace(frames[row], **{field: value})}")
+        with pytest.raises(InvalidValueError, match=f"^{named}$"):
+            run_session(FrameBatch("st1", *columns.values()), [CAL] * 4, "static", P2, GEOM)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, object])
+    def test_integer_batch_columns_weigh_as_records(self, dtype):
+        frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
+        batch = FrameBatch("st1", *(np.array([getattr(f, name) for f in frames], dtype) for name in BATCH_COLUMNS))
+        record = run_session(batch, [CAL] * 4, "static", P2, GEOM)
+        assert record.cell_masses_kg == run_session(frames, [CAL] * 4, "static", P2, GEOM).cell_masses_kg
 
     def test_numpy_integers_are_integers(self):
         frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
