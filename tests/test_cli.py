@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from weighsim import cli, codec
 from weighsim.cli import _split_lines, main
-from weighsim.codec import decode_frame, encode_frame
+from weighsim.codec import encode_frame
 from weighsim.errors import InvalidValueError, WeighSimError, require_positive
 from weighsim.sensor import CODE_MAX, CODE_MIN, AdcFrame, LoadCellSpec
 
@@ -505,9 +505,31 @@ def replay_inputs(draw):
     return text.encode() + tail
 
 
+#: Pulse count → (gain, channel), and the two rail codes, as the `codec`
+#: docstring gives them.
+REFERENCE_PULSES = {25: (128, "A"), 26: (32, "B"), 27: (64, "A")}
+REFERENCE_RAILS = (-(2**23), 2**23 - 1)
+
+
+def reference_frame(line):
+    """(code, gain, channel) of one trace line, decoded from the wire format
+    in the `codec` docstring; a ValueError with replay's message for a line
+    that is not a frame."""
+    bits = line.strip()
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"trace contains non-bit symbols: {bits!r}")
+    if len(bits) < 24:
+        raise ValueError(f"only {len(bits)} pulses, need 24 data bits")
+    if len(bits) not in REFERENCE_PULSES:
+        raise ValueError(f"invalid pulse count {len(bits)}, expected one of [25, 26, 27]")
+    code = int(bits[:24], 2) - (2**24 if bits[0] == "1" else 0)  # bit 23 is the sign
+    return (code, *REFERENCE_PULSES[len(bits)])
+
+
 def reference_replay(trace):
-    """The per-line replay that `codec.decode_lines` replaced, with the
-    error `main` prints for a trace that is not UTF-8 text."""
+    """The per-line replay that `codec.decode_lines` replaced, decoding each
+    line with `reference_frame`, with the error `main` prints for a trace
+    that is not UTF-8 text."""
     try:
         lines = Path(trace).read_text().splitlines()
     except UnicodeDecodeError as exc:
@@ -517,11 +539,11 @@ def reference_replay(trace):
         if not line.strip():
             continue
         try:
-            frame = decode_frame(line)
-        except WeighSimError as exc:
+            code, gain, channel = reference_frame(line)
+        except ValueError as exc:
             print(f"{trace}:{line_no}: {exc}", file=sys.stderr)
             return 1
-        print(f"{line_no},{frame.code},{frame.gain},{frame.channel},{int(frame.saturated)}")
+        print(f"{line_no},{code},{gain},{channel},{int(code in REFERENCE_RAILS)}")
     return 0
 
 
