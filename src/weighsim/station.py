@@ -198,20 +198,22 @@ def _require_integers(columns: dict[str, list], frame: Callable[[int], SensorFra
 
 
 def _checked(batch: FrameBatch, cell_count: int, records: list[SensorFrameRecord] | None = None) -> FrameBatch:
-    """`batch` with int64 columns. A column of an integer dtype holds
-    integers; any other is read as Python objects for `_require_integers`.
-    The first frame that fails a check of
-    `_frame_faults` is an InvalidValueError that names it: its row, or the
-    record of `records` it came from, whose saturated flag is checked too.
-    Then the first frame for a cell off a deck of `cell_count` cells, one
-    beyond int64 included, is an IncompleteStationError that names the cell."""
+    """`batch` with int64 columns. Without `records` (whose fields
+    `from_records` checked), a column of an integer dtype holds integers
+    and any other is read as Python objects for `_require_integers`. The
+    first frame that fails a check of `_frame_faults` is an InvalidValueError
+    that names it: its row, or the record of `records` it came from, whose
+    saturated flag is checked too. Then the first frame for a cell off a
+    deck of `cell_count` cells, one beyond int64 included, is an
+    IncompleteStationError that names the cell."""
     columns = [getattr(batch, c) for c in _COLUMNS]
 
     def row(i: int) -> SensorFrameRecord:
         cell, ts, code, gain = (c.tolist()[i] for c in columns)
         return SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS)
 
-    _require_integers({n: c.tolist() for n, c in zip(_COLUMNS, columns) if c.dtype.kind not in "iu"}, row)
+    if records is None:
+        _require_integers({n: c.tolist() for n, c in zip(_COLUMNS, columns) if c.dtype.kind not in "iu"}, row)
     flags = None if records is None else np.array([r.saturated for r in records], bool)
     faults = _frame_faults(*columns[1:], flags)
     bad = np.logical_or.reduce(faults)
