@@ -27,10 +27,10 @@ print()
 
 print(f"{'mass kg':>8} {'bridge mV':>10} {'code':>9} {'recovered kg':>13}")
 for mass in (0.0, 30.0, 60.0, 90.0, 120.0):
-    reading = bridge_output(spec, mass)
-    frame = quantize(reading, adc)
+    mv = bridge_output(spec, mass)
+    frame = quantize(mv, adc)
     recovered = code_to_mass(frame.code, cal)
-    print(f"{mass:8.1f} {reading.differential_mv:10.4f} {frame.code:9d} {recovered:13.6f}")
+    print(f"{mass:8.1f} {mv:10.4f} {frame.code:9d} {recovered:13.6f}")
 
 print()
 print("with 1 µV rms noise, 60 kg applied, 10 samples:")
@@ -38,8 +38,8 @@ noisy_spec = LoadCellSpec(capacity_kg=120.0, noise_sigma_mv=0.001)
 rng = np.random.default_rng(7)
 masses = []
 for _ in range(10):
-    reading = add_noise(bridge_output(noisy_spec, 60.0), noisy_spec, rng)
-    masses.append(code_to_mass(quantize(reading, adc).code, cal))
+    mv = add_noise(bridge_output(noisy_spec, 60.0), noisy_spec, rng)
+    masses.append(code_to_mass(quantize(mv, adc).code, cal))
 print("  " + "  ".join(f"{m:.4f}" for m in masses))
 print(f"  mean {np.mean(masses):.4f} kg, std {np.std(masses, ddof=1) * 1000:.2f} g")
 
@@ -47,7 +47,7 @@ print()
 print("temperature drift (zero coeff 0.02 mV/°C), no load:")
 drifty = LoadCellSpec(capacity_kg=120.0, temp_coeff_zero_mv_c=0.02)
 for temp in (15.0, 25.0, 35.0, 45.0):
-    reading = bridge_output(drifty, 0.0, temperature_c=temp)
-    code = quantize(reading, adc).code
+    mv = bridge_output(drifty, 0.0, temperature_c=temp)
+    code = quantize(mv, adc).code
     flag = " (below tare, clamped)" if code < cal.tare_code else ""
-    print(f"  {temp:5.1f} °C -> {reading.differential_mv:+.3f} mV -> {code_to_mass(code, cal):.4f} kg{flag}")
+    print(f"  {temp:5.1f} °C -> {mv:+.3f} mV -> {code_to_mass(code, cal):.4f} kg{flag}")

@@ -15,7 +15,7 @@ from importlib import import_module
 #: The public names each submodule defines.
 _NAMES = {
     "errors": "WeighSimError",
-    "sensor": "AdcConfig AdcFrame BridgeReading FOUR_CELL_120KG LoadCellSpec TWO_CELL_5KG"
+    "sensor": "AdcConfig AdcFrame FOUR_CELL_120KG LoadCellSpec TWO_CELL_5KG"
     " add_noise bridge_output quantize",
     "codec": "BitTrace decode_frame encode_frame",
     "calibration": "CalibrationState calibrate code_to_mass tare",

@@ -16,7 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -28,11 +28,8 @@ from .errors import (
     TareRangeError,
     require_positive,
 )
-from .codec import CODE_MAX, CODE_MIN
+from .codec import CODE_MAX, CODE_MIN, RAILS
 from . import kvfile
-
-if TYPE_CHECKING:
-    from .sensor import AdcFrame
 
 #: Warn when operating this many °C away from the calibration temperature.
 DEFAULT_TEMP_DELTA_C = 10.0
@@ -89,14 +86,14 @@ class CalibrationState:
         return cal
 
 
-def tare(samples: Iterable[AdcFrame]) -> int:
-    """Zero-load code: mean of non-saturated sample codes, rounded.
+def tare(codes: Iterable[int]) -> int:
+    """Zero-load code: mean of the ADC codes off the rails (`codec.RAILS`), rounded.
 
-    Saturated frames are discarded: a pinned rail says nothing about the
-    true offset, nor about a known mass (`scenario.read_code` averages by
-    this rule). Raises InsufficientSamplesError when nothing usable is left.
+    Rail codes are discarded: a pinned rail says nothing about the true
+    offset, nor about a known mass (`scenario.read_code` averages by this
+    rule). Raises InsufficientSamplesError when nothing usable is left.
     """
-    codes = [f.code for f in samples if not f.saturated]
+    codes = [code for code in codes if code not in RAILS]
     if not codes:
         raise InsufficientSamplesError("tare needs at least one non-saturated sample")
     return round(sum(codes) / len(codes))

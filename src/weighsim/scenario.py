@@ -195,12 +195,12 @@ def read_code(
     through `DEFAULT_ADC`, each with noise from `rng` unless it is None. An
     InsufficientSamplesError names the mass, and `cell` if given, when every
     conversion sits on a rail."""
-    reading = bridge_output(spec, mass_kg, temperature_c)
+    mv = bridge_output(spec, mass_kg, temperature_c)
     if samples > 1:
-        frames = [quantize(reading if rng is None else add_noise(reading, spec, rng)) for _ in range(samples)]
-        if not all(frame.saturated for frame in frames):
-            return tare(frames)
-    elif (code := quantize(reading if rng is None else add_noise(reading, spec, rng)).code) not in RAILS:
+        codes = [quantize(mv if rng is None else add_noise(mv, spec, rng)).code for _ in range(samples)]
+        if not all(code in RAILS for code in codes):
+            return tare(codes)
+    elif (code := quantize(mv if rng is None else add_noise(mv, spec, rng)).code) not in RAILS:
         return code  # tare's rule on one conversion, without its list
     raise InsufficientSamplesError(f"no non-saturated sample at {mass_kg} kg" + (f" on cell {cell}" if cell else ""))
 

@@ -3,7 +3,8 @@
 Models one strain-gauge load cell read through a Wheatstone bridge and a
 weigh-scale ADC of the HX711 family (24-bit, gain/channel selected per
 conversion). Everything here is deterministic unless noise is explicitly
-added, so the chain doubles as a firmware test bench.
+added, so the chain doubles as a firmware test bench. It passes mV floats:
+`bridge_output` → `add_noise` → `quantize`, which returns an `AdcFrame`.
 
 Unit conventions
 ----------------
@@ -12,7 +13,6 @@ Unit conventions
   excitation     V
   rated output   mV per V of excitation at full capacity
   temperature    °C
-  time           ms (monotonic, producer-assigned)
 
 Bridge model
 ------------
@@ -126,15 +126,6 @@ TWO_CELL_5KG = LoadCellSpec(capacity_kg=5.0)
 FOUR_CELL_120KG = LoadCellSpec(capacity_kg=120.0)
 
 
-@dataclass(frozen=True)
-class BridgeReading:
-    """One differential bridge voltage sample."""
-
-    differential_mv: float
-    temperature_c: float
-    timestamp_ms: int = 0
-
-
 def _check_gain_channel(gain: int, channel: str) -> None:
     """Raise unless (gain, channel) is one of the converter's three settings."""
     if gain not in GAIN_CHANNELS:
@@ -195,12 +186,13 @@ def bridge_output(
     applied_mass_kg: float,
     temperature_c: float | None = None,
     timestamp_ms: int = 0,
-) -> BridgeReading:
-    """Noise-free bridge voltage for a compressive load.
+) -> float:
+    """Noise-free bridge voltage in mV for a compressive load.
 
     Raises MechanicalOverrangeError beyond 150 % of capacity; that is a
     destructive load, distinct from (and well before) electrical
     saturation of the ADC. A non-finite mass or temperature is an InvalidValueError.
+    `timestamp_ms` is unused: it stays only because `bench/workloads.py` passes it.
     """
     if not 0 <= applied_mass_kg < math.inf:  # NaN fails both comparisons
         raise InvalidValueError(f"applied mass must be finite and >= 0, got {applied_mass_kg}")
@@ -215,42 +207,30 @@ def bridge_output(
         raise InvalidValueError(f"temperature must be finite, got {temperature_c}")
     fraction = applied_mass_kg / spec.capacity_kg
     dt = temperature_c - spec.reference_temp_c
-    v = (
+    return (
         spec.span_mv * fraction * (1.0 + spec.temp_coeff_span_per_c * dt)
         + spec.nonlinearity * spec.span_mv * fraction**2
         + spec.zero_offset_mv
         + spec.temp_coeff_zero_mv_c * dt
     )
-    return BridgeReading(differential_mv=v, temperature_c=temperature_c, timestamp_ms=timestamp_ms)
 
 
-def add_noise(
-    reading: BridgeReading,
-    spec: LoadCellSpec,
-    rng: int | np.random.Generator,
-) -> BridgeReading:
-    """Add Gaussian voltage noise (std dev = spec.noise_sigma_mv).
-
-    `rng` is a seed or a Generator; pass one Generator through a stream of
-    readings to get independent draws that are still reproducible.
-    """
+def add_noise(mv: float, spec: LoadCellSpec, rng: np.random.Generator) -> float:
+    """`mv` plus one Gaussian draw from `rng` (std dev = spec.noise_sigma_mv; none at 0).
+    One Generator passed through a stream of voltages gives independent, reproducible draws."""
     if spec.noise_sigma_mv == 0.0:
-        return reading
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    noisy = reading.differential_mv + rng.normal(0.0, spec.noise_sigma_mv)
-    return BridgeReading(noisy, reading.temperature_c, reading.timestamp_ms)
+        return mv
+    return mv + rng.normal(0.0, spec.noise_sigma_mv)
 
 
-def quantize(reading: BridgeReading, adc: AdcConfig = DEFAULT_ADC) -> AdcFrame:
-    """Quantize a bridge voltage to a signed 24-bit code.
+def quantize(mv: float, adc: AdcConfig = DEFAULT_ADC) -> AdcFrame:
+    """Quantize a bridge voltage in mV to a signed 24-bit code.
 
     Saturation clamps to the rails, where the frame reads as saturated;
     it is never an error. The clamp comes before Python's round-half-even:
     a finite voltage gets the code that rounding first gives, and an
     infinite one reads as a rail. A NaN voltage is an InvalidValueError.
     """
-    mv = reading.differential_mv
     if mv != mv:  # NaN, which the clamp would turn into a rail
         raise InvalidValueError(f"bridge voltage must not be NaN, got {mv}")
     code = round(max(CODE_MIN, min(CODE_MAX, mv / adc.full_scale_mv * 2**23)))

@@ -18,36 +18,32 @@ from weighsim.errors import (
     TareRangeError,
 )
 from weighsim.scenario import ideal_calibration
-from weighsim.sensor import CODE_MAX, CODE_MIN, AdcConfig, AdcFrame, LoadCellSpec, bridge_output, quantize
-
-
-def frames(*codes):
-    return [AdcFrame(c) for c in codes]
+from weighsim.sensor import CODE_MAX, CODE_MIN, AdcConfig, LoadCellSpec, bridge_output, quantize
 
 
 class TestTare:
     def test_constant_samples(self):
-        assert tare(frames(100, 100, 100)) == 100
+        assert tare([100, 100, 100]) == 100
 
     def test_symmetric_mean(self):
-        assert tare(frames(99, 100, 101)) == 100
+        assert tare([99, 100, 101]) == 100
 
     def test_saturated_samples_excluded(self):
-        sat = AdcFrame(2**23 - 1)
-        assert tare([*frames(50, 50), sat]) == 50
+        assert tare([50, 50, 2**23 - 1]) == 50
+        assert tare([50, 50, -(2**23)]) == 50
 
     def test_no_usable_samples(self):
         with pytest.raises(InsufficientSamplesError):
             tare([])
         with pytest.raises(InsufficientSamplesError):
-            tare([AdcFrame(2**23 - 1), AdcFrame(-(2**23))])
+            tare([2**23 - 1, -(2**23)])
 
     def test_noisy_tare_converges(self):
         # statistical oracle: mean of N draws sits within 3*sigma/sqrt(N)
         # of the true offset (plus the final rounding step).
         true_offset, sigma, n = 5000, 50.0, 1000
         rng = np.random.default_rng(2024)
-        noisy = frames(*(int(round(c)) for c in rng.normal(true_offset, sigma, size=n)))
+        noisy = [int(round(c)) for c in rng.normal(true_offset, sigma, size=n)]
         assert abs(tare(noisy) - true_offset) <= 3 * sigma / np.sqrt(n) + 0.5
 
 
