@@ -37,6 +37,7 @@ from .errors import (
     InvalidValueError,
     NoVehicleError,
     UncoveredCapacityError,
+    require_non_negative,
     require_positive,
 )
 from . import kvfile
@@ -137,8 +138,8 @@ BUILTIN_RULES = {
 def max_permissible_error(rule: ToleranceRule, capacity_or_load_t: float) -> float:
     """Maximum permissible error in kg at the given capacity/load in tonnes."""
     if rule.percent_of_load is not None:
-        if capacity_or_load_t <= 0:
-            raise UncoveredCapacityError(f"load must be > 0 t, got {capacity_or_load_t}")
+        if not 0 < capacity_or_load_t < math.inf:  # NaN fails both comparisons
+            raise UncoveredCapacityError(f"load must be finite and > 0 t, got {capacity_or_load_t}")
         return rule.percent_of_load * capacity_or_load_t * 1000.0
     if rule.band_t is not None:
         lo, hi = rule.band_t
@@ -188,8 +189,7 @@ def check_compliance(measured_kg: float, reference_kg: float, rule: ToleranceRul
     measured mass that is negative or not finite, is an InvalidValueError.
     """
     require_positive("reference mass", reference_kg)
-    if not 0 <= measured_kg < math.inf:  # NaN fails both comparisons
-        raise InvalidValueError(f"measured mass must be finite and >= 0, got {measured_kg}")
+    require_non_negative("measured mass", measured_kg)
     mpe = max_permissible_error(rule, reference_kg / 1000.0)
     error = abs(measured_kg - reference_kg)
     return ComplianceResult(
@@ -225,7 +225,9 @@ AXLE_CONFIGURATIONS = {
 
 
 def within_gvw_limit(config: AxleConfiguration, measured_total_kg: float) -> bool:
-    """True while the measured total does not exceed the limit (inclusive)."""
+    """True while the measured total does not exceed the limit (inclusive).
+    A total that is negative or not finite is an InvalidValueError."""
+    require_non_negative("measured total", measured_total_kg)
     return measured_total_kg <= config.gvw_limit_kg
 
 
@@ -327,10 +329,11 @@ def simulate_weigh_stream(
     Static mode: `STATIC_WINDOW_S` of samples at `noise_sigma_kg`.
     WIM mode: a short `WIM_PASS_DURATION_S` pass with noise amplified by
     `WIM_NOISE_FACTOR`, the fewer-samples-more-noise model of weighing a
-    moving vehicle.
+    moving vehicle. A mass or sigma that is negative or not finite is an
+    InvalidValueError.
     """
-    if not (math.isfinite(noise_sigma_kg) and noise_sigma_kg >= 0):
-        raise InvalidValueError(f"noise_sigma_kg must be finite and >= 0, got {noise_sigma_kg}")
+    require_non_negative("true_mass_kg", true_mass_kg)
+    require_non_negative("noise_sigma_kg", noise_sigma_kg)
     if mode == "static":
         duration, sigma = STATIC_WINDOW_S, noise_sigma_kg
     elif mode == "wim":

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the finite-and-positive check of the dataclasses.
+"""Exception hierarchy, and the finite-and-positive and finite-and-non-negative checks.
 
 Every failure the library signals deliberately derives from WeighSimError; a
 value out of range is an InvalidValueError, a ValueError as well. The CLI maps
@@ -22,6 +22,12 @@ def require_positive(name: str, value: float, error: type[Exception] = InvalidVa
         raise error(f"{name} must be finite, got {value}")
     if value <= 0:
         raise error(f"{name} must be > 0, got {value}")
+
+
+def require_non_negative(name: str, value: float, error: type[Exception] = InvalidValueError) -> None:
+    """Raise `error` unless `value` is a finite number >= 0 (NaN fails both comparisons)."""
+    if not 0 <= value < math.inf:
+        raise error(f"{name} must be finite and >= 0, got {value}")
 
 
 # sensor chain ---------------------------------------------------------------

@@ -74,7 +74,8 @@ class Scenario:
     temperature_c: float = 25.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.noise_seed, (int, np.integer)) and self.noise_seed >= 0):
+        seed = self.noise_seed  # a bool is an int to isinstance, not a seed
+        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
             raise InvalidSeedError(f"noise_seed must be an integer >= 0, got {self.noise_seed!r}")
         if not math.isfinite(self.temperature_c):
             raise InvalidValueError(f"temperature_c must be finite, got {self.temperature_c}")

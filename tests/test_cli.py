@@ -651,6 +651,11 @@ class TestRules:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"weighsim: error: measured mass must be finite and >= 0, got {float(measured)}\n")
 
+    def test_negative_gvw_total_is_refused(self, capsys):
+        # -5 printed "passed":true and exited 0
+        assert main(["rules", "--axle-config", "2", "--total", "-5"]) == 1
+        assert capsys.readouterr() == ("", "weighsim: error: measured total must be finite and >= 0, got -5.0\n")
+
     def test_unknown_rule_is_error(self, capsys):
         assert main(["rules", "--jurisdiction", "NewZealand", "--kind", "re_verification", "--capacity", "20"]) == 1
 

@@ -63,6 +63,13 @@ class TestToleranceFigures:
         with pytest.raises(UncoveredCapacityError):
             max_permissible_error(US_HANDBOOK44, 0.0)
 
+    @pytest.mark.parametrize("rule", [KENYA_REVERIFICATION, NZ_BAND, US_HANDBOOK44], ids=["anchors", "band", "percent"])
+    @pytest.mark.parametrize("load", [float("nan"), float("inf")])
+    def test_a_non_finite_load_is_uncovered_by_every_rule_shape(self, rule, load):
+        # the percent-of-load rule returned nan for nan and inf for inf
+        with pytest.raises(UncoveredCapacityError):
+            max_permissible_error(rule, load)
+
     @given(st.floats(min_value=80.0, max_value=400.0, allow_nan=False), st.floats(min_value=0.0, max_value=1.0))
     def test_kenya_monotone_in_capacity(self, cap, frac):
         higher = cap + frac * (400.0 - cap)
@@ -110,6 +117,13 @@ class TestGvw:
     def test_seven_axle_inclusive(self):
         assert within_gvw_limit(AXLE_CONFIGURATIONS["7"], 56_000.0)
         assert not within_gvw_limit(AXLE_CONFIGURATIONS["7"], 56_000.5)
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -1.0])
+    def test_total_must_be_finite_and_not_negative(self, total):
+        # NaN read as "exceeds the limit", -1 kg as "within it"
+        message = re.escape(f"measured total must be finite and >= 0, got {total}")
+        with pytest.raises(InvalidValueError, match=f"^{message}$"):
+            within_gvw_limit(AXLE_CONFIGURATIONS["2"], total)
 
     def test_table_contents(self):
         assert AXLE_CONFIGURATIONS["2"].gvw_limit_kg == 18_000
@@ -224,6 +238,14 @@ def test_simulate_stream_rejects_a_bad_noise_sigma(mode, sigma):
     # NaN and -1.0 gave a noise-free stream (static_weigh exactly 500.0)
     with pytest.raises(ValueError, match=rf"^noise_sigma_kg must be finite and >= 0, got {sigma}$"):
         simulate_weigh_stream(500.0, mode, sigma, seed=1)
+
+
+@pytest.mark.parametrize("mode", ["static", "wim"])
+@pytest.mark.parametrize("mass", [float("nan"), float("inf"), -5.0])
+def test_simulate_stream_rejects_a_bad_true_mass(mode, mass):
+    # each gave a stream of that mass: static_weigh read nan, inf and about -5.08 kg
+    with pytest.raises(InvalidValueError, match=rf"^true_mass_kg must be finite and >= 0, got {mass}$"):
+        simulate_weigh_stream(mass, mode, 1.0, seed=1)
 
 
 NAN = float("nan")

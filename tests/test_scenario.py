@@ -214,9 +214,10 @@ class TestEndToEnd:
         with pytest.raises(InsufficientSamplesError, match=r"^no non-saturated sample at 0\.0 kg$"):
             ideal_calibration(LoadCellSpec(capacity_kg=120.0, zero_offset_mv=-40.0))
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True])
     def test_noise_seed_must_be_a_non_negative_integer(self, seed):
-        # a noise-free chain seeds no stream, so numpy no longer rejects these
+        # a noise-free chain seeds no stream, so numpy no longer rejects these;
+        # True was taken as seed 1
         with pytest.raises(InvalidSeedError, match=rf"^noise_seed must be an integer >= 0, got {seed!r}$"):
             scenario(noise_seed=seed)
         assert scenario(noise_seed=np.uint64(2**64 - 1)).noise_seed == 2**64 - 1
