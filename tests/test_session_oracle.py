@@ -3,7 +3,9 @@
 `reference_session` is the per-frame reduction the columnar path replaced:
 one Python float per frame, each cell's frames sorted by timestamp, and
 `np.mean` over a list of the window's masses. Both paths must agree bit
-for bit, down to the persisted record line.
+for bit, down to the persisted record line. The reference works from plain
+`(cell, timestamp_ms, code, saturated)` tuples, and the wire lines are
+written here from the format in the `station` docstring.
 """
 
 import random
@@ -20,12 +22,7 @@ from weighsim.cog import DeckGeometry, POLICIES, assess_four_cell, assess_two_ce
 from weighsim.compliance import STATIC_WINDOW_S, static_weigh, wim_weigh
 from weighsim.errors import InsufficientDurationError, InsufficientSamplesError, NoVehicleError
 from weighsim.sensor import CODE_MAX
-from weighsim.station import (
-    FrameIngestor,
-    SensorFrameRecord,
-    format_frame_line,
-    run_session,
-)
+from weighsim.station import FrameIngestor, SensorFrameRecord, run_session
 
 GEOM = DeckGeometry(wheelbase_m=2.0, track_m=1.5)
 POLICY = POLICIES["prototype2"]
@@ -57,22 +54,20 @@ def reference_wim(samples):
 
 
 def reference_session(frames, cals, mode):
-    """(cell masses, started_at_ms, ended_at_ms) of a one-station session,
-    whose saturated frames count only towards its start and end."""
+    """(cell masses, started_at_ms, ended_at_ms) of a one-station session of
+    (cell, timestamp_ms, code, saturated) frames, whose saturated frames
+    count only towards its start and end."""
     streams = [[] for _ in cals]
-    for frame in frames:
-        if not frame.saturated:
-            streams[frame.cell_index].append(frame)
+    for cell, ts, code, saturated in frames:
+        if not saturated:
+            streams[cell].append((ts, code))
     masses = []
     for cell, (stream, cal) in enumerate(zip(streams, cals)):
         if not stream:
             raise InsufficientSamplesError(f"every frame of cell {cell} is saturated")
-        samples = [
-            (f.timestamp_ms / 1000.0, reference_mass(f.adc_code, cal))
-            for f in sorted(stream, key=lambda f: f.timestamp_ms)
-        ]
+        samples = [(ts / 1000.0, reference_mass(code, cal)) for ts, code in sorted(stream, key=lambda f: f[0])]
         masses.append(reference_static(samples) if mode == "static" else reference_wim(samples)[0])
-    all_ts = [f.timestamp_ms for f in frames]
+    all_ts = [ts for _, ts, _, _ in frames]
     return masses, min(all_ts), max(all_ts)
 
 
@@ -82,9 +77,10 @@ def masked_line(record):
 
 @st.composite
 def sessions(draw):
-    """Frames of one station: per-cell streams with duplicate timestamps,
-    codes on both sides of the tare and at times saturated frames (none,
-    some or all of a cell's), sometimes more lines than one chunk."""
+    """(cell, timestamp_ms, code, saturated) frames of one station: per-cell
+    streams with duplicate timestamps, codes on both sides of the tare and
+    at times saturated frames (none, some or all of a cell's), sometimes
+    more lines than one chunk."""
     cell_count = draw(st.sampled_from([2, 4]))
     mode = draw(st.sampled_from(["static", "wim"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -107,8 +103,7 @@ def sessions(draw):
         codes = cal.tare_code + rng.integers(-3_000, 200_000, per_cell)
         pinned = rng.random(per_cell) < draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]))
         frames += [
-            SensorFrameRecord("st1", cell, int(t), CODE_MAX, saturated=True) if p
-            else SensorFrameRecord("st1", cell, int(t), int(c))
+            (cell, int(t), CODE_MAX, True) if p else (cell, int(t), int(c), False)
             for t, c, p in zip(ts, codes, pinned)
         ]
     order = list(range(len(frames)))
@@ -117,11 +112,12 @@ def sessions(draw):
 
 
 def wire_lines(frames):
-    """Frames in per-cell time order, interleaved as shuffled, with blank lines."""
+    """Frames in per-cell time order, interleaved as shuffled, with blank lines,
+    as `station_id,cell_index,timestamp_ms,adc_code,gain,saturated` at gain 128."""
     lines = []
-    for frame in sorted(frames, key=lambda f: f.timestamp_ms):
-        lines.append(format_frame_line(frame))
-        if frame.adc_code % 97 == 0:
+    for cell, ts, code, saturated in sorted(frames, key=lambda f: f[1]):
+        lines.append(f"st1,{cell},{ts},{code},128,{int(saturated)}")
+        if code % 97 == 0:
             lines.append("")
     return lines
 
@@ -143,9 +139,10 @@ def session_or_error(run):
 def test_columnar_session_is_bit_identical(session):
     frames, cals, mode, cell_count = session
     expected = session_or_error(lambda: reference_session(frames, cals, mode))
+    records = [SensorFrameRecord("st1", cell, ts, code, saturated=sat) for cell, ts, code, sat in frames]
     ingested = FrameIngestor(cell_count).ingest_lines(wire_lines(frames))
     assert len(ingested) == len(frames)
-    for source in (frames, ingested):
+    for source in (records, ingested):
         got = session_or_error(
             lambda: run_session(source, cals, mode, POLICY, GEOM)
         )
