@@ -150,6 +150,39 @@ class TestQuantize:
         assert c1 <= c2
 
 
+class TestBenchmarkCallShapes:
+    """The calls the benchmark's input generators make (`bench/workloads.py`),
+    pinned here too because its self-tests run on one Python version only."""
+
+    CELL = LoadCellSpec(capacity_kg=120.0, noise_sigma_mv=0.002)
+    ADC = AdcConfig(sample_rate_hz=80.0)
+    MASSES = (0.0, 0.5, 60.0, 120.0, 180.0)
+
+    def test_bridge_output_keeps_an_unused_timestamp(self):
+        for mass in self.MASSES:
+            mv = bridge_output(self.CELL, mass, timestamp_ms=5)
+            assert mv == bridge_output(self.CELL, mass) and isinstance(mv, float)
+
+    def test_a_noisy_conversion_is_a_frame(self):
+        mv = add_noise(bridge_output(self.CELL, 60.0), self.CELL, np.random.default_rng(1))
+        frame = quantize(mv, self.ADC)
+        assert isinstance(mv, float) and isinstance(frame.code, int)
+        assert (frame.gain, frame.channel, frame.saturated) == (128, "A", False)
+
+    @pytest.mark.parametrize(
+        "seed, codes",
+        [(11, [15, 9532, 1074268, 2147264, 3221097]), (9107, [449, 8655, 1073759, 2147755, 3221009])],
+    )
+    def test_noisy_codes_are_unchanged(self, seed, codes):
+        # recorded while the chain still wrapped each voltage in a dataclass
+        rng = np.random.default_rng(seed)
+        chain = [
+            quantize(add_noise(bridge_output(self.CELL, mass, timestamp_ms=5), self.CELL, rng), self.ADC)
+            for mass in self.MASSES
+        ]
+        assert [frame.code for frame in chain] == codes
+
+
 class TestConfigValidation:
     def test_gain_channel_pairs(self):
         AdcConfig(gain=128, channel="A")
