@@ -76,7 +76,7 @@ class Scenario:
     def __post_init__(self) -> None:
         seed = self.noise_seed  # a bool is an int to isinstance, not a seed
         if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise InvalidSeedError(f"noise_seed must be an integer >= 0, got {self.noise_seed!r}")
+            raise InvalidSeedError(f"noise_seed must be an integer >= 0, got {seed!r}")
         if not math.isfinite(self.temperature_c):
             raise InvalidValueError(f"temperature_c must be finite, got {self.temperature_c}")
         for p in self.placements:
