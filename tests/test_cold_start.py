@@ -104,8 +104,8 @@ def test_weigh_and_a_bad_replay_load_no_sensor_model(tmp_path):
 #: The public names of the package and the submodule each comes from.
 PUBLIC = {
     "errors": "WeighSimError",
-    "sensor": "AdcConfig AdcFrame FOUR_CELL_120KG LoadCellSpec TWO_CELL_5KG add_noise bridge_output"
-    " quantize",
+    "sensor": "AdcConfig AdcFrame FOUR_CELL_120KG LoadCellSpec TWO_CELL_5KG add_noise"
+    " bridge_output quantize",
     "codec": "BitTrace decode_frame encode_frame",
     "calibration": "CalibrationState calibrate code_to_mass tare",
     "cog": "AlertPolicy DeckGeometry FourCellReading LoadAssessment POLICIES TwoCellAssessment"

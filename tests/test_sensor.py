@@ -174,7 +174,7 @@ class TestBenchmarkCallShapes:
         [(11, [15, 9532, 1074268, 2147264, 3221097]), (9107, [449, 8655, 1073759, 2147755, 3221009])],
     )
     def test_noisy_codes_are_unchanged(self, seed, codes):
-        # recorded while the chain still wrapped each voltage in a dataclass
+        # the benchmark's generated inputs are built from these codes, so they must not move
         rng = np.random.default_rng(seed)
         chain = [
             quantize(add_noise(bridge_output(self.CELL, mass, timestamp_ms=5), self.CELL, rng), self.ADC)
