@@ -56,10 +56,10 @@ class CalibrationState:
             require_positive("reference mass", mass)
 
     def temperature_warning(self, operating_temp_c: float, max_delta_c: float = DEFAULT_TEMP_DELTA_C) -> bool:
-        """True when the operating temperature is outside the trusted band; a
-        non-finite one is an InvalidValueError."""
-        if not math.isfinite(operating_temp_c):
-            raise InvalidValueError(f"operating temperature must be finite, got {operating_temp_c}")
+        """True when the operating temperature is outside the trusted band; NaN
+        is an InvalidValueError."""
+        if operating_temp_c != operating_temp_c:
+            raise InvalidValueError(f"operating temperature must be a number, got {operating_temp_c}")
         return abs(operating_temp_c - self.calibrated_at_temp_c) > max_delta_c
 
     def fingerprint(self) -> str:

@@ -139,7 +139,7 @@ def max_permissible_error(rule: ToleranceRule, capacity_or_load_t: float) -> flo
     """Maximum permissible error in kg at the given capacity/load in tonnes."""
     if rule.percent_of_load is not None:
         if not 0 < capacity_or_load_t < math.inf:  # NaN fails both comparisons
-            raise UncoveredCapacityError(f"load must be finite and > 0 t, got {capacity_or_load_t}")
+            raise UncoveredCapacityError(f"load must be > 0 t, got {capacity_or_load_t}")
         return rule.percent_of_load * capacity_or_load_t * 1000.0
     if rule.band_t is not None:
         lo, hi = rule.band_t

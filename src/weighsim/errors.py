@@ -24,10 +24,10 @@ def require_positive(name: str, value: float, error: type[Exception] = InvalidVa
         raise error(f"{name} must be > 0, got {value}")
 
 
-def require_non_negative(name: str, value: float, error: type[Exception] = InvalidValueError) -> None:
-    """Raise `error` unless `value` is a finite number >= 0 (NaN fails both comparisons)."""
+def require_non_negative(name: str, value: float) -> None:
+    """Raise InvalidValueError unless `value` is a finite number >= 0 (NaN fails both comparisons)."""
     if not 0 <= value < math.inf:
-        raise error(f"{name} must be finite and >= 0, got {value}")
+        raise InvalidValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 # sensor chain ---------------------------------------------------------------

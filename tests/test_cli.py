@@ -656,6 +656,10 @@ class TestRules:
         assert main(["rules", "--axle-config", "2", "--total", "-5"]) == 1
         assert capsys.readouterr() == ("", "weighsim: error: measured total must be finite and >= 0, got -5.0\n")
 
+    def test_zero_load_on_the_percent_rule_is_refused(self, capsys):
+        assert main(["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "0"]) == 1
+        assert capsys.readouterr() == ("", "weighsim: error: load must be > 0 t, got 0.0\n")
+
     def test_unknown_rule_is_error(self, capsys):
         assert main(["rules", "--jurisdiction", "NewZealand", "--kind", "re_verification", "--capacity", "20"]) == 1
 

@@ -70,6 +70,11 @@ class TestToleranceFigures:
         with pytest.raises(UncoveredCapacityError):
             max_permissible_error(rule, load)
 
+    @pytest.mark.parametrize("load", [0.0, -1.0, float("nan"), float("inf")])
+    def test_percent_of_load_names_the_refused_load(self, load):
+        with pytest.raises(UncoveredCapacityError, match=f"^load must be > 0 t, got {load}$"):
+            max_permissible_error(US_HANDBOOK44, load)
+
     @given(st.floats(min_value=80.0, max_value=400.0, allow_nan=False), st.floats(min_value=0.0, max_value=1.0))
     def test_kenya_monotone_in_capacity(self, cap, frac):
         higher = cap + frac * (400.0 - cap)
