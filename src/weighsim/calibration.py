@@ -26,6 +26,7 @@ from .errors import (
     InvalidValueError,
     InvertedWiringError,
     TareRangeError,
+    require_non_negative,
     require_positive,
 )
 from .codec import CODE_MAX, CODE_MIN, RAILS
@@ -56,8 +57,10 @@ class CalibrationState:
             require_positive("reference mass", mass)
 
     def temperature_warning(self, operating_temp_c: float, max_delta_c: float = DEFAULT_TEMP_DELTA_C) -> bool:
-        """True when the operating temperature is outside the trusted band; NaN
-        is an InvalidValueError."""
+        """True when the operating temperature is outside the trusted band; a
+        NaN temperature, or a `max_delta_c` that is negative or not finite, is
+        an InvalidValueError."""
+        require_non_negative("max_delta_c", max_delta_c)
         if operating_temp_c != operating_temp_c:
             raise InvalidValueError(f"operating temperature must be a number, got {operating_temp_c}")
         return abs(operating_temp_c - self.calibrated_at_temp_c) > max_delta_c

@@ -199,16 +199,37 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     # text fails before anything reaches stdout.
     with kvfile.named(args.trace):
         text = Path(args.trace).read_text()
-    labels = {config: "%d,%s" % config for config in codec.CONFIG_PULSES}
-    on_rail = frozenset(codec.RAILS).__contains__
+    # A row is "%d,%d%s" of its line number, its code and its row end
+    # ",gain,channel,saturated\n": one string per pulse count, swapped for
+    # its saturated twin at the rows whose code is on a rail (found by
+    # C-level `tuple.index` scans). A chunk's three columns, interleaved,
+    # are written by one format.
+    ends = {pulses: ",%d,%s,0\n" % config for pulses, config in codec.PULSE_COUNT_GAIN.items()}
+    saturated = {end: end[:-2] + "1\n" for end in ends.values()}
     try:
-        for numbers, codes, configs in codec.decode_lines(_split_lines(text)):
-            rows = zip(numbers, codes, map(labels.__getitem__, configs), map(on_rail, codes))
-            sys.stdout.write("%d,%d,%s,%d\n" * len(codes) % tuple(chain.from_iterable(rows)))
+        for numbers, codes, pulses in codec.decode_lines(_split_lines(text)):
+            row_ends = list(map(ends.__getitem__, pulses))
+            for rail in codec.RAILS:
+                for i in _indices(codes, rail):
+                    row_ends[i] = saturated[row_ends[i]]
+            rows = [0] * (3 * len(codes))
+            rows[0::3], rows[1::3], rows[2::3] = numbers, codes, row_ends
+            sys.stdout.write("%d,%d%s" * len(codes) % tuple(rows))
     except FrameError as exc:
         print(f"{args.trace}:{exc.line_no}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_SAFE
+
+
+def _indices(values: tuple[int, ...], value: int) -> Iterator[int]:
+    """The positions of `value` in `values`, in order."""
+    i = -1
+    try:
+        while True:
+            i = values.index(value, i + 1)
+            yield i
+    except ValueError:
+        return
 
 
 def _split_lines(text: str, size: int = 1 << 16) -> Iterator[str]:

@@ -20,7 +20,7 @@ One verdict, `_fault`, judges a stripped line: a non-bit symbol, then
 fewer than 24 pulses, then a pulse count other than 25-27 is its
 FrameError. `decode_frame` decodes one line into an `AdcFrame`;
 `decode_lines` decodes a trace `CHUNK_LINES` lines at a time into columns
-(line numbers, codes, (gain, channel) configs), with no per-line object.
+(line numbers, codes, pulse counts), with no per-line object.
 A chunk of frames as they stand is decoded in one pass (one base-2
 conversion of all its data bits, a `range` of line numbers); any other is
 stripped and numbered, and if it still holds a bad line, `_fault` finds
@@ -77,8 +77,8 @@ _DROP_BITS = str.maketrans("", "", "01")
 _DATA_PART = itemgetter(slice(0, DATA_BITS))
 _SIGN_BYTE = bytes(0xFF if byte & 0x80 else 0 for byte in range(256))
 
-#: One decoded chunk: line numbers, codes and (gain, channel) configs.
-TraceColumns = tuple[Sequence[int], Sequence[int], list[tuple[int, str]]]
+#: One decoded chunk: line numbers, codes and pulse counts.
+TraceColumns = tuple[Sequence[int], tuple[int, ...], list[int]]
 
 
 class BitTrace(str):
@@ -133,29 +133,30 @@ def _fault(line: str) -> FrameError | None:
 
 def decode_lines(lines: Iterable[str]) -> Iterator[TraceColumns]:
     """Decode trace lines (any iterable, e.g. an open file) chunk by chunk:
-    per chunk, the columns of its non-blank lines, row i holding what
-    `decode_frame` gives for the i-th (line numbers count blank lines). At
+    per chunk, the columns of its non-blank lines, row i holding the line
+    number, code and pulse count of the i-th (line numbers count blank
+    lines; `PULSE_COUNT_GAIN` maps a pulse count to its (gain, channel)). At
     the first invalid line, the rows before it are yielded, then its
     FrameError is raised with `line_no` set."""
     for first_no, chunk in chunks(lines):
-        numbers, configs = range(first_no, first_no + len(chunk)), _configs(chunk)
-        if configs is None:
+        numbers, pulses = range(first_no, first_no + len(chunk)), _pulses(chunk)
+        if pulses is None:
             chunk, numbers = numbered(chunk, first_no)
-            configs = _configs(chunk)
-        bad = len(chunk) if configs is not None else next(compress(count(), map(_fault, chunk)))
+            pulses = _pulses(chunk)
+        bad = len(chunk) if pulses is not None else next(compress(count(), map(_fault, chunk)))
         good = chunk[:bad]
-        yield numbers[:bad], _data_codes(good), configs or _configs(good)
+        yield numbers[:bad], _data_codes(good), pulses or list(map(len, good))
         if bad < len(chunk):
             fault = _fault(chunk[bad])
             fault.line_no = numbers[bad]
             raise fault
 
 
-def _configs(lines: list[str]) -> list[tuple[int, str]] | None:
-    """Each line's (gain, channel) if every line is a frame as it stands,
-    else None: the verdict of `_fault` on a whole chunk at once."""
-    configs = list(map(PULSE_COUNT_GAIN.get, map(len, lines)))
-    return None if None in configs or "".join(lines).translate(_DROP_BITS) else configs
+def _pulses(lines: list[str]) -> list[int] | None:
+    """Each line's pulse count if every line is a frame as it stands, else
+    None: the verdict of `_fault` on a whole chunk at once."""
+    pulses = list(map(len, lines))
+    return None if set(pulses) - PULSE_COUNT_GAIN.keys() or "".join(lines).translate(_DROP_BITS) else pulses
 
 
 def chunks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:

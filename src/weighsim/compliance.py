@@ -39,6 +39,7 @@ from .errors import (
     UncoveredCapacityError,
     require_non_negative,
     require_positive,
+    require_seed,
 )
 from . import kvfile
 
@@ -330,10 +331,12 @@ def simulate_weigh_stream(
     WIM mode: a short `WIM_PASS_DURATION_S` pass with noise amplified by
     `WIM_NOISE_FACTOR`, the fewer-samples-more-noise model of weighing a
     moving vehicle. A mass or sigma that is negative or not finite is an
-    InvalidValueError.
+    InvalidValueError; a seed that is not an integer >= 0 (a bool is not) is
+    an InvalidSeedError.
     """
     require_non_negative("true_mass_kg", true_mass_kg)
     require_non_negative("noise_sigma_kg", noise_sigma_kg)
+    require_seed("seed", seed)
     if mode == "static":
         duration, sigma = STATIC_WINDOW_S, noise_sigma_kg
     elif mode == "wim":

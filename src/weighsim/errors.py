@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the finite-and-positive and finite-and-non-negative checks.
+"""Exception hierarchy, the finite-and-positive and finite-and-non-negative
+checks, and the seed check.
 
 Every failure the library signals deliberately derives from WeighSimError; a
 value out of range is an InvalidValueError, a ValueError as well. The CLI maps
@@ -6,6 +7,7 @@ a WeighSimError or an OSError to exit code 1: any other exception is a bug.
 """
 
 import math
+import sys
 
 
 class WeighSimError(Exception):
@@ -28,6 +30,22 @@ def require_non_negative(name: str, value: float) -> None:
     """Raise InvalidValueError unless `value` is a finite number >= 0 (NaN fails both comparisons)."""
     if not 0 <= value < math.inf:
         raise InvalidValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def require_seed(name: str, seed: object) -> None:
+    """Raise InvalidSeedError unless `seed` is an integer >= 0, the seeds a
+    numpy SeedSequence takes: an int or a numpy integer, never a bool."""
+    if type(seed) is not int and not _is_integer(seed) or seed < 0:
+        raise InvalidSeedError(f"{name} must be an integer >= 0, got {seed!r}")
+
+
+def _is_integer(value: object) -> bool:
+    """An int that is not a bool, or a numpy integer (numpy is not imported
+    here: a value cannot be one before something else has loaded it)."""
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.integer)
 
 
 # sensor chain ---------------------------------------------------------------

@@ -44,8 +44,8 @@ import numpy as np
 
 from .calibration import CalibrationState, calibrate, code_to_mass, tare
 from .cog import QUADRANT_NAMES, AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
-from .errors import ConfigError, InsufficientSamplesError, InvalidPlacementError, InvalidSeedError
-from .errors import InvalidValueError, UndefinedCentroidError, require_positive
+from .errors import ConfigError, InsufficientSamplesError, InvalidPlacementError, InvalidValueError
+from .errors import UndefinedCentroidError, require_positive, require_seed
 from .sensor import RAILS, LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
@@ -74,9 +74,7 @@ class Scenario:
     temperature_c: float = 25.0
 
     def __post_init__(self) -> None:
-        seed = self.noise_seed  # a bool is an int to isinstance, not a seed
-        if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise InvalidSeedError(f"noise_seed must be an integer >= 0, got {seed!r}")
+        require_seed("noise_seed", self.noise_seed)
         if not math.isfinite(self.temperature_c):
             raise InvalidValueError(f"temperature_c must be finite, got {self.temperature_c}")
         for p in self.placements:

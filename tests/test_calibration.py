@@ -106,6 +106,19 @@ class TestCodeToMass:
         cal = CalibrationState(tare_code=0, scale_kg_per_lsb=1e-4, reference_points=((10.0, 100_000),))
         assert cal.temperature_warning(temp)
 
+    @pytest.mark.parametrize("max_delta_c", [float("nan"), -1.0, float("inf")])
+    def test_temperature_warning_refuses_a_bad_band(self, max_delta_c):
+        # nan read every temperature as inside the band, -1.0 warned at the
+        # calibration temperature itself
+        cal = CalibrationState(tare_code=0, scale_kg_per_lsb=1e-4, reference_points=((10.0, 100_000),))
+        with pytest.raises(InvalidValueError, match=rf"^max_delta_c must be finite and >= 0, got {max_delta_c}$"):
+            cal.temperature_warning(cal.calibrated_at_temp_c, max_delta_c)
+
+    def test_a_zero_band_warns_off_the_calibration_temperature_only(self):
+        cal = CalibrationState(tare_code=0, scale_kg_per_lsb=1e-4, reference_points=((10.0, 100_000),))
+        assert not cal.temperature_warning(cal.calibrated_at_temp_c, 0.0)
+        assert cal.temperature_warning(cal.calibrated_at_temp_c + 0.1, 0.0)
+
 
 class TestEndToEnd:
     SPEC = LoadCellSpec(capacity_kg=120.0)

@@ -14,7 +14,7 @@ from weighsim import cli, codec
 from weighsim.cli import _split_lines, main
 from weighsim.codec import encode_frame
 from weighsim.errors import InvalidValueError, WeighSimError, require_positive
-from weighsim.sensor import CODE_MAX, CODE_MIN, AdcFrame, LoadCellSpec
+from weighsim.sensor import CODE_MAX, CODE_MIN, RAILS, AdcFrame, LoadCellSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -619,6 +619,27 @@ class TestReplay:
         assert code == 1 and len(out.splitlines()) == codec.CHUNK_LINES + 3
         assert out.startswith("1,-8388608,128,A,1\n2,8388607,128,A,1\n3,-1,128,A,0\n4,0,128,A,0\n")
         assert err == f"{path}:{codec.CHUNK_LINES + 5}: invalid pulse count 28, expected one of [25, 26, 27]\n"
+
+    def test_rail_rows_at_chunk_edges(self, tmp_path):
+        # rails back to back at every gain, first and last in a chunk, a
+        # chunk of rails only, and rails in a chunk that a blank and a padded
+        # line send down the per-line path
+        n = codec.CHUNK_LINES
+        rails = [encode_frame(AdcFrame(code, *gc)).to_line() for gc in _GAIN_CHANNELS for code in RAILS]
+        inner = [
+            encode_frame(AdcFrame((i * 2_654_435_761) % (2**24 - 2) + CODE_MIN + 1, *_GAIN_CHANNELS[i % 3])).to_line()
+            for i in range(n - 2 * len(rails))
+        ]
+        first = rails + inner + rails[::-1]
+        only_rails = (rails * n)[:n]
+        per_line = [rails[1], "", f" \t{rails[2]} ", inner[0], rails[5]]
+        path = tmp_path / "trace.txt"
+        path.write_text("\n".join(first + only_rails + per_line) + "\n")
+        expected = captured(reference_replay, str(path))
+        assert expected[0] == 0 and expected[1].count(",1\n") == 2 * len(rails) + n + 3
+        for chunk_lines in [1, 2, 3, n]:
+            with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+                assert captured(main, ["replay", str(path)]) == expected, chunk_lines
 
     @given(st.text(alphabet="01\n\r\x0c\u2028 x", max_size=60), st.integers(1, 8))
     def test_split_lines_matches_splitlines(self, text, size):

@@ -24,6 +24,7 @@ from weighsim.compliance import (
 )
 from weighsim.errors import (
     InsufficientDurationError,
+    InvalidSeedError,
     InvalidValueError,
     NoVehicleError,
     UncoveredCapacityError,
@@ -251,6 +252,19 @@ def test_simulate_stream_rejects_a_bad_true_mass(mode, mass):
     # each gave a stream of that mass: static_weigh read nan, inf and about -5.08 kg
     with pytest.raises(InvalidValueError, match=rf"^true_mass_kg must be finite and >= 0, got {mass}$"):
         simulate_weigh_stream(mass, mode, 1.0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_simulate_stream_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # -1 raised numpy's untyped ValueError, 1.5 a TypeError, and True seeded 1
+    with pytest.raises(InvalidSeedError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
+        simulate_weigh_stream(500.0, "static", 1.0, seed)
+
+
+def test_simulate_stream_takes_a_numpy_integer_seed():
+    _, masses = simulate_weigh_stream(500.0, "static", 1.0, np.int64(3))
+    assert np.array_equal(masses, simulate_weigh_stream(500.0, "static", 1.0, 3)[1])
+    assert len(simulate_weigh_stream(500.0, "wim", 1.0, np.uint64(2**64 - 1))[0]) > 0
 
 
 NAN = float("nan")
