@@ -298,6 +298,11 @@ class TestWeighInput:
         code, out = weigh(self.frames())
         assert code == 0 and json.loads(out.out)["cell_masses_kg"] == [10.0] * 4
 
+    def test_an_empty_capture(self, weigh, tmp_path):
+        code, out = weigh("")
+        assert (code, out.out, out.err) == (1, "", "weighsim: error: no frames at all\n")
+        assert not (tmp_path / "records").exists()
+
     @pytest.mark.parametrize("flag", ["--wheelbase-m", "--track-m", "--breadth-m"])
     def test_zero_geometry_flag_is_rejected(self, weigh, flag):
         code, out = weigh(self.frames(), extra=(flag, "0"))
@@ -377,13 +382,28 @@ class TestWeighInput:
         assert not (tmp_path / "records").exists()
 
     @pytest.mark.parametrize(
-        "case", ["kind", "axle", "geometry", "config", "cal", "reference", "rule_alone", "reference_alone"]
+        "case",
+        [
+            "kind", "axle", "geometry", "config", "cal", "reference", "rule_alone", "reference_alone",
+            "rules_key", "rules_shape", "axle_parts", "axle_entry", "config_duplicate",
+        ],
     )
     def test_checks_that_need_no_frame_come_before_the_capture(self, weigh, tmp_path, config, case):
         # each used to be reported only after the whole capture was read, so a
         # bad capture hid it
         bad_cal = tmp_path / "bad.cfg"
         bad_cal.write_text((tmp_path / "cal.cfg").read_text().replace("tare_code = ", "tare_code = 99999999  # was "))
+        tables = {
+            "rules_key": "US = percent 0.1\n",
+            "rules_shape": "US/acceptance = flat 40\n",
+            "axle_parts": "9 = 9\n",
+            "axle_entry": "9 = 1, 62000\n",
+            "config_duplicate": "track_m = 3\ntrack_m = 4\n",
+        }
+        table = {name: tmp_path / f"{name}.cfg" for name in tables}
+        for name, text in tables.items():
+            table[name].write_text(text)
+        rule = ("--jurisdiction", "US", "--kind", "acceptance", "--rules-file")
         extra, message = {
             "kind": (
                 ("--jurisdiction", "US", "--reference", "40"),
@@ -397,6 +417,21 @@ class TestWeighInput:
             "reference": (("--jurisdiction", "US", "--kind", "acceptance", "--reference", "-5"), "reference mass must be > 0, got -5.0"),
             "rule_alone": (("--jurisdiction", "US", "--kind", "acceptance"), PAIRING),
             "reference_alone": (("--reference", "40"), PAIRING),
+            "rules_key": ((*rule, str(table["rules_key"])), f"{table['rules_key']}: rule key must be 'jurisdiction/kind', got 'US'"),
+            "rules_shape": (
+                (*rule, str(table["rules_shape"])), f"{table['rules_shape']}: unknown rule shape 'flat' for 'US/acceptance'"
+            ),
+            "axle_parts": (
+                ("--axle-config", "9", "--axle-file", str(table["axle_parts"])),
+                f"{table['axle_parts']}: '9' needs 'axle_count, gvw_limit_kg', got '9'",
+            ),
+            "axle_entry": (
+                ("--axle-config", "9", "--axle-file", str(table["axle_entry"])),
+                f"{table['axle_entry']}: bad entry for '9': axle count must be >= 2, got 1",
+            ),
+            "config_duplicate": (
+                ("--config", str(table["config_duplicate"])), f"{table['config_duplicate']}: duplicate key 'track_m'"
+            ),
         }[case]
         code, out = weigh("not a frame\n", extra=extra)
         assert code == 1 and out.out == ""
@@ -473,6 +508,64 @@ class TestWeighInput:
             f"weighsim: error: stored assessment for {record_id} does not reproduce:"
             " y_cg_m is 0.8, recomputed 0.75\n"
         )
+
+
+LCD_STDOUT = {
+    2: (
+        '{"record_id":"ID","station_id":"st9","started_at_ms":0,"ended_at_ms":15000,"mode":"static",'
+        '"cell_masses_kg":[3.0,4.0],"geometry":{"wheelbase_m":2.0,"track_m":1.5,"breadth_m":1.5},'
+        '"policy":{"overload_threshold_kg":9.5,"quadrant_threshold_pct":30.0},'
+        '"assessment":{"kind":"two_cell","total_kg":7.0,"lateral_offset_m":-0.10714285714285714,'
+        '"overloaded":false,"left_heavy":false,"right_heavy":true},'
+        '"calibration_fingerprint":"413a4c9e2a434b3a+413a4c9e2a434b3a","compliance":[]}\n'
+        "TOTAL       7.00 kg\n"
+        "COG    centreline -0.107m\n"
+        "RIGHT-HEAVY\n"
+    ),
+    4: (
+        '{"record_id":"ID","station_id":"st9","started_at_ms":0,"ended_at_ms":15000,"mode":"static",'
+        '"cell_masses_kg":[100.0,100.0,150.0,200.0],"geometry":{"wheelbase_m":2.0,"track_m":1.5,"breadth_m":1.5},'
+        '"policy":{"overload_threshold_kg":400.0,"quadrant_threshold_pct":30.0},'
+        '"assessment":{"kind":"four_cell","total_kg":550.0,"x_cg_m":1.2727272727272727,"y_cg_m":0.6818181818181818,'
+        '"centreline_offset_m":-0.06818181818181823,"front_kg":200.0,"rear_kg":350.0,"left_kg":250.0,"right_kg":300.0,'
+        '"quadrant_pct":[18.181818181818183,18.181818181818183,27.272727272727273,36.36363636363637],'
+        '"overloaded":true,"flagged_quadrants":["RR"],"front_heavy":false,"rear_heavy":true,'
+        '"left_heavy":false,"right_heavy":true},"calibration_fingerprint":'
+        '"413a4c9e2a434b3a+413a4c9e2a434b3a+413a4c9e2a434b3a+413a4c9e2a434b3a","compliance":[]}\n'
+        "TOTAL     550.00 kg\n"
+        "COG    x=1.273m y=0.682m (centreline -0.068m)\n"
+        "FRONT     200.00 kg  REAR      350.00 kg\n"
+        "LEFT      250.00 kg  RIGHT     300.00 kg\n"
+        "SHARE  FL  18.2%  FR  18.2%  RL  27.3%  RR  36.4%\n"
+        "OVERLOAD total=550.00kg limit=400.00kg\n"
+        "IMBALANCE RR=36.4% limit=30.0%\n"
+        "REAR-HEAVY\n"
+        "RIGHT-HEAVY\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "codes, extra, status",
+    [((3000, 4000), ("--policy", "prototype1"), 0), ((100_000, 100_000, 150_000, 200_000), (), 2)],
+    ids=["two_cell", "four_cell"],
+)
+def test_weigh_and_assess_print_the_lcd(tmp_path, capsys, codes, extra, status):
+    # the record line, then the LCD text; `assess` by id and by file prints
+    # what `weigh` printed
+    from weighsim.calibration import CalibrationState
+
+    cal, frames, data_dir = tmp_path / "cal.cfg", tmp_path / "frames.txt", tmp_path / "records"
+    CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),)).to_file(cal)
+    frames.write_text("".join(f"st9,{c},{t},{code},128,0\n" for t in range(0, 15_001, 100) for c, code in enumerate(codes)))
+    argv = ["weigh", "--mode", "static", "--cells", str(len(codes)), "--frames", str(frames)]
+    assert main(argv + ["--cal", *[str(cal)] * len(codes), "--data-dir", str(data_dir), "--lcd", *extra]) == status
+    out, err = capsys.readouterr()
+    record_id = json.loads(out.splitlines()[0])["record_id"]
+    assert (out.replace(record_id, "ID", 1), err) == (LCD_STDOUT[len(codes)], "")
+    for assess in ([record_id, "--data-dir", str(data_dir)], [str(data_dir / "records.ndjson")]):
+        assert main(["assess", *assess, "--lcd"]) == status
+        assert capsys.readouterr() == (out, "")
 
 
 _GAIN_CHANNELS = [(128, "A"), (64, "A"), (32, "B")]
@@ -681,6 +774,20 @@ class TestRules:
         assert main(["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "0"]) == 1
         assert capsys.readouterr() == ("", "weighsim: error: load must be > 0 t, got 0.0\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--axle-config", "7"], "--total is required with --axle-config"),
+            ([], "need --jurisdiction (tolerance query) or --axle-config (GVW check)"),
+            (["--jurisdiction", "US", "--kind", "acceptance"], "need --capacity, or --measured with --reference"),
+            (["--jurisdiction", "US", "--kind", "acceptance", "--measured", "40"], "need --capacity, or --measured with --reference"),
+        ],
+        ids=["gvw_without_total", "no_query", "tolerance_without_load", "measured_without_reference"],
+    )
+    def test_a_query_without_its_inputs(self, capsys, argv, message):
+        assert main(["rules", *argv]) == 1
+        assert capsys.readouterr() == ("", f"weighsim: error: {message}\n")
+
     def test_unknown_rule_is_error(self, capsys):
         assert main(["rules", "--jurisdiction", "NewZealand", "--kind", "re_verification", "--capacity", "20"]) == 1
 
@@ -726,6 +833,16 @@ class TestUsageErrors:
         assert out.out == ""
         assert out.err.endswith(f"weighsim calibrate: error: argument --samples: not a positive integer: '{samples}'\n")
 
+
+    def test_calibrate_samples_must_be_an_integer(self, tmp_path, capsys):
+        spec, out_path = tmp_path / "spec.cfg", tmp_path / "cal.cfg"
+        spec.write_text("capacity_kg = 120\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--cell-spec", str(spec), "--known-mass", "100", "--out", str(out_path), "--samples", "x"])
+        assert exc.value.code == 1 and not out_path.exists()
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith("weighsim calibrate: error: argument --samples: invalid int value: 'x'\n")
 
     def test_calibrate_seed_must_not_be_negative(self, tmp_path, capsys):
         # numpy's untyped ValueError for the seed reached main

@@ -8,9 +8,11 @@ from weighsim.cog import (
     DeckGeometry,
     FourCellReading,
     POLICIES,
+    assess,
     assess_four_cell,
     assess_two_cell,
     classify,
+    is_unsafe,
     policy,
     render_lcd,
 )
@@ -204,6 +206,41 @@ def test_render_lcd_contains_sections():
     text = render_lcd(a, P2)
     for token in ("TOTAL", "COG", "FRONT", "LEFT", "SHARE", "OVERLOAD"):
         assert token in text
+
+
+FOUR_CELL_ZERO_HEAD = """\
+TOTAL       0.00 kg
+COG    undefined (zero load)
+FRONT       0.00 kg  REAR        0.00 kg
+LEFT        0.00 kg  RIGHT       0.00 kg
+SHARE  FL   0.0%  FR   0.0%  RL   0.0%  RR   0.0%"""
+
+
+@pytest.mark.parametrize(
+    "masses, head, alerts, unsafe",
+    [
+        ((2.0, 2.0), "TOTAL       4.00 kg\nCOG    centreline +0.000m", ["SAFE"], False),
+        ((3.0, 1.0), "TOTAL       4.00 kg\nCOG    centreline +0.375m", ["LEFT-HEAVY"], False),
+        ((1.0, 3.5), "TOTAL       4.50 kg\nCOG    centreline -0.417m", ["RIGHT-HEAVY"], False),
+        (
+            (6.0, 4.0),
+            "TOTAL      10.00 kg\nCOG    centreline +0.150m",
+            ["OVERLOAD total=10.00kg limit=9.50kg", "LEFT-HEAVY"],
+            True,
+        ),
+        ((0.0, 0.0), "TOTAL       0.00 kg\nCOG    undefined (zero load)", ["SAFE"], False),
+        ((0.0,) * 4, FOUR_CELL_ZERO_HEAD, ["SAFE"], False),
+    ],
+    ids=["balanced", "left_heavy", "right_heavy", "overloaded", "zero", "four_cell_zero"],
+)
+def test_lcd_and_alert_text(masses, head, alerts, unsafe):
+    # the two-cell deck under prototype1, its breadth the 1.5 m track; the
+    # four-cell deck under prototype2. The alert lines end the LCD text.
+    policy = P1 if len(masses) == 2 else P2
+    a = assess(masses, GEOM, policy)
+    assert classify(a, policy) == alerts
+    assert render_lcd(a, policy) == "\n".join([head, *alerts])
+    assert is_unsafe(a) is unsafe
 
 
 def test_policy_presets():

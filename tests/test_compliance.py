@@ -293,6 +293,23 @@ def test_tolerance_rule_rejects_nan(shape):
         ToleranceRule("US", "acceptance", **shape)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ToleranceRule("NewZealand", "acceptance", band_t=(10.0, 40.0)), "band rules need band_error_kg"),
+        (
+            lambda: ToleranceRule("US", "annual", percent_of_load=0.001),
+            "verification kind must be one of ('first_time', 're_verification', 'acceptance'), got 'annual'",
+        ),
+        (lambda: AxleConfiguration("1", axle_count=1, gvw_limit_kg=8000.0), "axle count must be >= 2, got 1"),
+    ],
+    ids=["band_without_error", "unknown_kind", "one_axle"],
+)
+def test_a_rule_or_axle_configuration_out_of_shape(make, message):
+    with pytest.raises(InvalidValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_tolerance_rule_rejects_non_positive_numbers():
     with pytest.raises(ValueError, match="^percent of load must be > 0, got -0.001$"):
         ToleranceRule("US", "acceptance", percent_of_load=-0.001)

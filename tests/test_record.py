@@ -241,6 +241,15 @@ class TestFieldTypes:
         with pytest.raises(RecordParseError, match=f"^{message}$"):
             store.load_all()
 
+    def test_an_unknown_assessment_kind(self, store, capsys):
+        record_id = self.edit(store, ("assessment", "kind"), "three_cell")
+        message = "line 2: unknown assessment kind 'three_cell'"
+        for argv in (["assess", record_id, "--data-dir", str(store.data_dir)], ["assess", str(store.path)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"weighsim: error: {message}\n")
+        with pytest.raises(RecordParseError, match=f"^{message}$"):
+            store.load_all()
+
     def test_an_int_may_stand_for_a_float(self, store):
         record_id = self.edit(store, ("geometry", "wheelbase_m"), 2)
         assert store.load(record_id).geometry.wheelbase_m == 2
