@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InvalidReadingError, InvalidValueError, require_positive
 
@@ -130,6 +130,8 @@ class LoadAssessment:
     when the total is positive.
     """
 
+    kind = "four_cell"  # the record's assessment "kind": a class attribute, not a field
+
     total_kg: float
     x_cg_m: float | None
     y_cg_m: float | None
@@ -150,6 +152,11 @@ class LoadAssessment:
 @dataclass(frozen=True)
 class TwoCellAssessment:
     """Result of one two-cell weighing. Offset is None at zero total."""
+
+    kind = "two_cell"
+    # Not fields either: a two-cell deck has no quadrants and no front/rear axis.
+    quadrant_pct = flagged_quadrants = ()
+    front_heavy = rear_heavy = False
 
     total_kg: float
     lateral_offset_m: float | None
@@ -232,19 +239,8 @@ def assess_four_cell(masses: Sequence[float], geom: DeckGeometry, policy: AlertP
     )
 
 
-class Deck(NamedTuple):
-    """What differs between the two-cell and the four-cell deck."""
-
-    kind: str  # the record's assessment "kind"
-    assessment: type
-    assess: Callable
-
-
-#: The deck of each cell count.
-DECKS = {
-    2: Deck("two_cell", TwoCellAssessment, assess_two_cell),
-    4: Deck("four_cell", LoadAssessment, assess_four_cell),
-}
+#: The assess function of each cell count.
+DECKS = {2: assess_two_cell, 4: assess_four_cell}
 
 
 def assess(
@@ -253,12 +249,12 @@ def assess(
     """Assessment of the deck with one cell per mass, masses in cell order."""
     if len(masses) not in DECKS:
         raise InvalidValueError(f"cell count must be one of {sorted(DECKS)}, got {len(masses)}")
-    return DECKS[len(masses)].assess(masses, geom, policy)
+    return DECKS[len(masses)](masses, geom, policy)
 
 
 def is_unsafe(assessment: LoadAssessment | TwoCellAssessment) -> bool:
     """True when the assessment raises an overload or a quadrant flag."""
-    return assessment.overloaded or bool(getattr(assessment, "flagged_quadrants", ()))
+    return assessment.overloaded or bool(assessment.flagged_quadrants)
 
 
 def classify(assessment: LoadAssessment | TwoCellAssessment, policy: AlertPolicy) -> list[str]:
@@ -275,16 +271,15 @@ def classify(assessment: LoadAssessment | TwoCellAssessment, policy: AlertPolicy
             f"OVERLOAD total={assessment.total_kg:.2f}kg"
             f" limit={policy.overload_threshold_kg:.2f}kg"
         )
-    if isinstance(assessment, LoadAssessment):
-        for name, share in zip(QUADRANT_NAMES, assessment.quadrant_pct):
-            if name in assessment.flagged_quadrants:
-                lines.append(
-                    f"IMBALANCE {name}={share:.1f}% limit={policy.quadrant_threshold_pct:.1f}%"
-                )
-        if assessment.front_heavy:
-            lines.append("FRONT-HEAVY")
-        if assessment.rear_heavy:
-            lines.append("REAR-HEAVY")
+    for name, share in zip(QUADRANT_NAMES, assessment.quadrant_pct):
+        if name in assessment.flagged_quadrants:
+            lines.append(
+                f"IMBALANCE {name}={share:.1f}% limit={policy.quadrant_threshold_pct:.1f}%"
+            )
+    if assessment.front_heavy:
+        lines.append("FRONT-HEAVY")
+    if assessment.rear_heavy:
+        lines.append("REAR-HEAVY")
     if assessment.left_heavy:
         lines.append("LEFT-HEAVY")
     if assessment.right_heavy:
@@ -296,25 +291,20 @@ def classify(assessment: LoadAssessment | TwoCellAssessment, policy: AlertPolicy
 
 def render_lcd(assessment: LoadAssessment | TwoCellAssessment, policy: AlertPolicy) -> str:
     """Multi-line human rendering: totals, CoG, sectors, then alert lines."""
-    out: list[str] = [f"TOTAL  {assessment.total_kg:9.2f} kg"]
+    out: list[str] = [f"TOTAL  {assessment.total_kg:9.2f} kg", "COG    undefined (zero load)"]
     if isinstance(assessment, LoadAssessment):
         if assessment.x_cg_m is not None:
-            out.append(
+            out[1] = (
                 f"COG    x={assessment.x_cg_m:.3f}m y={assessment.y_cg_m:.3f}m"
                 f" (centreline {assessment.centreline_offset_m:+.3f}m)"
             )
-        else:
-            out.append("COG    undefined (zero load)")
         out.append(f"FRONT  {assessment.front_kg:9.2f} kg  REAR   {assessment.rear_kg:9.2f} kg")
         out.append(f"LEFT   {assessment.left_kg:9.2f} kg  RIGHT  {assessment.right_kg:9.2f} kg")
         pct = assessment.quadrant_pct
         out.append(
             f"SHARE  FL {pct[0]:5.1f}%  FR {pct[1]:5.1f}%  RL {pct[2]:5.1f}%  RR {pct[3]:5.1f}%"
         )
-    else:
-        if assessment.lateral_offset_m is not None:
-            out.append(f"COG    centreline {assessment.lateral_offset_m:+.3f}m")
-        else:
-            out.append("COG    undefined (zero load)")
+    elif assessment.lateral_offset_m is not None:
+        out[1] = f"COG    centreline {assessment.lateral_offset_m:+.3f}m"
     out.extend(classify(assessment, policy))
     return "\n".join(out)

@@ -1,5 +1,5 @@
 """Exception hierarchy, the finite-and-positive and finite-and-non-negative
-checks, and the seed check.
+checks, and the seed and integer checks.
 
 Every failure the library signals deliberately derives from WeighSimError; a
 value out of range is an InvalidValueError, a ValueError as well. The CLI maps
@@ -35,11 +35,11 @@ def require_non_negative(name: str, value: float) -> None:
 def require_seed(name: str, seed: object) -> None:
     """Raise InvalidSeedError unless `seed` is an integer >= 0, the seeds a
     numpy SeedSequence takes: an int or a numpy integer, never a bool."""
-    if type(seed) is not int and not _is_integer(seed) or seed < 0:
+    if type(seed) is not int and not is_integer(seed) or seed < 0:
         raise InvalidSeedError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
-def _is_integer(value: object) -> bool:
+def is_integer(value: object) -> bool:
     """An int that is not a bool, or a numpy integer (numpy is not imported
     here: a value cannot be one before something else has loaded it)."""
     if isinstance(value, int):

@@ -21,16 +21,15 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
 
-from .cog import DECKS, AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
+from .cog import AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
 from .errors import InvalidReadingError, InvalidValueError, RecordParseError
 
 ENV_DATA_DIR = "WEIGHSIM_DATA_DIR"
 DEFAULT_DATA_DIR = "weighsim_records"
 RECORDS_FILENAME = "records.ndjson"
 
-#: The record `kind` of each assessment class, and the class of each kind.
-_KIND = {deck.assessment: deck.kind for deck in DECKS.values()}
-_ASSESSMENT = {deck.kind: deck.assessment for deck in DECKS.values()}
+#: The assessment class of each record `kind`.
+_ASSESSMENT = {cls.kind: cls for cls in (LoadAssessment, TwoCellAssessment)}
 
 
 def to_json(obj: Any) -> dict:
@@ -40,7 +39,7 @@ def to_json(obj: Any) -> dict:
     values = [getattr(obj, name) for name in names]
     for i, encode, _ in converted:
         values[i] = encode(values[i])
-    out = {"kind": _KIND[type(obj)]} if type(obj) in _KIND else {}
+    out = {"kind": obj.kind} if type(obj) in _ASSESSMENT.values() else {}
     out.update(zip(names, values))
     return out
 

@@ -54,7 +54,7 @@ from .compliance import (
     within_gvw_limit,
 )
 from .errors import IncompleteStationError, InsufficientSamplesError, RecordParseError
-from .errors import InvalidValueError, SequencingError, require_positive
+from .errors import InvalidValueError, SequencingError, is_integer, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
 
 MODES = ("static", "wim")
@@ -193,7 +193,7 @@ def _require_integers(columns: dict[str, list], frame: Callable[[int], SensorFra
     if {*map(type, chain(*columns.values()))} - {int}:
         for i, row in enumerate(zip(*columns.values())):
             for name, value in zip(columns, row):
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                if not is_integer(value):
                     raise InvalidValueError(f"{name} {value!r} is not an integer: {frame(i)}")
 
 
