@@ -153,8 +153,8 @@ class LoadAssessment:
 class TwoCellAssessment:
     """Result of one two-cell weighing. Offset is None at zero total."""
 
+    # Class attributes, not fields: a two-cell deck has no quadrants and no front/rear axis.
     kind = "two_cell"
-    # Not fields either: a two-cell deck has no quadrants and no front/rear axis.
     quadrant_pct = flagged_quadrants = ()
     front_heavy = rear_heavy = False
 
