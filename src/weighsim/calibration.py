@@ -4,6 +4,9 @@ The slope maps ADC codes to mass:
 
     mass = scale_kg_per_lsb * (code - tare_code)
 
+A slope holds at the ADC gain it was taken at (`gain`, 128 by default),
+so a session refuses frames of another gain.
+
 Tiny negative masses are routine at zero load once noise is present, so
 conversion clamps them to 0 kg instead of erroring. The temperature
 recorded at calibration time lets a session warn when it is operating far
@@ -16,9 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Literal
 
 from .errors import (
     DegenerateCalibrationError,
@@ -26,10 +27,11 @@ from .errors import (
     InvalidValueError,
     InvertedWiringError,
     TareRangeError,
+    is_integer,
     require_non_negative,
     require_positive,
 )
-from .codec import CODE_MAX, CODE_MIN, RAILS
+from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS
 from . import kvfile
 
 #: Warn when operating this many °C away from the calibration temperature.
@@ -38,12 +40,18 @@ DEFAULT_TEMP_DELTA_C = 10.0
 
 @dataclass(frozen=True)
 class CalibrationState:
-    """Immutable code→mass mapping for one cell."""
+    """Immutable code→mass mapping for one cell.
+
+    `gain` is not one of the file's scalars: the file holds a `gain` key
+    only for a gain other than 128, so files and fingerprints of gain-128
+    calibrations read as they did before the field existed.
+    """
 
     tare_code: int
     scale_kg_per_lsb: float
     calibrated_at_temp_c: float = 25.0
     reference_points: tuple[tuple[float, int], ...] = field(default_factory=tuple)
+    gain: Literal[128, 64, 32] = 128
 
     def __post_init__(self) -> None:
         if not CODE_MIN <= self.tare_code <= CODE_MAX:
@@ -55,6 +63,8 @@ class CalibrationState:
             raise InvalidValueError("need at least one reference point beyond tare")
         for mass, _ in self.reference_points:
             require_positive("reference mass", mass)
+        if not is_integer(self.gain) or self.gain not in GAIN_CHANNELS:
+            raise InvalidValueError(f"gain must be one of {sorted(GAIN_CHANNELS)}, got {self.gain!r}")
 
     def temperature_warning(self, operating_temp_c: float, max_delta_c: float = DEFAULT_TEMP_DELTA_C) -> bool:
         """True when the operating temperature is outside the trusted band; a
@@ -68,6 +78,8 @@ class CalibrationState:
     def fingerprint(self) -> str:
         """Short stable hash of the calibration parameters."""
         text = f"{self.tare_code}|{self.scale_kg_per_lsb!r}|{self.calibrated_at_temp_c!r}"
+        if self.gain != 128:
+            text += f"|{self.gain}"
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def to_file(self, path: str | Path) -> None:
@@ -75,6 +87,8 @@ class CalibrationState:
         for i, (mass, code) in enumerate(self.reference_points):
             pairs.append((f"ref_mass_kg_{i}", repr(mass)))
             pairs.append((f"ref_code_{i}", str(code)))
+        if self.gain != 128:
+            pairs.append(("gain", str(self.gain)))
         kvfile.write(path, self, "cell calibration", pairs)
 
     @classmethod
@@ -87,7 +101,8 @@ class CalibrationState:
                 mass = kvfile.take(values, f"ref_mass_kg_{i}", kvfile.parse_float)
                 code = kvfile.take(values, f"ref_code_{i}", kvfile.parse_int)
                 points.append((mass, code))
-            cal = kvfile.build(cls, values, reference_points=tuple(points))
+            gain = kvfile.take(values, "gain", kvfile.parse_int) if "gain" in values else 128
+            cal = kvfile.build(cls, values, reference_points=tuple(points), gain=gain)
             kvfile.reject_unknown(values)
         return cal
 
@@ -136,13 +151,3 @@ def code_to_mass(code: int, cal: CalibrationState) -> float:
     (`max` returns -0.0 and NaN as they are)."""
     return max(cal.scale_kg_per_lsb * (code - cal.tare_code), 0.0)
 
-
-def codes_to_kg(codes: np.ndarray, cal: CalibrationState) -> np.ndarray:
-    """`code_to_mass(code, cal)` for every int64 code, with the same clamp.
-
-    The int64 difference converts to float64 exactly as a Python int does,
-    so each element equals the scalar conversion bit for bit; `maximum`
-    keeps a NaN as the scalar clamp does.
-    """
-    mass = cal.scale_kg_per_lsb * (codes - cal.tare_code)
-    return np.maximum(mass, 0.0, out=mass)

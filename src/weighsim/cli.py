@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 # imports the modules it runs, and the parser imports what a subcommand's
 # choices come from only when that subcommand is parsed. So `replay`
 # starts without the deck, compliance, record, sensor and `dataclasses`
-# modules, and only `weigh`, `simulate` and `calibrate` load numpy.
+# modules, and only `simulate` and `calibrate`, which run the sensor model,
+# load numpy: `weigh` reads, checks and averages its frames without it.
 from . import kvfile
 from .errors import FrameError, RecordParseError, WeighSimError
 

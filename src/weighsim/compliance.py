@@ -27,9 +27,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ConfigError,
@@ -43,7 +44,7 @@ from .errors import (
 )
 from . import kvfile
 
-# numpy is imported inside the functions that use it, to keep imports fast.
+# numpy is imported only by `simulate_weigh_stream`, so a weighing loads none.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -259,6 +260,8 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
       `anchors 80:20 400:80`   interpolated anchor points (t:kg)
       `band 10:40 40`          flat error (kg) over a load band (t)
       `percent 0.1`            percentage of load
+    A part missing or left over is a ConfigError that names the key and
+    the part.
     """
     rules = dict(BUILTIN_RULES)
     with kvfile.named(path):
@@ -266,33 +269,43 @@ def load_tolerance_rules(path: str | Path) -> dict[tuple[str, str], ToleranceRul
             if "/" not in key:
                 raise ConfigError(f"rule key must be 'jurisdiction/kind', got {key!r}")
             jurisdiction, kind = key.split("/", 1)
-            parts = value.split()
+            shape, *parts = value.split() or [""]
             number = partial(kvfile.parse_float, key=key)
+            parts_of = partial(_rule_parts, key)
             try:
-                if parts[0] == "anchors":
-                    anchors = tuple(
-                        (number(a.split(":")[0]), number(a.split(":")[1])) for a in parts[1:]
-                    )
+                if shape == "anchors":
+                    points = [parts_of(f"anchor {a!r}", a.split(":"), ("tonnes", "kg")) for a in parts]
+                    anchors = tuple((number(t), number(kg)) for t, kg in points)
                     rule = ToleranceRule(jurisdiction, kind, anchor_points_t_kg=anchors)
-                elif parts[0] == "band":
-                    lo, hi = (number(x) for x in parts[1].split(":"))
-                    rule = ToleranceRule(
-                        jurisdiction, kind, band_t=(lo, hi), band_error_kg=number(parts[2])
-                    )
-                elif parts[0] == "percent":
-                    rule = ToleranceRule(jurisdiction, kind, percent_of_load=number(parts[1]) / 100.0)
+                elif shape == "band":
+                    band, error = parts_of(repr(value), parts, ("low:high", "max_error_kg"))
+                    lo, hi = (number(x) for x in parts_of(f"band {band!r}", band.split(":"), ("low", "high")))
+                    rule = ToleranceRule(jurisdiction, kind, band_t=(lo, hi), band_error_kg=number(error))
+                elif shape == "percent":
+                    [percent] = parts_of(repr(value), parts, ("percent",))
+                    rule = ToleranceRule(jurisdiction, kind, percent_of_load=number(percent) / 100.0)
                 else:
-                    raise ConfigError(f"unknown rule shape {parts[0]!r} for {key!r}")
-            except (IndexError, ValueError) as exc:
+                    raise ConfigError(f"unknown rule shape {shape!r} for {key!r}")
+            except ValueError as exc:
                 raise ConfigError(f"bad rule {key!r}: {exc}") from None
             rules[(jurisdiction, kind)] = rule
     return rules
 
 
+def _rule_parts(key: str, what: str, parts: list[str], names: tuple[str, ...]) -> list[str]:
+    """`parts`, one per name in `names`; else a ConfigError that names the
+    rule's `key` and, in `what`, the first name missing or part left over."""
+    if len(parts) < len(names):
+        raise ConfigError(f"bad rule {key!r}: {what} has no {names[len(parts)]}")
+    if len(parts) > len(names):
+        raise ConfigError(f"bad rule {key!r}: {what} has an extra part {parts[len(names)]!r}")
+    return parts
+
+
 # -- weighing modes ----------------------------------------------------------
 
 
-def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray) -> float:
+def static_weigh(times_s: Sequence[float], masses_kg: Sequence[float]) -> float:
     """Mean of the samples in the trailing `STATIC_WINDOW_S` window of a
     static weighing.
 
@@ -300,7 +313,7 @@ def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray) -> float:
     (the ingestion path guarantees this). The stream must span at least
     the window. The window is half-open, (t_end - window, t_end], so a
     stream spanning exactly the window contributes everything after its
-    first sample.
+    first sample. Only the masses in the window are read, by index.
     """
     if not len(times_s):
         raise InsufficientDurationError("empty stream")
@@ -309,16 +322,54 @@ def static_weigh(times_s: np.ndarray, masses_kg: np.ndarray) -> float:
         raise InsufficientDurationError(
             f"stream spans {span:.3f} s, static weighing needs {STATIC_WINDOW_S:.3f} s"
         )
-    return float(masses_kg[times_s > times_s[-1] - STATIC_WINDOW_S].mean())
+    cutoff = times_s[-1] - STATIC_WINDOW_S
+    return mean([masses_kg[i] for i, t in enumerate(times_s) if t > cutoff])
 
 
-def wim_weigh(masses_kg: np.ndarray) -> tuple[float, float]:
+def wim_weigh(masses_kg: Sequence[float]) -> tuple[float, float]:
     """Mean and sample variance over a column of pass-over segment masses."""
     if not len(masses_kg):
         raise NoVehicleError("no samples in the pass-over segment")
-    mean = float(masses_kg.mean())
-    var = float(masses_kg.var(ddof=1)) if len(masses_kg) > 1 else 0.0
-    return mean, var
+    average = mean(masses_kg)
+    deviations = [(m - average) * (m - average) for m in masses_kg]
+    var = _sum(deviations) / (len(masses_kg) - 1) if len(masses_kg) > 1 else 0.0
+    return average, float(var)
+
+
+def mean(values: Sequence[float]) -> float:
+    """The mean of float64 values, bit for bit numpy's `ndarray.mean()`:
+    their sum as numpy adds them (`_sum`), divided by their count. NaN,
+    infinities and -0.0 come out as numpy's do."""
+    return float(_sum(values) / len(values))
+
+
+def _sum(values: Sequence[float]) -> float:
+    """numpy's float64 `add.reduce`: 0.0, its identity, plus the pairwise
+    sum of `values`."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
+    """numpy's pairwise sum of `values[lo:lo + n]` (`pairwise_sum` in its
+    umath loops). Under 8 values: added in order to 0.0. Up to 128: eight
+    running sums, the j-th over every 8th value from the j-th, added as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the last n % 8
+    values in order. Above: the sums of two parts, the first n // 2 values
+    rounded down to a multiple of 8, and the rest."""
+    if n < 8:
+        total = 0.0
+        for value in values[lo : lo + n]:
+            total += value
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, values[lo + j : end : 8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[end : lo + n]:
+            total += value
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
 
 
 def simulate_weigh_stream(

@@ -149,5 +149,9 @@ class IncompleteStationError(WeighSimError):
     """A weigh session is missing frames for one or more cells."""
 
 
+class GainMismatchError(WeighSimError):
+    """A cell's frames carry a gain other than its calibration's."""
+
+
 class ConfigError(WeighSimError):
     """A plain-text input file is malformed, incomplete or not UTF-8 text."""

@@ -11,21 +11,22 @@ is on a rail (`codec.RAILS`) and 0 otherwise: any other value is a parse
 error. Timestamps are signed 64-bit and must be non-decreasing per cell.
 
 One weighing is one vehicle on one deck, so a `FrameBatch` holds one
-station's frames: its `station_id` and a numpy column per other wire
-field but `saturated`, which the code implies, one row per frame in input
-order. `FrameIngestor.ingest_lines` parses any iterable of lines (an open
-file included) in the chunks of `codec.chunks`, so the strings of one
-chunk at a time are alive. Each chunk is stripped of blank lines and
-surrounding whitespace and read into columns: by numpy's text reader when
-it can vouch for every line, else by `str.split` and `int()`, which find
-the field-count, empty-station and non-numeric faults. One set of array
-checks judges the columns either way; the first line that fails raises
-its first failing check of: field count, empty station, non-numeric
-field, cell, code, gain, flag, timestamp width (RecordParseError), a
-second station (IncompleteStationError), time order on its cell
-(SequencingError). So neither reader nor chunk size changes a result.
-`run_session` reduces each cell's column slice: code→mass, then the
-static-window or WIM mean.
+station's frames: its `station_id` and an int64 column (`array('q')`, 8
+bytes a value) per other wire field but `saturated`, which the code
+implies, one row per frame in input order. `FrameIngestor.ingest_lines`
+parses any iterable of lines (an open file included) in the chunks of
+`codec.chunks`, so the strings of one chunk at a time are alive. Each chunk
+is stripped of blank lines and surrounding whitespace and read by
+`str.split` and `int()`: in bulk, all its fields split at once and a column
+at a time converted, when every line holds six fields of one station and
+every check passes; else line by line, which finds the first line that
+fails and its first failing check of: field count, empty station,
+non-numeric field, cell, code, gain, flag, timestamp width
+(RecordParseError), a second station (IncompleteStationError), time order
+on its cell (SequencingError). So neither the reading nor the chunk size
+changes a result. `run_session` reduces each cell's frames: code→mass by
+`calibration.code_to_mass`, then the static-window or WIM mean in float64,
+as numpy's `mean` adds (`compliance.mean`). No numpy is loaded here.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -33,16 +34,14 @@ Records, their JSON codec and the record store live in `weighsim.record`.
 from __future__ import annotations
 
 import os
-import warnings
+from array import array
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-# code_to_mass, RecordStore and assessment_line are unused here but stay module
-# attributes: callers, the benchmark among them, look them up on this module.
-from .calibration import CalibrationState, code_to_mass, codes_to_kg  # noqa: F401
+# RecordStore and assessment_line are unused here but stay module attributes:
+# callers, the benchmark among them, look them up on this module.
+from .calibration import CalibrationState, code_to_mass
 from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS, chunks, numbered
 from .cog import DECKS, AlertPolicy, DeckGeometry, assess
 from .compliance import (
@@ -53,17 +52,13 @@ from .compliance import (
     wim_weigh,
     within_gvw_limit,
 )
-from .errors import IncompleteStationError, InsufficientSamplesError, RecordParseError
+from .errors import GainMismatchError, IncompleteStationError, InsufficientSamplesError, RecordParseError
 from .errors import InvalidValueError, SequencingError, is_integer, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
 
 MODES = ("static", "wim")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-#: Characters a chunk taken in bulk must not hold: a line break, which
-#: would split a line in numpy's text reader, and the separators \x1c-\x1f,
-#: which the reader strips from an integer field and int() does not.
-_NOT_IN_BULK = "\r\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -94,31 +89,43 @@ def parse_frame_line(line: str, line_no: int | None = None, cell_count: int = 4)
     """The frame of one wire line, judged as `FrameIngestor` judges it alone:
     every failure is a RecordParseError with the line number."""
     batch = FrameIngestor(cell_count)._chunk([line.strip()], [line_no])
-    cell, ts, code, gain = (getattr(batch, c).item() for c in _COLUMNS)
+    cell, ts, code, gain = (getattr(batch, c)[0] for c in _COLUMNS)
     return SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS)
 
 
-def _outside(cell: np.ndarray, cell_count: int) -> np.ndarray:
-    """The rows whose cell index is not one of `cell_count` cells."""
-    return (cell < 0) | (cell >= cell_count)
+def _value_fault(ts: int, code: int, gain: int, flag: object) -> int | None:
+    """The index in `_reasons` of the first check of a frame's values that
+    fails, in the order a wire line reports them after its cell: code
+    range, gain, saturated flag (`flag` must equal whether the code is on a
+    rail), timestamp width; None when every check passes."""
+    passed = (CODE_MIN <= code <= CODE_MAX, gain in GAIN_CHANNELS, flag == (code in RAILS), _INT64_MIN <= ts <= _INT64_MAX)
+    return passed.index(False) if False in passed else None
 
 
-def _frame_faults(ts: np.ndarray, code: np.ndarray, gain: np.ndarray, sat: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """A mask of the rows failing each check of a frame's values, in the
-    order a wire line reports them after its cell: code range, gain,
-    saturated flag (`sat`; None stands for each code's own), timestamp
-    width. Columns of object dtype may hold any int."""
-    on_rail = np.logical_or.reduce([code == rail for rail in RAILS])
-    return (
-        (code < CODE_MIN) | (code > CODE_MAX),
-        np.logical_and.reduce([gain != g for g in GAIN_CHANNELS]),
-        on_rail != (on_rail if sat is None else sat),
-        (ts < _INT64_MIN) | (ts > _INT64_MAX),
+def _values_pass(code: list[int], gain: list[int], flags: list | None) -> bool:
+    """Whether every row passes the checks of `_value_fault` but the
+    timestamp width, judged a column at a time; `flags` None stands for
+    each code's own."""
+    return not code or (
+        CODE_MIN <= min(code) and max(code) <= CODE_MAX and set(gain) <= GAIN_CHANNELS.keys()
+        and (flags is None or flags == [c in RAILS for c in code])
     )
 
 
+def _fits(ts: list[int]) -> bool:
+    """Whether every timestamp fits in 64 bits."""
+    return not ts or _INT64_MIN <= min(ts) and max(ts) <= _INT64_MAX
+
+
+def _ints(texts: list[str]) -> list[int]:
+    """int() of each text, each distinct text converted once: the cell and
+    gain fields of a capture repeat a few texts."""
+    values = {text: int(text) for text in set(texts)}
+    return list(map(values.__getitem__, texts))
+
+
 def _reasons(ts: object, code: int, gain: int, sat: object) -> list[str]:
-    """What each check of `_frame_faults` says of a frame that fails it."""
+    """What each check of `_value_fault` says of a frame that fails it."""
     return [
         f"code {code} outside signed 24-bit range",
         f"gain {gain} not one of {sorted(GAIN_CHANNELS)}",
@@ -127,20 +134,31 @@ def _reasons(ts: object, code: int, gain: int, sat: object) -> list[str]:
     ]
 
 
+def _is_int64(column: Sequence[int]) -> bool:
+    return isinstance(column, array) and column.typecode == "q"
+
+
+def _values(column: Sequence[int]) -> list:
+    """A column's values as a list, numpy's scalars made Python's."""
+    return column if isinstance(column, list) else column.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class FrameBatch:
     """One station's wire frames as columns, one row per frame in input order.
 
     `station_id` is None for an empty batch. The other columns hold the
-    `SensorFrameRecord` field of the same name, int64; a row's saturation
-    is its code's (`codec.RAILS`).
+    `SensorFrameRecord` field of the same name as int64 (`array('q')`); a
+    row's saturation is its code's (`codec.RAILS`). A batch built by hand
+    may hold any columns of integers, numpy's included: `run_session`
+    checks and converts them.
     """
 
     station_id: str | None
-    cell_index: np.ndarray
-    timestamp_ms: np.ndarray
-    adc_code: np.ndarray
-    gain: np.ndarray
+    cell_index: Sequence[int]
+    timestamp_ms: Sequence[int]
+    adc_code: Sequence[int]
+    gain: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.cell_index)
@@ -160,21 +178,24 @@ class FrameBatch:
             [r.gain for r in records],
         ]
         _require_integers(dict(zip(_COLUMNS, columns)), records.__getitem__)
-        try:
-            batch = cls(station, *np.array(columns, np.int64))
-        except OverflowError:  # a value no int64 holds, which `_checked` names
-            batch = cls(station, *np.array(columns, object))
-        return _checked(batch, cell_count, records)
+        return _checked(cls(station, *columns), cell_count, records)[0]
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
-        """Rows of every batch in order."""
+        """Rows of every batch in order: int64 columns of int64 columns,
+        else lists of their values, for `run_session` to judge."""
         if len(batches) == 1:
             return batches[0]
-        return cls(
-            _one_station(b.station_id for b in batches),
-            *(np.concatenate([getattr(b, c) for b in batches]) for c in _COLUMNS),
-        )
+        columns = []
+        for name in _COLUMNS:
+            parts = [getattr(b, name) for b in batches]
+            if all(map(_is_int64, parts)):
+                columns.append(array("q"))
+                for part in parts:
+                    columns[-1].extend(part)
+            else:
+                columns.append([value for part in parts for value in _values(part)])
+        return cls(_one_station(b.station_id for b in batches), *columns)
 
 
 def _one_station(ids: Iterable[str | None]) -> str | None:
@@ -197,36 +218,55 @@ def _require_integers(columns: dict[str, list], frame: Callable[[int], SensorFra
                     raise InvalidValueError(f"{name} {value!r} is not an integer: {frame(i)}")
 
 
-def _checked(batch: FrameBatch, cell_count: int, records: list[SensorFrameRecord] | None = None) -> FrameBatch:
-    """`batch` with int64 columns. Without `records` (whose fields
-    `from_records` checked), a column of an integer dtype holds integers
-    and any other is read as Python objects for `_require_integers`. The
-    first frame that fails a check of `_frame_faults` is an InvalidValueError
-    that names it: its row, or the record of `records` it came from, whose
-    saturated flag is checked too. Then the first frame for a cell off a
-    deck of `cell_count` cells, one beyond int64 included, is an
-    IncompleteStationError that names the cell."""
+def _checked(
+    batch: FrameBatch, cell_count: int, records: list[SensorFrameRecord] | None = None
+) -> tuple[FrameBatch, list[list[int]]]:
+    """`batch` with int64 columns, and those columns as lists of ints.
+    Without `records` (whose fields `from_records` checked), a column that
+    is not int64 already must hold integers (`_require_integers`). The first frame that fails a check of
+    `_value_fault` is an InvalidValueError that names it: its row, or the
+    record of `records` it came from, whose saturated flag is checked too.
+    Then the first frame for a cell off a deck of `cell_count` cells, one
+    beyond int64 included, is an IncompleteStationError that names the cell."""
     columns = [getattr(batch, c) for c in _COLUMNS]
+    values = list(map(_values, columns))
+    cell, ts, code, gain = values
 
     def row(i: int) -> SensorFrameRecord:
-        cell, ts, code, gain = (c.tolist()[i] for c in columns)
-        return SensorFrameRecord(batch.station_id, cell, ts, code, gain, code in RAILS)
+        return SensorFrameRecord(batch.station_id, cell[i], ts[i], code[i], gain[i], code[i] in RAILS)
 
     if records is None:
-        _require_integers({n: c.tolist() for n, c in zip(_COLUMNS, columns) if c.dtype.kind not in "iu"}, row)
-    flags = None if records is None else np.array([r.saturated for r in records], bool)
-    faults = _frame_faults(*columns[1:], flags)
-    bad = np.logical_or.reduce(faults)
-    if bad.any():
-        i = int(bad.argmax())
+        _require_integers({n: v for n, v, c in zip(_COLUMNS, values, columns) if not _is_int64(c)}, row)
+    flags = None if records is None else [bool(r.saturated) for r in records]
+    if not (_values_pass(code, gain, flags) and (_is_int64(columns[1]) or _fits(ts))):
+        for i, frame_values in enumerate(zip(ts, code, gain, flags or map(RAILS.__contains__, code))):
+            if (check := _value_fault(*frame_values)) is not None:
+                break
         frame = row(i) if records is None else records[i]
         reasons = _reasons(frame.timestamp_ms, frame.adc_code, frame.gain, frame.saturated)
         reasons[2] = f"saturated flag {frame.saturated} disagrees with code {frame.adc_code}"
-        raise InvalidValueError(f"{reasons[[f[i] for f in faults].index(True)]}: {frame}")
-    outside = _outside(columns[0], cell_count)
-    if outside.any():
-        raise IncompleteStationError(f"frame for cell {columns[0][outside.argmax()]} on a {cell_count}-cell station")
-    return FrameBatch(batch.station_id, *(np.asarray(c, np.int64) for c in columns))
+        raise InvalidValueError(f"{reasons[check]}: {frame}")
+    if cell and not (0 <= min(cell) and max(cell) < cell_count):
+        off = next(c for c in cell if not 0 <= c < cell_count)
+        raise IncompleteStationError(f"frame for cell {off} on a {cell_count}-cell station")
+    if not all(map(_is_int64, columns)):
+        batch = FrameBatch(batch.station_id, *(array("q", v) for v in values))
+        values = [getattr(batch, c).tolist() for c in _COLUMNS]  # numpy integers made ints
+    return batch, values
+
+
+def _by_cell(cell: list[int], cell_count: int, *columns: list[int]) -> list[list[list[int]]]:
+    """Per cell, the values of each of `columns` in its rows, in row order;
+    every value of `cell` is a cell index below `cell_count`. A station
+    that samples its cells in turn writes them round-robin, and those
+    columns are sliced."""
+    turn = cell[:cell_count]
+    if sorted(turn) == list(range(cell_count)) and cell == (turn * (len(cell) // cell_count + 1))[: len(cell)]:
+        return [[column[turn.index(c) :: cell_count] for column in columns] for c in range(cell_count)]
+    rows: list[list[int]] = [[] for _ in range(cell_count)]
+    for i, c in enumerate(cell):
+        rows[c].append(i)
+    return [[[column[i] for i in r] for column in columns] for r in rows]
 
 
 class FrameIngestor:
@@ -241,7 +281,7 @@ class FrameIngestor:
         self.cell_count = cell_count
         self.station_id: str | None = None
         #: Last timestamp of each cell; INT64_MIN before its first frame.
-        self._last_ts = np.full(cell_count, _INT64_MIN, dtype=np.int64)
+        self._last_ts = [_INT64_MIN] * cell_count
 
     def ingest_lines(self, lines: Iterable[str]) -> FrameBatch:
         """Parse and check `lines` (any iterable, e.g. an open file), as the
@@ -258,76 +298,83 @@ class FrameIngestor:
         """The batch of stripped non-blank wire lines, judged after the frames
         ingested so far; only a good chunk advances the state."""
         station = self.station_id or kept[0].partition(",")[0]
-        stations, (cell, ts, code, gain, sat), error = _bulk(kept, station) or _split(kept)
-        # prev: each row's cell's timestamp before it (its own off the cells)
-        last, prev = self._last_ts.tolist(), ts.copy()
-        for c in range(self.cell_count):
-            rows = np.flatnonzero(cell == c)
-            t = np.append(last[c], ts[rows])
-            prev[rows], last[c] = t[:-1], t[-1]
-        other = np.zeros(len(ts), bool) if stations is None else stations != station
-        masks = (_outside(cell, self.cell_count), *_frame_faults(ts, code, gain, sat), other, ts < prev)
-        bad = np.logical_or.reduce(masks)
-        if bad.any():
-            row = int(bad.argmax())
-            check, line_no = [mask[row] for mask in masks].index(True), numbers[row]
-            if check == 5:
-                _one_station([station, stations[row]])  # raises
-            if check == 6:
-                raise SequencingError(
-                    f"timestamp {ts[row]} ms before {prev[row]} ms on"
-                    f" station {station!r} cell {cell[row]} (line {line_no})"
-                )
-            _, _, ts_s, _, _, sat_s = kept[row].split(",")
-            reasons = [f"cell index {cell[row]} outside 0-{self.cell_count - 1}", *_reasons(ts_s, code[row], gain[row], sat_s)]
-            raise RecordParseError(reasons[check], line_no)
-        if error is not None:
-            raise RecordParseError(error, numbers[len(ts)])
-        self.station_id, self._last_ts = station, np.array(last, np.int64)
-        return FrameBatch(station, *(np.asarray(c, np.int64) for c in (cell, ts, code, gain)))
+        columns, self._last_ts = self._in_bulk(kept, station) or self._line_by_line(kept, numbers, station)
+        self.station_id = station
+        return FrameBatch(station, *columns)
 
+    def _in_bulk(self, kept: list[str], station: str) -> tuple[list[array], list[int]] | None:
+        """The cell, timestamp, code and gain columns of stripped wire lines,
+        read a column at a time, and each cell's last timestamp after them;
+        None unless every line holds six fields of `station` and passes
+        every check."""
+        n = len(kept)
+        # Joined by ",\n,", the lines split into seven fields each, the
+        # seventh "\n", exactly when no line holds a "\n" and each holds six.
+        text = ",\n,".join(kept)
+        fields = text.split(",")
+        if (not station or len(fields) != 7 * n - 1 or text.count("\n") != n - 1
+                or fields[6::7] != ["\n"] * (n - 1) or fields[0::7].count(station) != n):
+            return None
+        try:
+            cell, gain = _ints(fields[1::7]), _ints(fields[4::7])
+            ts, code = list(map(int, fields[2::7])), list(map(int, fields[3::7]))
+            flags = fields[5::7]
+            # Off the rails every flag is 0, and is most often written "0".
+            on_rail = CODE_MIN in code or CODE_MAX in code
+            flags = None if not on_rail and flags.count("0") == n else _ints(flags)
+        except ValueError:
+            return None
+        if not (0 <= min(cell) and max(cell) < self.cell_count and _values_pass(code, gain, flags) and _fits(ts)):
+            return None
+        last = self._last_ts.copy()
+        for c, (times,) in enumerate(_by_cell(cell, self.cell_count, ts)):
+            if times:
+                if times[0] < last[c] or times != sorted(times):
+                    return None
+                last[c] = times[-1]
+        return [array("q", column) for column in (cell, ts, code, gain)], last
 
-def _bulk(kept: list[str], station: str) -> tuple[None, list[np.ndarray], None] | None:
-    """`_split`'s result for stripped wire lines all of `station`, read by
-    numpy's text reader, or None when that reader cannot vouch for them."""
-    n, text = len(kept), "\n".join(kept)
-    # numpy's reader takes some non-ASCII letters for digits. It refuses a
-    # line of fewer than 6 fields, so 5 commas per line on average are 5 on
-    # every line.
-    if (not station or not text.isascii() or any(c in text for c in _NOT_IN_BULK) or text.count(",") != 5 * n
-            or text.count("\n") != n - 1 or not text.startswith(station + ",") or text.count("\n" + station + ",") != n - 1):
-        return None
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads "1.0" as 1 with a DeprecationWarning
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(kept, np.int64, delimiter=",", usecols=range(1, 6), comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
-        return None
-    return None, list(np.ascontiguousarray(table.T)), None
-
-
-def _split(kept: list[str]) -> tuple[np.ndarray, list[np.ndarray], str | None]:
-    """Stripped wire lines read by `str.split` and `int()` up to the first
-    that does not parse: the station column and the five numeric columns of
-    the lines before it (object dtype, so no value overflows), and the
-    message of that line, or None."""
-    rows, error = [], None
-    for line in kept:
-        fields = line.split(",")
-        if len(fields) != 6:
-            error = f"expected 6 fields, got {len(fields)}"
-        elif not fields[0]:
-            error = "empty station id"
-        else:
+    def _line_by_line(self, kept: list[str], numbers: list[int | None], station: str) -> tuple[list[array], list[int]]:
+        """`_in_bulk`'s result, read one line at a time: the first line that
+        fails a check raises its error."""
+        rows, last = [], self._last_ts.copy()
+        for line, line_no in zip(kept, numbers):
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise RecordParseError(f"expected 6 fields, got {len(fields)}", line_no)
+            if not fields[0]:
+                raise RecordParseError("empty station id", line_no)
             try:
-                rows.append([fields[0], *map(int, fields[1:])])
-                continue
+                cell, ts, code, gain, flag = map(int, fields[1:])
             except ValueError:
-                error = f"non-numeric field in {line!r}"
-        break
-    stations, *columns = np.array(rows, object).reshape(-1, 6).T
-    return stations, columns, error
+                raise RecordParseError(f"non-numeric field in {line!r}", line_no) from None
+            if not 0 <= cell < self.cell_count:
+                raise RecordParseError(f"cell index {cell} outside 0-{self.cell_count - 1}", line_no)
+            if (check := _value_fault(ts, code, gain, flag)) is not None:
+                raise RecordParseError(_reasons(fields[2], code, gain, fields[5])[check], line_no)
+            _one_station([station, fields[0]])
+            if ts < last[cell]:
+                raise SequencingError(
+                    f"timestamp {ts} ms before {last[cell]} ms on"
+                    f" station {station!r} cell {cell} (line {line_no})"
+                )
+            last[cell] = ts
+            rows.append((cell, ts, code, gain))
+        return [array("q", column) for column in zip(*rows)], last
+
+
+class _Masses:
+    """A cell's codes as `code_to_mass` reads them, each converted when
+    indexed, so a static weighing converts the codes of its window only."""
+
+    def __init__(self, codes: list[int], cal: CalibrationState):
+        self.codes, self.cal = codes, cal
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int) -> float:
+        return code_to_mass(self.codes[i], self.cal)
 
 
 def check_tolerance_inputs(tolerance_rule: ToleranceRule | None, reference_kg: float | None) -> None:
@@ -357,7 +404,8 @@ def run_session(
     wire line could carry, or a record whose `saturated` flag disagrees
     with its code or whose numeric field is not an integer, is an
     InvalidValueError that names it; a cell off the deck, one beyond int64
-    included, is an IncompleteStationError.
+    included, is an IncompleteStationError. A cell's slope holds at its
+    calibration's gain: a frame of another gain is a GainMismatchError.
     Static mode averages the trailing 15 s window per cell (and therefore
     needs at least that much data); WIM mode averages each cell's whole
     pass-over segment. A tolerance rule with a reference mass (both or
@@ -370,36 +418,35 @@ def run_session(
         raise InvalidValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
     check_tolerance_inputs(tolerance_rule, reference_kg)
 
-    batch = _checked(frames, cell_count) if isinstance(frames, FrameBatch) else FrameBatch.from_records(frames, cell_count)
-    cell = batch.cell_index
+    if not isinstance(frames, FrameBatch):
+        frames = FrameBatch.from_records(frames, cell_count)
+    batch, (cell, ts, code, gain) = _checked(frames, cell_count)
     if not len(batch):
         raise IncompleteStationError("no frames at all")
-    counts = np.bincount(cell, minlength=cell_count).tolist()
-    missing = [i for i, c in enumerate(counts) if not c]
+    cells = _by_cell(cell, cell_count, ts, code, gain)
+    missing = [i for i, (times, _, _) in enumerate(cells) if not times]
     if missing:
         raise IncompleteStationError(f"no frames for cell(s) {missing}")
 
-    # A saturated frame is pinned at a rail and says nothing about the load.
-    order = np.lexsort((batch.timestamp_ms, cell))
-    order = order[~np.isin(batch.adc_code[order], RAILS)]
-    times_s = batch.timestamp_ms[order] / 1000.0
-    codes = batch.adc_code[order]
-    counts = np.bincount(cell[order], minlength=cell_count).tolist()
     cell_masses = []
-    lo = 0
-    for i, (cal, count) in enumerate(zip(calibrations, counts)):
-        if not count:
+    for i, (cal, (times, codes, gains)) in enumerate(zip(calibrations, cells)):
+        if gains.count(cal.gain) != len(gains):
+            other = next(g for g in gains if g != cal.gain)
+            raise GainMismatchError(f"cell {i} has a frame of gain {other}, its calibration gain {cal.gain}")
+        # A saturated frame is pinned at a rail and says nothing about the load.
+        if CODE_MIN in codes or CODE_MAX in codes:
+            loaded = [c not in RAILS for c in codes]
+            times, codes = list(compress(times, loaded)), list(compress(codes, loaded))
+        if not codes:
             raise InsufficientSamplesError(f"every frame of cell {i} is saturated")
-        hi = lo + count
-        # A scale large enough to overflow gives an infinite mass, which
-        # `assess` rejects; numpy's warnings on the way say nothing more.
-        with np.errstate(over="ignore", invalid="ignore"):
-            masses = codes_to_kg(codes[lo:hi], cal)
-            if mode == "static":
-                cell_masses.append(static_weigh(times_s[lo:hi], masses))
-            else:
-                cell_masses.append(wim_weigh(masses)[0])
-        lo = hi
+        # Records and batches built by hand may come in any order.
+        if times != sorted(times):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times, codes = [times[j] for j in order], [codes[j] for j in order]
+        if mode == "static":
+            cell_masses.append(static_weigh([t / 1000.0 for t in times], _Masses(codes, cal)))
+        else:
+            cell_masses.append(wim_weigh([code_to_mass(c, cal) for c in codes])[0])
 
     assessment = assess(cell_masses, geometry, policy)
     compliance_entries: list[dict] = []
@@ -420,8 +467,8 @@ def run_session(
     return WeighRecord(
         record_id=os.urandom(6).hex(),
         station_id=batch.station_id,
-        started_at_ms=int(batch.timestamp_ms.min()),
-        ended_at_ms=int(batch.timestamp_ms.max()),
+        started_at_ms=min(ts),
+        ended_at_ms=max(ts),
         mode=mode,
         cell_masses_kg=tuple(cell_masses),
         geometry=geometry,

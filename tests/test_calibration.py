@@ -209,3 +209,37 @@ def test_calibration_file_keys_are_checked(tmp_path, extra, message):
     path.write_text(path.read_text() + extra)
     with pytest.raises(ConfigError, match=message):
         CalibrationState.from_file(path)
+
+
+class TestGain:
+    def test_a_gain_128_calibration_keeps_its_file_and_fingerprint(self, tmp_path):
+        cal = calibrate(123, 10.0, 100_123, temperature_c=22.5)
+        assert cal.gain == 128
+        path = tmp_path / "cal.cfg"
+        cal.to_file(path)
+        assert "gain" not in path.read_text()
+        assert cal.fingerprint() == CalibrationState(123, cal.scale_kg_per_lsb, 22.5, cal.reference_points, gain=128).fingerprint()
+
+    @pytest.mark.parametrize("gain", [64, 32])
+    def test_another_gain_is_written_and_read_back(self, tmp_path, gain):
+        cal = CalibrationState(0, 0.001, reference_points=((10.0, 10_000),), gain=gain)
+        path = tmp_path / "cal.cfg"
+        cal.to_file(path)
+        assert path.read_text().endswith(f"\ngain = {gain}\n")
+        loaded = CalibrationState.from_file(path)
+        assert loaded == cal and loaded.gain == gain
+        assert cal.fingerprint() != CalibrationState(0, 0.001, reference_points=((10.0, 10_000),)).fingerprint()
+
+    @pytest.mark.parametrize("gain", [7, 0, True, 128.0, "128"])
+    def test_a_gain_no_adc_has_is_refused(self, gain):
+        with pytest.raises(InvalidValueError, match=rf"^gain must be one of \[32, 64, 128\], got {re.escape(repr(gain))}$"):
+            CalibrationState(0, 0.001, reference_points=((10.0, 10_000),), gain=gain)
+
+    def test_a_bad_gain_key_names_the_file(self, tmp_path):
+        path = write_calibration(tmp_path / "cal.cfg", 0)
+        path.write_text(path.read_text() + "gain = 100\n")
+        with pytest.raises(InvalidValueError, match=rf"^{re.escape(str(path))}: gain must be one of \[32, 64, 128\], got 100$"):
+            CalibrationState.from_file(path)
+        path.write_text(path.read_text().replace("gain = 100", "gain = x"))
+        with pytest.raises(ConfigError, match="key 'gain' is not an integer: 'x'"):
+            CalibrationState.from_file(path)

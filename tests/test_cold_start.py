@@ -83,12 +83,22 @@ def weigh_argv(tmp_path):
     return ["weigh", "--mode", "static", "--frames", "frames.txt", "--cal", *[str(cal)] * 4]
 
 
-def test_weigh_and_simulate_load_numpy(tmp_path):
-    """They load numpy but not uuid: a record id comes from os.urandom."""
+def test_weigh_loads_no_numpy_and_simulate_does(tmp_path):
+    """`weigh` reads, checks and averages its frames without numpy, on a
+    good capture and on one whose last line fails; `simulate` runs the
+    sensor model, which loads it. Neither loads uuid: a record id comes
+    from os.urandom."""
     weigh = weigh_argv(tmp_path)
-    for argv in (weigh, ["simulate", str(DEMOS / "scenarios" / "balanced.cfg")]):
+    with open(tmp_path / "frames.txt") as fh:
+        (tmp_path / "bad.txt").write_text(fh.read() + "st9,0,15100,8388607,128,0\n")
+    bad_weigh = [*weigh[:3], "--frames", "bad.txt", *weigh[5:]]
+    for argv, expected in [
+        (weigh, (0, False, False)),
+        (bad_weigh, (1, False, False)),
+        (["simulate", str(DEMOS / "scenarios" / "balanced.cfg")], (0, True, False)),
+    ]:
         code, _, numpy_loaded, uuid_loaded, _ = run_child(argv, tmp_path)
-        assert (code, numpy_loaded, uuid_loaded) == (0, True, False), argv[0]
+        assert (code, numpy_loaded, uuid_loaded) == expected, argv
 
 
 def test_weigh_and_a_bad_replay_load_no_sensor_model(tmp_path):
@@ -96,7 +106,7 @@ def test_weigh_and_a_bad_replay_load_no_sensor_model(tmp_path):
     imports the sensor model (and with it numpy) only for a line that
     `decode_frame` decodes: replaying a trace with a bad line loads neither,
     nor dataclasses."""
-    assert run_child(weigh_argv(tmp_path), tmp_path) == [0, WEIGH, True, False, True]
+    assert run_child(weigh_argv(tmp_path), tmp_path) == [0, WEIGH, False, False, True]
     (tmp_path / "bad.txt").write_text("0" * 25 + "\n" + "0" * 24 + "1111\n")
     assert run_child(["replay", "bad.txt"], tmp_path) == [1, REPLAY, False, False, False]
 

@@ -1,8 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weighsim.compliance import (
     AXLE_CONFIGURATIONS,
@@ -17,12 +18,14 @@ from weighsim.compliance import (
     load_axle_table,
     load_tolerance_rules,
     max_permissible_error,
+    mean,
     simulate_weigh_stream,
     static_weigh,
     wim_weigh,
     within_gvw_limit,
 )
 from weighsim.errors import (
+    ConfigError,
     InsufficientDurationError,
     InvalidSeedError,
     InvalidValueError,
@@ -159,6 +162,27 @@ def test_rules_extension_from_file(tmp_path):
     assert max_permissible_error(rules[("NewZealand", "first_time")], 20.0) == 30.0
     assert max_permissible_error(rules[("US", "first_time")], 10.0) == pytest.approx(20.0)
     assert ("Kenya", "re_verification") in rules
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # each used to exit 1 with "list index out of range"
+        ("NewZealand/first_time = band 5:50", "bad rule 'NewZealand/first_time': 'band 5:50' has no max_error_kg"),
+        ("Kenya/first_time = anchors 80", "bad rule 'Kenya/first_time': anchor '80' has no kg"),
+        # used to be taken as `percent 0.2`, `junk` ignored
+        ("US/acceptance = percent 0.2 junk", "bad rule 'US/acceptance': 'percent 0.2 junk' has an extra part 'junk'"),
+        ("Kenya/first_time = anchors 80:10 400:40:5", "bad rule 'Kenya/first_time': anchor '400:40:5' has an extra part '5'"),
+        ("NewZealand/first_time = band 5 30", "bad rule 'NewZealand/first_time': band '5' has no high"),
+        ("NewZealand/first_time = band 5:50 30 1", "bad rule 'NewZealand/first_time': 'band 5:50 30 1' has an extra part '1'"),
+        ("US/acceptance = percent", "bad rule 'US/acceptance': 'percent' has no percent"),
+    ],
+)
+def test_a_rule_with_a_part_missing_or_left_over(tmp_path, line, message):
+    path = tmp_path / "rules.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_tolerance_rules(path)
 
 
 def test_rule_validation():
@@ -317,3 +341,36 @@ def test_tolerance_rule_rejects_non_positive_numbers():
         ToleranceRule("Kenya", "first_time", anchor_points_t_kg=((0.0, 10.0), (400.0, 40.0)))
     with pytest.raises(ValueError, match=r"^band must satisfy 0 <= low <= high, got \(40.0, 10.0\)$"):
         ToleranceRule("NewZealand", "acceptance", band_t=(40.0, 10.0), band_error_kg=40.0)
+
+
+#: Lengths at and around numpy's pairwise-sum boundaries: 8 running sums, a
+#: block of up to 128 values, halves split at a multiple of 8.
+BOUNDARY_LENGTHS = sorted({n + d for n in (8, 16, 120, 128, 136, 256, 264, 1024, 2000) for d in (-1, 0, 1) if n + d <= 2000})
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324]
+
+
+def same_float(a, b):
+    """Equal bit for bit, but any NaN equals any NaN."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 2000), st.sampled_from(BOUNDARY_LENGTHS)),
+    scale=st.sampled_from([1e-3, 1.0, 1e6, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+    specials=st.lists(st.tuples(st.integers(0, 1999), st.sampled_from(SPECIAL_FLOATS)), max_size=3),
+    negative_zeros=st.booleans(),
+)
+def test_mean_is_numpy_mean_bit_for_bit(n, scale, seed, specials, negative_zeros):
+    if negative_zeros:
+        xs = [-0.0] * n
+    else:
+        xs = (np.random.default_rng(seed).normal(1.0, 0.5, n) * scale).tolist()
+    for i, value in specials:
+        xs[i % n] = value
+    with np.errstate(all="ignore"):
+        expected = float(np.array(xs).mean())
+        assert same_float(mean(xs), expected), (n, mean(xs), expected)
+        if n > 1:
+            assert same_float(wim_weigh(xs)[1], float(np.array(xs).var(ddof=1)))

@@ -2,6 +2,7 @@ import contextlib
 import json
 import re
 import warnings
+from array import array
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from weighsim.codec import CHUNK_LINES
 from weighsim.cog import DeckGeometry, LoadAssessment, POLICIES, TwoCellAssessment
 from weighsim.compliance import AXLE_CONFIGURATIONS, KENYA_REVERIFICATION
 from weighsim.errors import (
+    GainMismatchError,
     IncompleteStationError,
     InsufficientDurationError,
     InsufficientSamplesError,
@@ -167,7 +169,7 @@ class TestIngestor:
             batch = FrameIngestor().ingest_lines(fh)
         assert isinstance(batch, FrameBatch) and len(batch) == 3
         assert batch.station_id == "st1"
-        assert {c.dtype for c in (batch.cell_index, batch.timestamp_ms, batch.adc_code, batch.gain)} == {np.dtype(np.int64)}
+        assert {(type(c), c.typecode) for c in (batch.cell_index, batch.timestamp_ms, batch.adc_code, batch.gain)} == {(array, "q")}
         assert rows(batch) == [
             SensorFrameRecord("st1", 0, 1000, -5, 128, False),
             SensorFrameRecord("st1", 1, 900, CODE_MIN, 32, True),
@@ -273,13 +275,14 @@ class TestIngestor:
 
     @pytest.mark.parametrize("line", ["ws,0,1_000,0,128,0", "ws,0,1000,\uff11,128,0", "ws,0,\xa01000,0,128,0\x0b"])
     def test_line_the_bulk_reader_refuses_is_read_line_by_line(self, line):
-        # numpy's reader refuses these int() texts; the chunk used to end in
+        # numpy's text reader, the bulk reader until it was replaced by int(),
+        # refused these int() texts; the chunk used to end in
         # AssertionError("chunk rejected although every line passes")
         lines = ["ws,1,5,-8388608,64,1", line]
         ing = FrameIngestor()
         batch = ing.ingest_lines(lines)
         assert batch.station_id == "ws"
-        assert batch.timestamp_ms.dtype == np.int64 and batch.adc_code.dtype == np.int64
+        assert batch.timestamp_ms.typecode == "q" and batch.adc_code.typecode == "q"
         assert rows(batch) == [parse_frame_line(text) for text in lines]
         # the station and the order state advance as after a bulk chunk
         with pytest.raises(SequencingError, match=r"^timestamp 999 ms before 1000 ms on station 'ws' cell 0 \(line 1\)$"):
@@ -289,7 +292,8 @@ class TestIngestor:
 
     @pytest.mark.parametrize("field", ["\u01fe", "1\u01ff", "\x1c1", "1\x1f", "7\x1e"])
     def test_text_the_bulk_reader_misreads_is_a_parse_error(self, field):
-        # numpy's reader reads U+01FE as 462 and strips \x1c-\x1f; int() does neither
+        # numpy's text reader read U+01FE as 462 and stripped \x1c-\x1f; int(),
+        # the one reader now, does neither
         lines = ["ws,0,0,5,128,0", f"ws,0,1,{field},128,0"]
         with pytest.raises(RecordParseError, match="^line 2: non-numeric field in"):
             FrameIngestor().ingest_lines(lines)
@@ -304,15 +308,10 @@ class TestIngestor:
         with pytest.raises(RecordParseError, match="^line 1: expected 6 fields, got [57]$"):
             FrameIngestor().ingest_lines(lines)
 
-    def test_a_deprecation_warning_of_the_reader_refuses_the_chunk(self):
-        # numpy < 2 reads "1.0" as the integer 1 and only warns
-        def lenient_loadtxt(lines, *args, **kwargs):
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-            return np.array([[0, 1, 5, 128, 0]] * len(lines), np.int64)
-
-        with mock.patch.object(np, "loadtxt", lenient_loadtxt):
-            with pytest.raises(RecordParseError, match=r"^line 1: non-numeric field in 'ws,0,1.0,5,128,0'$"):
-                FrameIngestor().ingest_lines(["ws,0,1.0,5,128,0"])
+    def test_a_float_text_is_a_parse_error(self):
+        # numpy < 2's text reader read "1.0" as the integer 1 and only warned
+        with pytest.raises(RecordParseError, match=r"^line 1: non-numeric field in 'ws,0,1.0,5,128,0'$"):
+            FrameIngestor().ingest_lines(["ws,0,1.0,5,128,0"])
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -344,10 +343,10 @@ class TestIngestor:
     )
     def test_a_line_that_fails_two_checks_reports_the_first(self, bad, message, bulk):
         # alone, and inside a chunk of CHUNK_LINES lines that is clean but for
-        # it; without `bulk`, numpy's reader refuses every chunk
+        # it; without `bulk`, every chunk is read line by line
         lines = [f"st1,{i % 4},{i // 4 * 100},100000,128,0" for i in range(CHUNK_LINES)]
         lines[20] = bad
-        with contextlib.nullcontext() if bulk else mock.patch("weighsim.station._bulk", return_value=None):
+        with contextlib.nullcontext() if bulk else mock.patch.object(FrameIngestor, "_in_bulk", return_value=None):
             with pytest.raises(RecordParseError, match=f"^line 1: {re.escape(message)}$"):
                 FrameIngestor().ingest_lines([bad])
             with pytest.raises(RecordParseError, match=f"^line 21: {re.escape(message)}$"):
@@ -364,7 +363,7 @@ class TestIngestor:
             lines = [f" {line}\t" if i % 50 else "" for i, line in enumerate(lines)]
         path = tmp_path / "frames.txt"
         path.write_text("\n".join(lines) + final_newline)
-        refuse = mock.patch("weighsim.station._split", side_effect=AssertionError("read line by line"))
+        refuse = mock.patch.object(FrameIngestor, "_line_by_line", side_effect=AssertionError("read line by line"))
         with refuse, mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
             from_list = FrameIngestor().ingest_lines(lines)
             with open(path) as fh:
@@ -743,6 +742,17 @@ class TestRunSession:
         record = run_session(batch, [CAL] * 4, "static", P2, GEOM)
         assert record.cell_masses_kg == run_session(frames, [CAL] * 4, "static", P2, GEOM).cell_masses_kg
 
+    def test_joined_batch_columns_are_judged_as_their_parts(self):
+        frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
+        ints = FrameBatch("st1", *(np.array([getattr(f, name) for f in frames[:32]]) for name in BATCH_COLUMNS))
+        floats = FrameBatch("st1", *(np.array([getattr(f, name) for f in frames[32:]], float) for name in BATCH_COLUMNS))
+        joined = FrameBatch.concat([ints, FrameBatch.from_records(frames[32:])])
+        expected = run_session(frames, [CAL] * 4, "static", P2, GEOM).cell_masses_kg
+        assert run_session(joined, [CAL] * 4, "static", P2, GEOM).cell_masses_kg == expected
+        named = re.escape(f"cell_index 2.0 is not an integer: {SensorFrameRecord('st1', 2.0, 0.0, 100_000.0, 128.0)}")
+        with pytest.raises(InvalidValueError, match=f"^{named}$"):
+            run_session(FrameBatch.concat([ints, floats]), [CAL] * 4, "static", P2, GEOM)
+
     def test_numpy_integers_are_integers(self):
         frames = session_frames([100_000] * 4, n=16, dt_ms=1000)
         as_numpy = [
@@ -786,6 +796,31 @@ class TestRunSession:
             warnings.simplefilter("error")
             with pytest.raises(InvalidReadingError, match="^cell FL mass must be finite and >= 0, got inf$"):
                 run_session(session_frames([1000] * 4), [cal] * 4, mode, P2, GEOM)
+
+
+    @pytest.mark.parametrize("mode", ["static", "wim"])
+    def test_a_capture_of_another_gain_is_refused(self, mode):
+        # a gain-64 capture through gain-128 calibrations used to read 100.0 kg
+        # per cell: run_session never read the frames' gain
+        frames = [replace(f, gain=64) for f in session_frames([100_000] * 4)]
+        lines = [format_frame_line(f) for f in frames]
+        message = "^cell 0 has a frame of gain 64, its calibration gain 128$"
+        for source in (frames, FrameIngestor().ingest_lines(lines)):
+            with pytest.raises(GainMismatchError, match=message):
+                run_session(source, [CAL] * 4, mode, P2, GEOM)
+        cal64 = replace(CAL, gain=64)
+        record = run_session(frames, [cal64] * 4, mode, P2, GEOM)
+        assert record.cell_masses_kg == (100.0,) * 4
+        assert record.calibration_fingerprint == "+".join([cal64.fingerprint()] * 4)
+
+    def test_one_frame_of_another_gain_names_its_cell(self):
+        frames = session_frames([100_000] * 4)
+        frames[3 * 151 + 70] = replace(frames[3 * 151 + 70], gain=32)
+        cals = [CAL, CAL, CAL, replace(CAL, gain=64)]
+        with pytest.raises(GainMismatchError, match="^cell 3 has a frame of gain 128, its calibration gain 64$"):
+            run_session(frames, cals, "static", P2, GEOM)
+        with pytest.raises(GainMismatchError, match="^cell 3 has a frame of gain 32, its calibration gain 128$"):
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
 
 
 class TestRecordSerialization:
