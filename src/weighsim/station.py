@@ -48,8 +48,8 @@ from .compliance import (
     AxleConfiguration,
     ToleranceRule,
     check_compliance,
+    mean,
     static_weigh,
-    wim_weigh,
     within_gvw_limit,
 )
 from .errors import GainMismatchError, IncompleteStationError, InsufficientSamplesError, RecordParseError
@@ -167,18 +167,7 @@ class FrameBatch:
     def from_records(cls, records: Iterable[SensorFrameRecord], cell_count: int = 4) -> "FrameBatch":
         """The batch of `records`, checked by `_require_integers` and by
         `_checked` for a deck of `cell_count` cells."""
-        records = list(records)
-        station = _one_station([r.station_id for r in records])
-        # Plain attribute reads, which the interpreter specializes: twice as
-        # fast as getattr, and that saving pays for the type scan.
-        columns = [
-            [r.cell_index for r in records],
-            [r.timestamp_ms for r in records],
-            [r.adc_code for r in records],
-            [r.gain for r in records],
-        ]
-        _require_integers(dict(zip(_COLUMNS, columns)), records.__getitem__)
-        return _checked(cls(station, *columns), cell_count, records)[0]
+        return _records_checked(records, cell_count)[0]
 
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
@@ -196,6 +185,23 @@ class FrameBatch:
             else:
                 columns.append([value for part in parts for value in _values(part)])
         return cls(_one_station(b.station_id for b in batches), *columns)
+
+
+def _records_checked(records: Iterable[SensorFrameRecord], cell_count: int) -> tuple[FrameBatch, list[list[int]]]:
+    """`_checked`'s batch and columns of `records`, as `FrameBatch.from_records`
+    checks them."""
+    records = list(records)
+    station = _one_station([r.station_id for r in records])
+    # Plain attribute reads, which the interpreter specializes: twice as
+    # fast as getattr, and that saving pays for the type scan.
+    columns = [
+        [r.cell_index for r in records],
+        [r.timestamp_ms for r in records],
+        [r.adc_code for r in records],
+        [r.gain for r in records],
+    ]
+    _require_integers(dict(zip(_COLUMNS, columns)), records.__getitem__)
+    return _checked(FrameBatch(station, *columns), cell_count, records)
 
 
 def _one_station(ids: Iterable[str | None]) -> str | None:
@@ -257,16 +263,12 @@ def _checked(
 
 def _by_cell(cell: list[int], cell_count: int, *columns: list[int]) -> list[list[list[int]]]:
     """Per cell, the values of each of `columns` in its rows, in row order;
-    every value of `cell` is a cell index below `cell_count`. A station
-    that samples its cells in turn writes them round-robin, and those
-    columns are sliced."""
-    turn = cell[:cell_count]
-    if sorted(turn) == list(range(cell_count)) and cell == (turn * (len(cell) // cell_count + 1))[: len(cell)]:
-        return [[column[turn.index(c) :: cell_count] for column in columns] for c in range(cell_count)]
+    every value of `cell` is a cell index below `cell_count`."""
     rows: list[list[int]] = [[] for _ in range(cell_count)]
+    add = [r.append for r in rows]
     for i, c in enumerate(cell):
-        rows[c].append(i)
-    return [[[column[i] for i in r] for column in columns] for r in rows]
+        add[c](i)
+    return [[list(map(column.__getitem__, r)) for column in columns] for r in rows]
 
 
 class FrameIngestor:
@@ -318,20 +320,16 @@ class FrameIngestor:
         try:
             cell, gain = _ints(fields[1::7]), _ints(fields[4::7])
             ts, code = list(map(int, fields[2::7])), list(map(int, fields[3::7]))
-            flags = fields[5::7]
-            # Off the rails every flag is 0, and is most often written "0".
-            on_rail = CODE_MIN in code or CODE_MAX in code
-            flags = None if not on_rail and flags.count("0") == n else _ints(flags)
+            flags = _ints(fields[5::7])
         except ValueError:
             return None
         if not (0 <= min(cell) and max(cell) < self.cell_count and _values_pass(code, gain, flags) and _fits(ts)):
             return None
         last = self._last_ts.copy()
-        for c, (times,) in enumerate(_by_cell(cell, self.cell_count, ts)):
-            if times:
-                if times[0] < last[c] or times != sorted(times):
-                    return None
-                last[c] = times[-1]
+        for c, t in zip(cell, ts):
+            if t < last[c]:
+                return None
+            last[c] = t
         return [array("q", column) for column in (cell, ts, code, gain)], last
 
     def _line_by_line(self, kept: list[str], numbers: list[int | None], station: str) -> tuple[list[array], list[int]]:
@@ -418,9 +416,8 @@ def run_session(
         raise InvalidValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
     check_tolerance_inputs(tolerance_rule, reference_kg)
 
-    if not isinstance(frames, FrameBatch):
-        frames = FrameBatch.from_records(frames, cell_count)
-    batch, (cell, ts, code, gain) = _checked(frames, cell_count)
+    checked = _checked if isinstance(frames, FrameBatch) else _records_checked
+    batch, (cell, ts, code, gain) = checked(frames, cell_count)
     if not len(batch):
         raise IncompleteStationError("no frames at all")
     cells = _by_cell(cell, cell_count, ts, code, gain)
@@ -446,7 +443,7 @@ def run_session(
         if mode == "static":
             cell_masses.append(static_weigh([t / 1000.0 for t in times], _Masses(codes, cal)))
         else:
-            cell_masses.append(wim_weigh([code_to_mass(c, cal) for c in codes])[0])
+            cell_masses.append(mean([code_to_mass(c, cal) for c in codes]))
 
     assessment = assess(cell_masses, geometry, policy)
     compliance_entries: list[dict] = []

@@ -374,3 +374,17 @@ def test_mean_is_numpy_mean_bit_for_bit(n, scale, seed, specials, negative_zeros
         assert same_float(mean(xs), expected), (n, mean(xs), expected)
         if n > 1:
             assert same_float(wim_weigh(xs)[1], float(np.array(xs).var(ddof=1)))
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 16385, 50000])
+@pytest.mark.parametrize("scale", [1e-3, 1e6, 1e300])
+def test_mean_of_a_long_column_is_numpy_mean(n, scale):
+    """Past 8,192 values, numpy's buffer size, the sum still splits as
+    `compliance.mean` splits it: a long WIM segment or static window keeps
+    its record bytes."""
+    xs = (np.random.default_rng(n).normal(1.0, 0.5, n) * scale).tolist()
+    xs[n // 3] = -0.0
+    with np.errstate(all="ignore"):
+        assert same_float(mean(xs), float(np.array(xs).mean())), n
+        xs[n - 5] = math.inf
+        assert same_float(mean(xs), float(np.array(xs).mean())), n
