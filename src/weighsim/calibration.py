@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Literal
 
@@ -32,14 +31,14 @@ from .errors import (
     require_positive,
 )
 from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS
+from .schema import FrozenRecord
 from . import kvfile
 
 #: Warn when operating this many °C away from the calibration temperature.
 DEFAULT_TEMP_DELTA_C = 10.0
 
 
-@dataclass(frozen=True)
-class CalibrationState:
+class CalibrationState(FrozenRecord):
     """Immutable code→mass mapping for one cell.
 
     `gain` is not one of the file's scalars: the file holds a `gain` key
@@ -50,7 +49,7 @@ class CalibrationState:
     tare_code: int
     scale_kg_per_lsb: float
     calibrated_at_temp_c: float = 25.0
-    reference_points: tuple[tuple[float, int], ...] = field(default_factory=tuple)
+    reference_points: tuple[tuple[float, int], ...] = ()
     gain: Literal[128, 64, 32] = 128
 
     def __post_init__(self) -> None:
@@ -125,8 +124,9 @@ def calibrate(
     known_mass_kg: float,
     code_at_mass: int,
     temperature_c: float = 25.0,
+    gain: int = 128,
 ) -> CalibrationState:
-    """Derive the code→mass slope from one known weight."""
+    """Derive the code→mass slope from one known weight, read at ADC `gain`."""
     require_positive("known mass", known_mass_kg)
     delta = code_at_mass - tare_code
     if delta == 0:
@@ -143,6 +143,7 @@ def calibrate(
         scale_kg_per_lsb=scale,
         calibrated_at_temp_c=temperature_c,
         reference_points=((known_mass_kg, code_at_mass),),
+        gain=gain,
     )
 
 

@@ -21,9 +21,11 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn
 # Only the error types and the key-value reader load here: each command
 # imports the modules it runs, and the parser imports what a subcommand's
 # choices come from only when that subcommand is parsed. So `replay`
-# starts without the deck, compliance, record, sensor and `dataclasses`
-# modules, and only `simulate` and `calibrate`, which run the sensor model,
-# load numpy: `weigh` reads, checks and averages its frames without it.
+# starts without the deck, compliance, record, sensor and `schema` modules,
+# and only `simulate` and `calibrate`, which run the sensor model, load
+# numpy: `weigh` reads, checks and averages its frames without it. No
+# command loads `dataclasses`: the schema classes derive from
+# `schema.FrozenRecord`, and a field list is read from its `_fields`.
 from . import kvfile
 from .errors import FrameError, RecordParseError, WeighSimError
 
@@ -73,11 +75,9 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
     """Deck geometry and alert policy: each value from its flag, else the
     station config's key, else the default (a 2.0 m x 1.5 m deck, the
     prototype2 policy). `--policy` replaces the whole policy."""
-    from dataclasses import asdict, fields
-
     from .cog import POLICIES, AlertPolicy, DeckGeometry, policy as named_policy
 
-    flags = {f.name: v for f in fields(DeckGeometry) if (v := getattr(args, f.name, None)) is not None}
+    flags = {name: v for name in DeckGeometry._fields if (v := getattr(args, name, None)) is not None}
     defaults = {"wheelbase_m": 2.0, "track_m": 1.5, **flags}
     DeckGeometry(**defaults)  # a bad flag is the flag's error, not the file's
     with kvfile.named(args.config):
@@ -85,7 +85,7 @@ def _load_station(args: argparse.Namespace) -> tuple[DeckGeometry, AlertPolicy]:
         for name in flags:
             values.pop(name, None)
         geometry = kvfile.build(DeckGeometry, values, **defaults)
-        policy = kvfile.build(AlertPolicy, values, **asdict(POLICIES["prototype2"]))
+        policy = kvfile.build(AlertPolicy, values, **kvfile.scalars(POLICIES["prototype2"]))
         kvfile.reject_unknown(values)
     return geometry, named_policy(args.policy) if args.policy else policy
 
@@ -115,7 +115,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .sensor import LoadCellSpec
 
     spec = LoadCellSpec.from_file(args.cell_spec)
-    cal = calibrate_cell(spec, args.known_mass, args.temperature, np.random.default_rng(args.seed), args.samples)
+    rng = np.random.default_rng(args.seed)
+    cal = calibrate_cell(spec, args.known_mass, args.temperature, rng, args.samples, gain=args.gain)
     cal.to_file(args.out)
     print(json_line({**kvfile.scalars(cal), "out": str(args.out)}))
     return EXIT_SAFE
@@ -321,6 +322,9 @@ def _calibrate_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--temperature", type=_finite_float, default=25.0, help="ambient °C")
     p.add_argument("--seed", type=_int_at_least(0, "an integer >= 0"), default=0, help="noise seed")
+    p.add_argument(
+        "--gain", type=int, choices=[128, 64, 32], default=128, help="ADC gain of the frames to weigh (32: channel B)"
+    )
     p.set_defaults(func=_cmd_calibrate)
 
 

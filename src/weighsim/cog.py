@@ -27,16 +27,15 @@ an axis likewise needs a strict majority (ties report balanced).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidReadingError, InvalidValueError, require_positive
+from .schema import FrozenRecord
 
 QUADRANT_NAMES = ("FL", "FR", "RL", "RR")
 
 
-@dataclass(frozen=True)
-class DeckGeometry:
+class DeckGeometry(FrozenRecord):
     """Cell spacing of the deck.
 
     wheelbase_m  front-to-rear cell distance
@@ -77,8 +76,7 @@ def _check_sums(total: float, shares: Sequence[float] = ()) -> None:
     raise InvalidReadingError(f"quadrant {name} share must be finite, got {share}")
 
 
-@dataclass(frozen=True)
-class FourCellReading:
+class FourCellReading(FrozenRecord):
     """Masses in kg per corner (FL, FR, RL, RR): a scenario's curb weights or its `corner_loads`."""
 
     fl_kg: float
@@ -93,8 +91,7 @@ class FourCellReading:
         return (self.fl_kg, self.fr_kg, self.rl_kg, self.rr_kg)
 
 
-@dataclass(frozen=True)
-class AlertPolicy:
+class AlertPolicy(FrozenRecord):
     """Alert thresholds. Both comparisons are strict (> flags, == does not)."""
 
     overload_threshold_kg: float
@@ -121,8 +118,7 @@ def policy(name: str) -> AlertPolicy:
         raise InvalidValueError(f"unknown policy {name!r}; known: {sorted(POLICIES)}") from None
 
 
-@dataclass(frozen=True)
-class LoadAssessment:
+class LoadAssessment(FrozenRecord):
     """Result of one four-cell weighing.
 
     CoG fields are None when the total weight is zero (undefined rather
@@ -149,8 +145,7 @@ class LoadAssessment:
     right_heavy: bool
 
 
-@dataclass(frozen=True)
-class TwoCellAssessment:
+class TwoCellAssessment(FrozenRecord):
     """Result of one two-cell weighing. Offset is None at zero total."""
 
     # Class attributes, not fields: a two-cell deck has no quadrants and no front/rear axis.

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     ConfigError,
@@ -42,6 +41,7 @@ from .errors import (
     require_positive,
     require_seed,
 )
+from .schema import FrozenRecord
 from . import kvfile
 
 # numpy is imported only by `simulate_weigh_stream`, so a weighing loads none.
@@ -60,8 +60,7 @@ SIMULATED_RATE_HZ = 10.0
 WIM_PASS_DURATION_S = 1.5
 WIM_NOISE_FACTOR = 5.0
 
-@dataclass(frozen=True)
-class ToleranceRule:
+class ToleranceRule(FrozenRecord):
     """Maximum permissible error for one jurisdiction/verification kind.
 
     Exactly one of the three shapes is populated:
@@ -166,8 +165,7 @@ def max_permissible_error(rule: ToleranceRule, capacity_or_load_t: float) -> flo
     return errs[i] + frac * (errs[i + 1] - errs[i])
 
 
-@dataclass(frozen=True)
-class ComplianceResult:
+class ComplianceResult(FrozenRecord):
     """Outcome of one measured-vs-reference check."""
 
     jurisdiction: str
@@ -204,8 +202,7 @@ def check_compliance(measured_kg: float, reference_kg: float, rule: ToleranceRul
     )
 
 
-@dataclass(frozen=True)
-class AxleConfiguration:
+class AxleConfiguration(FrozenRecord):
     """One row of the GVW limit table."""
 
     config_code: str
@@ -305,25 +302,35 @@ def _rule_parts(key: str, what: str, parts: list[str], names: tuple[str, ...]) -
 # -- weighing modes ----------------------------------------------------------
 
 
-def static_weigh(times_s: Sequence[float], masses_kg: Sequence[float]) -> float:
+def static_weigh(
+    times: Sequence[float], masses_kg: Sequence[float], key: Callable[[float], float] | None = None
+) -> float:
     """Mean of the samples in the trailing `STATIC_WINDOW_S` window of a
     static weighing.
 
-    The samples are columns of times (s) and masses (kg), time-ordered
-    (the ingestion path guarantees this). The stream must span at least
-    the window. The window is half-open, (t_end - window, t_end], so a
-    stream spanning exactly the window contributes everything after its
-    first sample. Only the masses in the window are read, by index.
+    The samples are columns of times and masses (kg); a time is in seconds,
+    or `key` of it is (`key=lambda t: t / 1000.0` reads milliseconds). The
+    stream must span at least the window. The window is half-open,
+    (t_end - window, t_end], so a stream spanning exactly the window
+    contributes everything after its first sample. In a time-ordered stream
+    the window's start is found by bisection, which converts only the times
+    it probes; a stream in any other order is scanned. Only the masses in
+    the window are read, by index.
     """
-    if not len(times_s):
+    if not len(times):
         raise InsufficientDurationError("empty stream")
-    span = times_s[-1] - times_s[0]
+    seconds = key or (lambda t: t)
+    span = seconds(times[-1]) - seconds(times[0])
     if span < STATIC_WINDOW_S:
         raise InsufficientDurationError(
             f"stream spans {span:.3f} s, static weighing needs {STATIC_WINDOW_S:.3f} s"
         )
-    cutoff = times_s[-1] - STATIC_WINDOW_S
-    return mean([masses_kg[i] for i, t in enumerate(times_s) if t > cutoff])
+    cutoff = seconds(times[-1]) - STATIC_WINDOW_S
+    if list(times) == sorted(times):
+        window = range(bisect.bisect_right(times, cutoff, key=seconds), len(times))
+    else:
+        window = [i for i, t in enumerate(times) if seconds(t) > cutoff]
+    return mean([masses_kg[i] for i in window])
 
 
 def wim_weigh(masses_kg: Sequence[float]) -> tuple[float, float]:

@@ -6,10 +6,11 @@ comment, blank lines ignored. Keys are case-sensitive. Repeated keys are
 allowed (the scenario format uses them for placements); use `as_dict`
 when a format forbids duplicates.
 
-The keys of a format are the fields of its dataclass. `build` parses each
-field by its annotated type (a finite float, an int, or an optional
-float) and `write` emits the same fields as `name = repr(value)`. A key
-that no field consumed is rejected by `reject_unknown`.
+The keys of a format are the fields of its record class, a
+`schema.FrozenRecord`: its `_fields`, in order. `build` parses each field
+by its annotated type (a finite float, an int, or an optional float) and
+`write` emits the same fields as `name = repr(value)`. A key that no field
+consumed is rejected by `reject_unknown`.
 """
 
 from __future__ import annotations
@@ -88,10 +89,8 @@ _PARSERS: dict[Any, Callable] = {float: parse_float, float | None: parse_float, 
 @cache
 def _parsers(cls: type) -> dict[str, Callable[[str, str], Any]]:
     """Parser of each field of `cls` that a file can set, in field order."""
-    from dataclasses import fields
-
     hints = get_type_hints(cls)
-    return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if hints[f.name] in _PARSERS}
+    return {name: _PARSERS[hints[name]] for name in cls._fields if hints[name] in _PARSERS}
 
 
 def take(values: dict[str, str], key: str, parse: Callable[[str, str], Any]) -> Any:
@@ -105,18 +104,16 @@ def build(cls: type, values: dict[str, str], prefix: str = "", **defaults: Any) 
     """A `cls` from the `prefix + name` keys of `values`, which it removes.
 
     A field without a key takes its value from `defaults`, then from the
-    dataclass default; `take` raises for a field found in none of them.
-    Fields of a type no file spells (tuples, nested dataclasses) come from
-    `defaults` only.
+    class's default (`_field_defaults`); `take` raises for a field found in
+    none of them. Fields of a type no file spells (tuples, nested records)
+    come from `defaults` only.
     """
-    from dataclasses import MISSING, fields
-
     parsers = _parsers(cls)
     kwargs = dict(defaults)
-    for f in fields(cls):
-        key = prefix + f.name
-        if f.name in parsers and (key in values or f.name not in kwargs and f.default is MISSING):
-            kwargs[f.name] = take(values, key, parsers[f.name])
+    for name, parse in parsers.items():
+        key = prefix + name
+        if key in values or name not in kwargs and name not in cls._field_defaults:
+            kwargs[name] = take(values, key, parse)
     return cls(**kwargs)
 
 

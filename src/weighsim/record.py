@@ -1,7 +1,8 @@
 """Persisted weigh records: the JSON codec and the append-only store.
 
 Records are JSON objects, one per line, appended to `records.ndjson` in
-the data directory. Keys follow the dataclass field order (`to_json`),
+the data directory. Keys follow the order of the record class's
+`_fields` (`schema.FrozenRecord`, read by `to_json` and `from_json`),
 floats round-trip exactly through their shortest repr, and
 `started_at_ms`/`ended_at_ms` are taken from the input frames, so
 identical inputs produce byte-identical lines except for the random
@@ -16,13 +17,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, get_args, get_origin, get_type_hints
 
 from .cog import AlertPolicy, DeckGeometry, LoadAssessment, TwoCellAssessment, assess, is_unsafe
 from .errors import InvalidReadingError, InvalidValueError, RecordParseError
+from .schema import FrozenRecord
 
 ENV_DATA_DIR = "WEIGHSIM_DATA_DIR"
 DEFAULT_DATA_DIR = "weighsim_records"
@@ -33,8 +34,9 @@ _ASSESSMENT = {cls.kind: cls for cls in (LoadAssessment, TwoCellAssessment)}
 
 
 def to_json(obj: Any) -> dict:
-    """A dataclass as a JSON-ready dict of its fields in order (an assessment
-    headed by its `kind`), nested dataclasses as dicts, tuples as lists."""
+    """A record (`schema.FrozenRecord`) as a JSON-ready dict of its fields in
+    order (an assessment headed by its `kind`), nested records as dicts,
+    tuples as lists."""
     names, converted, _ = _codecs(type(obj))
     values = [getattr(obj, name) for name in names]
     for i, encode, _ in converted:
@@ -67,7 +69,7 @@ def _codecs(cls: type) -> tuple[tuple[str, ...], tuple[tuple[int, Callable, Call
     of each field but a nested record or assessment, whose JSON value `test`
     checks."""
     hints = get_type_hints(cls)
-    names = tuple(f.name for f in fields(cls))
+    names = cls._fields
     converted = tuple((i, *codec) for i, name in enumerate(names) if (codec := _codec(hints[name], name)))
     checks = tuple((i, fits) for i, name in enumerate(names) if (fits := _fits(hints[name])))
     return names, converted, checks
@@ -95,7 +97,7 @@ def _fits(hint: Any) -> Callable[[Any], bool] | None:
 def _codec(hint: Any, name: str) -> tuple[Callable, Callable] | None:
     if get_origin(hint) is tuple:
         return list, tuple
-    if is_dataclass(hint):
+    if isinstance(hint, type) and issubclass(hint, FrozenRecord):
         return to_json, partial(from_json, hint, what=f"field {name!r}")
     if set(get_args(hint)) == set(_ASSESSMENT.values()):
         return to_json, partial(_assessment_from_json, what=f"field {name!r}")
@@ -124,8 +126,7 @@ def assessment_line(a: LoadAssessment | TwoCellAssessment) -> str:
     return json_line(to_json(a))
 
 
-@dataclass(frozen=True)
-class WeighRecord:
+class WeighRecord(FrozenRecord):
     """One persisted weighing."""
 
     record_id: str

@@ -16,10 +16,10 @@ mass m at (x, y) on an L×T deck are
 
 `run_end_to_end`, `ideal_calibration` and `calibrate_cell` (the CLI's
 `calibrate`) read every modeled cell through `read_code`: bridge, noise,
-`DEFAULT_ADC`, and the mean of the conversions off the rails, as `weigh`
-leaves rail frames out. A point whose every conversion sits on a rail is
-an InsufficientSamplesError naming its mass (and, in `run_end_to_end`,
-its cell), never a load.
+the ADC at a gain (`DEFAULT_ADC` at 128), and the mean of the conversions
+off the rails, as `weigh` leaves rail frames out. A point whose every
+conversion sits on a rail is an InsufficientSamplesError naming its mass
+(and, in `run_end_to_end`, its cell), never a load.
 
 Scenario text format (`key = value`, see `Scenario.from_file`); the keys
 are the fields of `DeckGeometry`, of `FourCellReading` prefixed `curb_`
@@ -37,7 +37,6 @@ and of `Scenario`, and any other key is an error:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +45,12 @@ from .calibration import CalibrationState, calibrate, code_to_mass, tare
 from .cog import QUADRANT_NAMES, AlertPolicy, DeckGeometry, FourCellReading, LoadAssessment, assess_four_cell
 from .errors import ConfigError, InsufficientSamplesError, InvalidPlacementError, InvalidValueError
 from .errors import UndefinedCentroidError, require_positive, require_seed
-from .sensor import RAILS, LoadCellSpec, add_noise, bridge_output, quantize
+from .schema import FrozenRecord
+from .sensor import DEFAULT_ADC, GAIN_CHANNELS, RAILS, AdcConfig, LoadCellSpec, add_noise, bridge_output, quantize
 from . import kvfile
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(FrozenRecord):
     """One point mass on the deck."""
 
     mass_kg: float
@@ -63,8 +62,7 @@ class Placement:
 NO_CURB = FourCellReading(0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(FrozenRecord):
     """A deck, its curb weights, and the masses placed on it."""
 
     geometry: DeckGeometry
@@ -95,7 +93,7 @@ class Scenario:
             placements = tuple(_parse_placement(v) for k, v in pairs if k == "placement")
             values = kvfile.as_dict([(k, v) for k, v in pairs if k != "placement"])
             geometry = kvfile.build(DeckGeometry, values)
-            curb = kvfile.build(FourCellReading, values, "curb_", **asdict(NO_CURB))
+            curb = kvfile.build(FourCellReading, values, "curb_", **kvfile.scalars(NO_CURB))
             scenario = kvfile.build(cls, values, geometry=geometry, placements=placements, curb=curb)
             kvfile.reject_unknown(values)
         return scenario
@@ -188,28 +186,32 @@ def run_end_to_end(
 
 def read_code(
     spec: LoadCellSpec, mass_kg: float, temperature_c: float, rng: np.random.Generator | None,
-    samples: int = 1, cell: str | None = None,
+    samples: int = 1, cell: str | None = None, gain: int = 128,
 ) -> int:
     """`tare`'s mean of `samples` conversions of a modeled cell at `mass_kg`
-    through `DEFAULT_ADC`, each with noise from `rng` unless it is None. An
-    InsufficientSamplesError names the mass, and `cell` if given, when every
-    conversion sits on a rail."""
+    through the ADC at `gain` on its channel (`DEFAULT_ADC` at 128), each
+    with noise from `rng` unless it is None. An InsufficientSamplesError
+    names the mass, and `cell` if given, when every conversion sits on a
+    rail; a gain the converter has not is an InvalidValueError."""
+    adc = DEFAULT_ADC if gain == DEFAULT_ADC.gain else AdcConfig(gain=gain, channel=GAIN_CHANNELS.get(gain, "A"))
     mv = bridge_output(spec, mass_kg, temperature_c)
     if samples > 1:
-        codes = [quantize(mv if rng is None else add_noise(mv, spec, rng)).code for _ in range(samples)]
+        codes = [quantize(mv if rng is None else add_noise(mv, spec, rng), adc).code for _ in range(samples)]
         if not all(code in RAILS for code in codes):
             return tare(codes)
-    elif (code := quantize(mv if rng is None else add_noise(mv, spec, rng)).code) not in RAILS:
+    elif (code := quantize(mv if rng is None else add_noise(mv, spec, rng), adc).code) not in RAILS:
         return code  # tare's rule on one conversion, without its list
     raise InsufficientSamplesError(f"no non-saturated sample at {mass_kg} kg" + (f" on cell {cell}" if cell else ""))
 
 
 def calibrate_cell(
-    spec: LoadCellSpec, known_mass_kg: float, temperature_c: float, rng: np.random.Generator | None, samples: int
+    spec: LoadCellSpec, known_mass_kg: float, temperature_c: float, rng: np.random.Generator | None, samples: int,
+    gain: int = 128,
 ) -> CalibrationState:
-    """Tare at zero load, then the slope from `known_mass_kg`: each point is `read_code`, zero first."""
-    tare_code, code = (read_code(spec, mass, temperature_c, rng, samples) for mass in (0.0, known_mass_kg))
-    return calibrate(tare_code, known_mass_kg, code, temperature_c=temperature_c)
+    """Tare at zero load, then the slope from `known_mass_kg`: each point is
+    `read_code` at `gain`, zero first, and the calibration holds at `gain`."""
+    tare_code, code = (read_code(spec, mass, temperature_c, rng, samples, gain=gain) for mass in (0.0, known_mass_kg))
+    return calibrate(tare_code, known_mass_kg, code, temperature_c=temperature_c, gain=gain)
 
 
 def ideal_calibration(spec: LoadCellSpec) -> CalibrationState:

@@ -49,13 +49,13 @@ implementer-chosen placeholders, not characterized hardware values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS  # noqa: F401 - re-exported
 from .errors import InvalidValueError, MechanicalOverrangeError, require_positive
+from .schema import FrozenRecord
 from . import kvfile
 
 #: Mechanical overrange: loads beyond this fraction of capacity risk
@@ -63,8 +63,7 @@ from . import kvfile
 OVERRANGE_FACTOR = 1.5
 
 
-@dataclass(frozen=True)
-class LoadCellSpec:
+class LoadCellSpec(FrozenRecord):
     """Physical and electrical parameters of one load cell.
 
     capacity_kg          rated capacity
@@ -89,9 +88,9 @@ class LoadCellSpec:
     reference_temp_c: float = 25.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise InvalidValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name, value in zip(self._fields, self._values):
+            if not math.isfinite(value):
+                raise InvalidValueError(f"{name} must be finite, got {value}")
         require_positive("capacity", self.capacity_kg)
         require_positive("excitation", self.excitation_v)
         require_positive("rated output", self.rated_output_mv_v)
@@ -134,8 +133,7 @@ def _check_gain_channel(gain: int, channel: str) -> None:
         raise InvalidValueError(f"gain {gain} is only valid on channel {GAIN_CHANNELS[gain]!r}, got {channel!r}")
 
 
-@dataclass(frozen=True)
-class AdcConfig:
+class AdcConfig(FrozenRecord):
     """Converter configuration for one conversion.
 
     Gain 128 and 64 exist on channel A only; gain 32 on channel B only.
@@ -162,8 +160,7 @@ class AdcConfig:
 DEFAULT_ADC = AdcConfig()
 
 
-@dataclass(frozen=True)
-class AdcFrame:
+class AdcFrame(FrozenRecord):
     """One signed 24-bit conversion result plus the next gain selection."""
 
     code: int

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass, fields
 from itertools import chain, compress
 from typing import Callable, Iterable, Sequence
 
@@ -55,14 +54,14 @@ from .compliance import (
 from .errors import GainMismatchError, IncompleteStationError, InsufficientSamplesError, RecordParseError
 from .errors import InvalidValueError, SequencingError, is_integer, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
+from .schema import FrozenRecord
 
 MODES = ("static", "wim")
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-@dataclass(frozen=True)
-class SensorFrameRecord:
+class SensorFrameRecord(FrozenRecord):
     """One wire-format frame."""
 
     station_id: str
@@ -75,7 +74,7 @@ class SensorFrameRecord:
 
 #: The `FrameBatch` columns: the `SensorFrameRecord` fields but the station
 #: and the saturated flag, which the code implies.
-_COLUMNS = tuple(f.name for f in fields(SensorFrameRecord)[1:5])
+_COLUMNS = SensorFrameRecord._fields[1:5]
 
 
 def format_frame_line(rec: SensorFrameRecord) -> str:
@@ -143,8 +142,7 @@ def _values(column: Sequence[int]) -> list:
     return column if isinstance(column, list) else column.tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class FrameBatch:
+class FrameBatch(FrozenRecord):
     """One station's wire frames as columns, one row per frame in input order.
 
     `station_id` is None for an empty batch. The other columns hold the
@@ -159,6 +157,9 @@ class FrameBatch:
     timestamp_ms: Sequence[int]
     adc_code: Sequence[int]
     gain: Sequence[int]
+
+    # A batch equals only itself: numpy columns do not compare to one bool.
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __len__(self) -> int:
         return len(self.cell_index)
@@ -441,7 +442,7 @@ def run_session(
             order = sorted(range(len(times)), key=times.__getitem__)
             times, codes = [times[j] for j in order], [codes[j] for j in order]
         if mode == "static":
-            cell_masses.append(static_weigh([t / 1000.0 for t in times], _Masses(codes, cal)))
+            cell_masses.append(static_weigh(times, _Masses(codes, cal), key=lambda t: t / 1000.0))
         else:
             cell_masses.append(mean([code_to_mass(c, cal) for c in codes]))
 

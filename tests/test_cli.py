@@ -238,7 +238,68 @@ class TestCalibrateSaturation:
         assert cal.reference_points == ((117.2, round(sum(loaded) / len(loaded))),)
 
 
-PAIRING = "a tolerance check needs both a tolerance rule and a reference mass"
+class TestCalibrateGain:
+    """`calibrate --gain` reads the modeled cell at the station's gain, and
+    the calibration holds at that gain."""
+
+    SPEC = LoadCellSpec(capacity_kg=120.0, noise_sigma_mv=0.002)
+    MASSES = (50.0, 60.0, 55.0, 45.0)
+
+    def calibrate(self, tmp_path, *gain):
+        spec_path, out = tmp_path / "spec.cfg", tmp_path / f"cal{''.join(gain)}.cfg"
+        self.SPEC.to_file(spec_path)
+        argv = ["calibrate", "--cell-spec", str(spec_path), "--known-mass", "100", "--out", str(out), "--seed", "3"]
+        return main([*argv, *gain]), out
+
+    def weigh(self, tmp_path, cal_path, gain):
+        from weighsim.scenario import read_code
+
+        codes = [read_code(self.SPEC, mass, 25.0, None, gain=gain) for mass in self.MASSES]
+        lines = [f"st9,{cell},{t * 100},{code},{gain},0" for t in range(151) for cell, code in enumerate(codes)]
+        (tmp_path / "frames.txt").write_text("\n".join(lines) + "\n")
+        argv = ["weigh", "--mode", "static", "--frames", str(tmp_path / "frames.txt"), "--cal", *[str(cal_path)] * 4]
+        return main([*argv, "--data-dir", str(tmp_path / "records")])
+
+    @pytest.mark.parametrize("gain, channel_scale", [(64, 2.0), (32, 4.0)])
+    def test_a_calibration_at_a_gain_weighs_a_capture_of_that_gain(self, tmp_path, capsys, gain, channel_scale):
+        # used to be refused: calibrate had no --gain, so its file held gain 128
+        from weighsim.calibration import CalibrationState
+
+        code, out = self.calibrate(tmp_path, "--gain", str(gain))
+        assert code == 0 and f"\ngain = {gain}\n" in out.read_text()
+        cal, cal128 = CalibrationState.from_file(out), CalibrationState.from_file(self.calibrate(tmp_path)[1])
+        assert cal.gain == gain and cal.scale_kg_per_lsb == pytest.approx(channel_scale * cal128.scale_kg_per_lsb, rel=1e-3)
+        capsys.readouterr()
+        assert self.weigh(tmp_path, out, gain) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["cell_masses_kg"] == pytest.approx(self.MASSES, abs=0.05)
+        assert record["calibration_fingerprint"] == "+".join([cal.fingerprint()] * 4)
+
+    def test_a_gain_128_calibration_refuses_a_gain_64_capture(self, tmp_path, capsys):
+        _, out = self.calibrate(tmp_path)
+        capsys.readouterr()
+        assert self.weigh(tmp_path, out, 64) == 1
+        assert capsys.readouterr().err == "weighsim: error: cell 0 has a frame of gain 64, its calibration gain 128\n"
+
+    @pytest.mark.parametrize("gain", [(), ("--gain", "128")], ids=["default", "128"])
+    def test_a_gain_128_file_keeps_its_bytes(self, tmp_path, capsys, gain):
+        code, out = self.calibrate(tmp_path, *gain)
+        assert code == 0
+        assert out.read_text() == (
+            "# cell calibration\n"
+            "tare_code = -98\n"
+            "scale_kg_per_lsb = 5.5872757616714e-05\n"
+            "calibrated_at_temp_c = 25.0\n"
+            "ref_mass_kg_0 = 100.0\n"
+            "ref_code_0 = 1789683\n"
+        )
+        assert capsys.readouterr().out == (
+            '{"tare_code":-98,"scale_kg_per_lsb":5.5872757616714e-05,"calibrated_at_temp_c":25.0,'
+            f'"out":"{out}"}}\n'
+        )
+
+
+PAIRING ="a tolerance check needs both a tolerance rule and a reference mass"
 
 
 class TestWeighInput:

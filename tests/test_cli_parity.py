@@ -20,7 +20,7 @@ from weighsim.cli import build_parser, main
 PINS = {
     "-h": (0, "a64f0b44bfe33f40", "e3b0c44298fc1c14"),
     "simulate -h": (0, "5fb125deb208c10b", "e3b0c44298fc1c14"),
-    "calibrate -h": (0, "c9bcef79eed3c0c7", "e3b0c44298fc1c14"),
+    "calibrate -h": (0, "3ffa372aaa381c09", "e3b0c44298fc1c14"),
     "weigh -h": (0, "b66a9edd8a69034f", "e3b0c44298fc1c14"),
     "assess -h": (0, "b2f7e16304154657", "e3b0c44298fc1c14"),
     "replay -h": (0, "5d8dc0fe69f69790", "e3b0c44298fc1c14"),

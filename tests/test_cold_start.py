@@ -19,7 +19,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 #: A fresh child imports the CLI, runs `main` on the argv given (if any)
 #: and reports its exit code, the weighsim modules then loaded, and whether
-#: numpy, uuid and dataclasses are.
+#: numpy, uuid, dataclasses and inspect are.
 CHILD = """
 import contextlib, io, json, sys
 import weighsim.cli
@@ -28,7 +28,7 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = weighsim.cli.main(sys.argv[1:])
 modules = sorted(m.removeprefix("weighsim.") for m in sys.modules if m.split(".")[0] == "weighsim")
-print(json.dumps([code, modules, *(m in sys.modules for m in ("numpy", "uuid", "dataclasses"))]))
+print(json.dumps([code, modules, *(m in sys.modules for m in ("numpy", "uuid", "dataclasses", "inspect"))]))
 """
 
 CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),))
@@ -36,9 +36,9 @@ CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((1
 #: What `import weighsim.cli` loads of the package, and what each command adds.
 CLI = ["cli", "errors", "kvfile", "weighsim"]
 REPLAY = sorted(CLI + ["codec"])
-ASSESS = sorted(CLI + ["cog", "record"])
-RULES = sorted(CLI + ["cog", "compliance", "record"])
-WEIGH = sorted(CLI + ["calibration", "codec", "cog", "compliance", "record", "station"])
+ASSESS = sorted(CLI + ["cog", "record", "schema"])
+RULES = sorted(CLI + ["cog", "compliance", "record", "schema"])
+WEIGH = sorted(CLI + ["calibration", "codec", "cog", "compliance", "record", "schema", "station"])
 
 
 def run_child(argv, cwd):
@@ -51,27 +51,27 @@ def run_child(argv, cwd):
 
 
 def test_importing_the_cli_loads_errors_and_kvfile_only(tmp_path):
-    """No dataclasses either: `kvfile` and `cli` import it where they read fields."""
-    assert run_child([], tmp_path) == [None, CLI, False, False, False]
+    assert run_child([], tmp_path) == [None, CLI, False, False, False, False]
 
 
 def test_replay_assess_and_rules_load_no_numpy(tmp_path):
     """Each command, in a fresh child, loads no numpy and exactly its own
-    modules; `replay` loads no dataclasses, the others load it with `cog`."""
+    modules, and neither dataclasses nor inspect: the schema classes of
+    `cog`, `compliance` and `record` derive from `schema.FrozenRecord`."""
     (tmp_path / "trace.txt").write_text(encode_frame(AdcFrame(-123, gain=64)).to_line() + "\n")
     frames = [SensorFrameRecord("st1", cell, i * 100, 100_000) for cell in range(4) for i in range(151)]
     record = run_session(frames, [CAL] * 4, "static", POLICIES["prototype2"], DeckGeometry(2.0, 1.5))
     RecordStore(tmp_path / "records").append(record)
     steps = [
-        (["replay", "trace.txt"], REPLAY, False),
-        (["assess", record.record_id, "--data-dir", "records"], ASSESS, True),
-        (["assess", "records/records.ndjson"], ASSESS, True),
-        (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "20"], RULES, True),
-        (["rules", "--axle-config", "7", "--total", "50000"], RULES, True),
-        (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--measured", "10", "--reference", "10"], RULES, True),
+        (["replay", "trace.txt"], REPLAY),
+        (["assess", record.record_id, "--data-dir", "records"], ASSESS),
+        (["assess", "records/records.ndjson"], ASSESS),
+        (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--capacity", "20"], RULES),
+        (["rules", "--axle-config", "7", "--total", "50000"], RULES),
+        (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--measured", "10", "--reference", "10"], RULES),
     ]
-    for argv, modules, dataclasses_loaded in steps:
-        assert run_child(argv, tmp_path) == [0, modules, False, False, dataclasses_loaded], argv
+    for argv, modules in steps:
+        assert run_child(argv, tmp_path) == [0, modules, False, False, False, False], argv
 
 
 def weigh_argv(tmp_path):
@@ -97,18 +97,18 @@ def test_weigh_loads_no_numpy_and_simulate_does(tmp_path):
         (bad_weigh, (1, False, False)),
         (["simulate", str(DEMOS / "scenarios" / "balanced.cfg")], (0, True, False)),
     ]:
-        code, _, numpy_loaded, uuid_loaded, _ = run_child(argv, tmp_path)
+        code, _, numpy_loaded, uuid_loaded, _, _ = run_child(argv, tmp_path)
         assert (code, numpy_loaded, uuid_loaded) == expected, argv
 
 
 def test_weigh_and_a_bad_replay_load_no_sensor_model(tmp_path):
     """`weigh` takes the code range and the gains from `codec`, and `replay`
     imports the sensor model (and with it numpy) only for a line that
-    `decode_frame` decodes: replaying a trace with a bad line loads neither,
-    nor dataclasses."""
-    assert run_child(weigh_argv(tmp_path), tmp_path) == [0, WEIGH, False, False, True]
+    `decode_frame` decodes: replaying a trace with a bad line loads neither.
+    Neither loads dataclasses or inspect."""
+    assert run_child(weigh_argv(tmp_path), tmp_path) == [0, WEIGH, False, False, False, False]
     (tmp_path / "bad.txt").write_text("0" * 25 + "\n" + "0" * 24 + "1111\n")
-    assert run_child(["replay", "bad.txt"], tmp_path) == [1, REPLAY, False, False, False]
+    assert run_child(["replay", "bad.txt"], tmp_path) == [1, REPLAY, False, False, False, False]
 
 
 #: The public names of the package and the submodule each comes from.

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weighsim.compliance import (
     AXLE_CONFIGURATIONS,
@@ -12,6 +12,7 @@ from weighsim.compliance import (
     KENYA_FIRST_TIME,
     KENYA_REVERIFICATION,
     NZ_BAND,
+    STATIC_WINDOW_S,
     ToleranceRule,
     US_HANDBOOK44,
     check_compliance,
@@ -222,6 +223,62 @@ class TestStaticWeigh:
         # times 0 to 18.75 s: the sample at exactly t_end - 15 s = 3.75 s is left out
         times = np.arange(151) * 0.125
         assert static_weigh(times, np.where(times <= 3.75, 1000.0, 500.0)) == 500.0
+
+
+class _Reads:
+    """A mass column of 1.0 kg that records the indices read from it."""
+
+    def __init__(self, n):
+        self.n, self.read = n, []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return 1.0
+
+
+@st.composite
+def edge_streams(draw):
+    """Sorted integer-ms times clustered within a few ms of the window's
+    edge, the last time less 15 s; the first sits on that edge or a few ms
+    before it, so the stream spans about 15 s or more. Times run up to
+    2**62 ms, where t / 1000.0 rounds."""
+    end = draw(st.one_of(st.integers(0, 10**6), st.integers(-(2**62), 2**62)))
+    edge = end - 15_000
+    times = draw(st.lists(st.one_of(st.integers(edge - 3, edge + 3), st.integers(edge - 30_000, end)), max_size=40))
+    return sorted([draw(st.integers(edge - 3, edge)), *times, end])
+
+
+def window_or_error(times, **key):
+    """The indices of the masses that `static_weigh` reads, or its error."""
+    masses = _Reads(len(times))
+    try:
+        assert static_weigh(times, masses, **key) == 1.0
+    except InsufficientDurationError as exc:
+        return str(exc)
+    return masses.read
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_streams())
+@example([0, 15_000]).via("exactly 15 s")
+def test_bisected_window_is_the_scanned_window(times_ms):
+    # The scan that the bisection replaced: every timestamp in seconds,
+    # compared with the last one less the window.
+    seconds = [t / 1000.0 for t in times_ms]
+    span = seconds[-1] - seconds[0]
+    if span < STATIC_WINDOW_S:
+        scanned = f"stream spans {span:.3f} s, static weighing needs {STATIC_WINDOW_S:.3f} s"
+    else:
+        scanned = [i for i, t in enumerate(seconds) if t > seconds[-1] - STATIC_WINDOW_S]
+    assert window_or_error(times_ms, key=lambda t: t / 1000.0) == scanned
+    assert window_or_error(seconds) == scanned
+
+
+def test_a_stream_of_exactly_15_s_leaves_its_first_sample_out():
+    assert window_or_error([1_000, 1_000, 1_001, 16_000], key=lambda t: t / 1000.0) == [2, 3]
 
 
 class TestWimWeigh:
