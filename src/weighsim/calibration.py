@@ -15,7 +15,6 @@ from where the slope was taken (default alarm band ±10 °C).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from pathlib import Path
 from typing import Iterable, Literal
@@ -33,6 +32,16 @@ from .errors import (
 from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS
 from .schema import FrozenRecord
 from . import kvfile
+
+# The interpreter's own SHA-256: `hashlib` loads OpenSSL's `_hashlib`, about
+# 3 ms of a cold `weigh`, for the same digest.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: Warn when operating this many °C away from the calibration temperature.
 DEFAULT_TEMP_DELTA_C = 10.0
@@ -79,7 +88,7 @@ class CalibrationState(FrozenRecord):
         text = f"{self.tare_code}|{self.scale_kg_per_lsb!r}|{self.calibrated_at_temp_c!r}"
         if self.gain != 128:
             text += f"|{self.gain}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return sha256(text.encode()).hexdigest()[:16]
 
     def to_file(self, path: str | Path) -> None:
         pairs = []

@@ -303,7 +303,7 @@ def _rule_parts(key: str, what: str, parts: list[str], names: tuple[str, ...]) -
 
 
 def static_weigh(
-    times: Sequence[float], masses_kg: Sequence[float], key: Callable[[float], float] | None = None
+    times: Sequence[float], masses_kg: Sequence[float], key: Callable[[float], float] | None = None, end: float | None = None
 ) -> float:
     """Mean of the samples in the trailing `STATIC_WINDOW_S` window of a
     static weighing.
@@ -312,10 +312,12 @@ def static_weigh(
     or `key` of it is (`key=lambda t: t / 1000.0` reads milliseconds). The
     stream must span at least the window. The window is half-open,
     (t_end - window, t_end], so a stream spanning exactly the window
-    contributes everything after its first sample. In a time-ordered stream
-    the window's start is found by bisection, which converts only the times
-    it probes; a stream in any other order is scanned. Only the masses in
-    the window are read, by index.
+    contributes everything after its first sample. `t_end` is `end`, at or
+    after the last time (a deck's last, say), else the last time; a window
+    without a sample is an InsufficientDurationError. In a time-ordered
+    stream the window's start is found by bisection, which converts only
+    the times it probes; a stream in any other order is scanned. Only the
+    masses in the window are read, by index.
     """
     if not len(times):
         raise InsufficientDurationError("empty stream")
@@ -325,11 +327,13 @@ def static_weigh(
         raise InsufficientDurationError(
             f"stream spans {span:.3f} s, static weighing needs {STATIC_WINDOW_S:.3f} s"
         )
-    cutoff = seconds(times[-1]) - STATIC_WINDOW_S
+    cutoff = seconds(times[-1] if end is None else end) - STATIC_WINDOW_S
     if list(times) == sorted(times):
         window = range(bisect.bisect_right(times, cutoff, key=seconds), len(times))
     else:
         window = [i for i, t in enumerate(times) if seconds(t) > cutoff]
+    if not window:
+        raise InsufficientDurationError(f"no sample after {cutoff:.3f} s, the start of the window")
     return mean([masses_kg[i] for i in window])
 
 

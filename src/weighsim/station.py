@@ -24,9 +24,14 @@ fails and its first failing check of: field count, empty station,
 non-numeric field, cell, code, gain, flag, timestamp width
 (RecordParseError), a second station (IncompleteStationError), time order
 on its cell (SequencingError). So neither the reading nor the chunk size
-changes a result. `run_session` reduces each cell's frames: code→mass by
-`calibration.code_to_mass`, then the static-window or WIM mean in float64,
-as numpy's `mean` adds (`compliance.mean`). No numpy is loaded here.
+changes a result. The ingestor judges each row once, and its verdict is
+final: its batch also holds the rows grouped per cell, in time order, and
+`FrameBatch.concat` joins the verdicts of one ingestor's batches. Any other
+input, records and batches built by hand included, is judged by
+`run_session`, then grouped the same way. `run_session` reduces the groups
+once: code→mass by `calibration.code_to_mass`, then the static-window or
+WIM mean in float64, as numpy's `mean` adds (`compliance.mean`). No numpy
+is loaded here.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -35,7 +40,9 @@ from __future__ import annotations
 
 import os
 from array import array
-from itertools import chain, compress
+from functools import reduce
+from itertools import chain, compress, pairwise
+from operator import iadd
 from typing import Callable, Iterable, Sequence
 
 # RecordStore and assessment_line are unused here but stay module attributes:
@@ -44,6 +51,7 @@ from .calibration import CalibrationState, code_to_mass
 from .codec import CODE_MAX, CODE_MIN, GAIN_CHANNELS, RAILS, chunks, numbered
 from .cog import DECKS, AlertPolicy, DeckGeometry, assess
 from .compliance import (
+    STATIC_WINDOW_S,
     AxleConfiguration,
     ToleranceRule,
     check_compliance,
@@ -104,10 +112,15 @@ def _value_fault(ts: int, code: int, gain: int, flag: object) -> int | None:
 def _values_pass(code: list[int], gain: list[int], flags: list | None) -> bool:
     """Whether every row passes the checks of `_value_fault` but the
     timestamp width, judged a column at a time; `flags` None stands for
-    each code's own."""
-    return not code or (
-        CODE_MIN <= min(code) and max(code) <= CODE_MAX and set(gain) <= GAIN_CHANNELS.keys()
-        and (flags is None or flags == [c in RAILS for c in code])
+    each code's own. Flags of 0 and 1 are the codes' own when each flagged
+    code is on a rail and as many codes as flags are: counts, not a
+    comparison a row at a time."""
+    if not code:
+        return True
+    low, high = min(code), max(code)
+    rails = (code.count(CODE_MIN) if low == CODE_MIN else 0) + (code.count(CODE_MAX) if high == CODE_MAX else 0)
+    return CODE_MIN <= low and high <= CODE_MAX and set(gain) <= GAIN_CHANNELS.keys() and (
+        flags is None or set(flags) <= {0, 1} and sum(flags) == rails and set(compress(code, flags)) <= set(RAILS)
     )
 
 
@@ -149,7 +162,9 @@ class FrameBatch(FrozenRecord):
     `SensorFrameRecord` field of the same name as int64 (`array('q')`); a
     row's saturation is its code's (`codec.RAILS`). A batch built by hand
     may hold any columns of integers, numpy's included: `run_session`
-    checks and converts them.
+    checks and converts them. A batch of `FrameIngestor` also holds its
+    verdict, its rows grouped per cell, which `run_session` reduces in place
+    of the columns.
     """
 
     station_id: str | None
@@ -157,6 +172,8 @@ class FrameBatch(FrozenRecord):
     timestamp_ms: Sequence[int]
     adc_code: Sequence[int]
     gain: Sequence[int]
+
+    __slots__ = ("_cells",)  # the ingestor's verdict, unset on a batch built by hand
 
     # A batch equals only itself: numpy columns do not compare to one bool.
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -173,7 +190,8 @@ class FrameBatch(FrozenRecord):
     @classmethod
     def concat(cls, batches: Sequence["FrameBatch"]) -> "FrameBatch":
         """Rows of every batch in order: int64 columns of int64 columns,
-        else lists of their values, for `run_session` to judge."""
+        else lists of their values, for `run_session` to judge unless the
+        ingestor's verdicts on the batches with rows join (`_joined`)."""
         if len(batches) == 1:
             return batches[0]
         columns = []
@@ -185,7 +203,8 @@ class FrameBatch(FrozenRecord):
                     columns[-1].extend(part)
             else:
                 columns.append([value for part in parts for value in _values(part)])
-        return cls(_one_station(b.station_id for b in batches), *columns)
+        verdicts = [getattr(b, "_cells", None) for b in batches if len(b)]
+        return _judged(cls(_one_station(b.station_id for b in batches), *columns), _joined(verdicts) if verdicts else None)
 
 
 def _records_checked(records: Iterable[SensorFrameRecord], cell_count: int) -> tuple[FrameBatch, list[list[int]]]:
@@ -262,14 +281,30 @@ def _checked(
     return batch, values
 
 
-def _by_cell(cell: list[int], cell_count: int, *columns: list[int]) -> list[list[list[int]]]:
-    """Per cell, the values of each of `columns` in its rows, in row order;
-    every value of `cell` is a cell index below `cell_count`."""
-    rows: list[list[int]] = [[] for _ in range(cell_count)]
-    add = [r.append for r in rows]
-    for i, c in enumerate(cell):
-        add[c](i)
-    return [[list(map(column.__getitem__, r)) for column in columns] for r in rows]
+def _group(cell: Iterable[int], ts: Iterable[int], code: Iterable[int], cell_count: int) -> tuple[list, list]:
+    """Per cell of a deck of `cell_count`, the timestamps and the codes of
+    its rows in row order."""
+    times: list[list[int]] = [[] for _ in range(cell_count)]
+    codes: list[list[int]] = [[] for _ in range(cell_count)]
+    add_time, add_code = [t.append for t in times], [c.append for c in codes]
+    for c, t, k in zip(cell, ts, code):
+        add_time[c](t)
+        add_code[c](k)
+    return times, codes
+
+
+def _joined(verdicts: list[tuple | None]) -> tuple[list, list] | None:
+    """The verdicts on consecutive batches as one; None when one is missing,
+    their decks differ or a cell's times go back (batches of two ingestors)."""
+    if (None in verdicts or len({len(v[0]) for v in verdicts}) > 1
+            or any(a[-1] > b[0] for cell in zip(*(v[0] for v in verdicts)) for a, b in pairwise(filter(None, cell)))):
+        return None
+    return tuple([reduce(iadd, cell, []) for cell in zip(*parts)] for parts in zip(*verdicts))
+
+
+def _judged(batch: FrameBatch, cells: tuple[list, list] | None) -> FrameBatch:
+    object.__setattr__(batch, "_cells", cells)  # None: `run_session` judges the batch
+    return batch
 
 
 class FrameIngestor:
@@ -299,15 +334,16 @@ class FrameIngestor:
 
     def _chunk(self, kept: list[str], numbers: list[int | None]) -> FrameBatch:
         """The batch of stripped non-blank wire lines, judged after the frames
-        ingested so far; only a good chunk advances the state."""
+        ingested so far, its rows grouped per cell as its verdict; only a
+        good chunk advances the state."""
         station = self.station_id or kept[0].partition(",")[0]
-        columns, self._last_ts = self._in_bulk(kept, station) or self._line_by_line(kept, numbers, station)
-        self.station_id = station
-        return FrameBatch(station, *columns)
+        columns, cells = self._in_bulk(kept, station) or self._line_by_line(kept, numbers, station)
+        self.station_id, self._last_ts = station, [t[-1] if t else last for t, last in zip(cells[0], self._last_ts)]
+        return _judged(FrameBatch(station, *(array("q", c) for c in columns)), cells)
 
-    def _in_bulk(self, kept: list[str], station: str) -> tuple[list[array], list[int]] | None:
+    def _in_bulk(self, kept: list[str], station: str) -> tuple[list, tuple[list, list]] | None:
         """The cell, timestamp, code and gain columns of stripped wire lines,
-        read a column at a time, and each cell's last timestamp after them;
+        read a column at a time, and their rows grouped per cell (`_group`);
         None unless every line holds six fields of `station` and passes
         every check."""
         n = len(kept)
@@ -326,14 +362,13 @@ class FrameIngestor:
             return None
         if not (0 <= min(cell) and max(cell) < self.cell_count and _values_pass(code, gain, flags) and _fits(ts)):
             return None
-        last = self._last_ts.copy()
-        for c, t in zip(cell, ts):
-            if t < last[c]:
-                return None
-            last[c] = t
-        return [array("q", column) for column in (cell, ts, code, gain)], last
+        cells = _group(cell, ts, code, self.cell_count)
+        # Time order: each cell's times non-decreasing from its last so far.
+        if not all(not t or last <= t[0] and t == sorted(t) for t, last in zip(cells[0], self._last_ts)):
+            return None
+        return [cell, ts, code, gain], cells
 
-    def _line_by_line(self, kept: list[str], numbers: list[int | None], station: str) -> tuple[list[array], list[int]]:
+    def _line_by_line(self, kept: list[str], numbers: list[int | None], station: str) -> tuple[list, tuple[list, list]]:
         """`_in_bulk`'s result, read one line at a time: the first line that
         fails a check raises its error."""
         rows, last = [], self._last_ts.copy()
@@ -359,7 +394,8 @@ class FrameIngestor:
                 )
             last[cell] = ts
             rows.append((cell, ts, code, gain))
-        return [array("q", column) for column in zip(*rows)], last
+        columns = list(zip(*rows))
+        return columns, _group(*columns[:3], self.cell_count)
 
 
 class _Masses:
@@ -369,11 +405,20 @@ class _Masses:
     def __init__(self, codes: list[int], cal: CalibrationState):
         self.codes, self.cal = codes, cal
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
     def __getitem__(self, i: int) -> float:
         return code_to_mass(self.codes[i], self.cal)
+
+
+def _verdict(frames: FrameBatch | Iterable[SensorFrameRecord], cell_count: int) -> tuple[FrameBatch, tuple[list, list]]:
+    """The batch of `frames` and its rows grouped per cell in time order:
+    the ingestor's verdict on its own deck, else `_checked`'s (records:
+    `_records_checked`) grouped here, ties in row order."""
+    cells = getattr(frames, "_cells", None) if isinstance(frames, FrameBatch) else None
+    if cells is not None and len(cells[0]) == cell_count:
+        return frames, cells
+    batch, (cell, ts, code, _) = (_checked if isinstance(frames, FrameBatch) else _records_checked)(frames, cell_count)
+    order = sorted(range(len(ts)), key=ts.__getitem__)  # records and batches built by hand come in any order
+    return batch, _group(*([column[i] for i in order] for column in (cell, ts, code)), cell_count)
 
 
 def check_tolerance_inputs(tolerance_rule: ToleranceRule | None, reference_kg: float | None) -> None:
@@ -397,18 +442,24 @@ def run_session(
 ) -> WeighRecord:
     """Weigh one vehicle on a deck of one cell per calibration.
 
-    Each cell's frames off the rails (`codec.RAILS`) are taken in
-    timestamp order (ties in input order); a cell with none raises
-    InsufficientSamplesError. A frame whose code, gain or timestamp no
-    wire line could carry, or a record whose `saturated` flag disagrees
-    with its code or whose numeric field is not an integer, is an
-    InvalidValueError that names it; a cell off the deck, one beyond int64
-    included, is an IncompleteStationError. A cell's slope holds at its
-    calibration's gain: a frame of another gain is a GainMismatchError.
-    Static mode averages the trailing 15 s window per cell (and therefore
-    needs at least that much data); WIM mode averages each cell's whole
-    pass-over segment. A tolerance rule with a reference mass (both or
-    neither) and an axle configuration each add a compliance entry.
+    An ingested batch of a deck of that size is reduced as its ingestor
+    judged it; other frames are judged here. Each cell's frames off the
+    rails (`codec.RAILS`) are taken in timestamp order (ties in input
+    order); a cell with none raises InsufficientSamplesError. A frame whose
+    code, gain or timestamp no wire line could carry, or a record whose
+    `saturated` flag disagrees with its code or whose numeric field is not
+    an integer, is an InvalidValueError that names it; a cell off the deck,
+    one beyond int64 included, is an IncompleteStationError. A cell's slope
+    holds at its calibration's gain: a frame of another gain is a
+    GainMismatchError naming the cell's first such gain in row order. The
+    deck weighs one load at one moment: static mode averages every cell
+    over the deck's last 15 s, (T - 15 s, T] for the deck's last timestamp
+    T, and a cell with no frame off the rails there is an
+    IncompleteStationError naming it; each cell's own frames must still
+    span 15 s. WIM mode averages each cell's whole pass-over segment, and
+    the cells' segments must overlap, else the same error names two cells.
+    A tolerance rule with a reference mass (both or neither) and an axle
+    configuration each add a compliance entry.
     """
     if mode not in MODES:
         raise InvalidValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -417,19 +468,26 @@ def run_session(
         raise InvalidValueError(f"cell count (one per calibration) must be one of {sorted(DECKS)}, got {cell_count}")
     check_tolerance_inputs(tolerance_rule, reference_kg)
 
-    checked = _checked if isinstance(frames, FrameBatch) else _records_checked
-    batch, (cell, ts, code, gain) = checked(frames, cell_count)
-    if not len(batch):
+    batch, cells = _verdict(frames, cell_count)
+    missing = [i for i, times in enumerate(cells[0]) if not times]
+    if len(missing) == cell_count:
         raise IncompleteStationError("no frames at all")
-    cells = _by_cell(cell, cell_count, ts, code, gain)
-    missing = [i for i, (times, _, _) in enumerate(cells) if not times]
     if missing:
         raise IncompleteStationError(f"no frames for cell(s) {missing}")
+    firsts, lasts = [t[0] for t in cells[0]], [t[-1] for t in cells[0]]
+    started, ended = min(firsts), max(lasts)
+    if mode == "wim" and min(lasts) < max(firsts):
+        early, late = lasts.index(min(lasts)), firsts.index(max(firsts))
+        raise IncompleteStationError(
+            f"cell {early}'s frames end at {lasts[early]} ms, before cell {late}'s begin at {firsts[late]} ms"
+        )
 
+    # One count settles the usual capture: every frame at its calibrations' one gain.
+    settled = len({c.gain for c in calibrations}) == 1 and batch.gain.count(calibrations[0].gain) == len(batch)
     cell_masses = []
-    for i, (cal, (times, codes, gains)) in enumerate(zip(calibrations, cells)):
-        if gains.count(cal.gain) != len(gains):
-            other = next(g for g in gains if g != cal.gain)
+    for i, (cal, times, codes) in enumerate(zip(calibrations, *cells)):
+        rows = () if settled else zip(batch.cell_index, batch.gain)
+        if (other := next((g for c, g in rows if c == i and g != cal.gain), None)) is not None:
             raise GainMismatchError(f"cell {i} has a frame of gain {other}, its calibration gain {cal.gain}")
         # A saturated frame is pinned at a rail and says nothing about the load.
         if CODE_MIN in codes or CODE_MAX in codes:
@@ -437,14 +495,15 @@ def run_session(
             times, codes = list(compress(times, loaded)), list(compress(codes, loaded))
         if not codes:
             raise InsufficientSamplesError(f"every frame of cell {i} is saturated")
-        # Records and batches built by hand may come in any order.
-        if times != sorted(times):
-            order = sorted(range(len(times)), key=times.__getitem__)
-            times, codes = [times[j] for j in order], [codes[j] for j in order]
-        if mode == "static":
-            cell_masses.append(static_weigh(times, _Masses(codes, cal), key=lambda t: t / 1000.0))
-        else:
+        if mode == "wim":
             cell_masses.append(mean([code_to_mass(c, cal) for c in codes]))
+        elif times[-1] / 1000.0 <= ended / 1000.0 - STATIC_WINDOW_S:
+            raise IncompleteStationError(
+                f"cell {i} has no frame in the deck's last {STATIC_WINDOW_S:g} s:"
+                f" its last at {times[-1]} ms, the deck's at {ended} ms"
+            )
+        else:
+            cell_masses.append(static_weigh(times, _Masses(codes, cal), key=lambda t: t / 1000.0, end=ended))
 
     assessment = assess(cell_masses, geometry, policy)
     compliance_entries: list[dict] = []
@@ -465,8 +524,8 @@ def run_session(
     return WeighRecord(
         record_id=os.urandom(6).hex(),
         station_id=batch.station_id,
-        started_at_ms=min(ts),
-        ended_at_ms=max(ts),
+        started_at_ms=started,
+        ended_at_ms=ended,
         mode=mode,
         cell_masses_kg=tuple(cell_masses),
         geometry=geometry,

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -229,6 +230,13 @@ class TestGain:
         loaded = CalibrationState.from_file(path)
         assert loaded == cal and loaded.gain == gain
         assert cal.fingerprint() != CalibrationState(0, 0.001, reference_points=((10.0, 10_000),)).fingerprint()
+
+    @pytest.mark.parametrize("gain", [128, 64, 32])
+    def test_the_fingerprint_is_hashlibs_sha256(self, gain):
+        # calibration takes SHA-256 from the interpreter's own module, not hashlib
+        cal = CalibrationState(-42, 0.0012345, 21.5, ((10.0, 8_058),), gain=gain)
+        text = "-42|0.0012345|21.5" + ("" if gain == 128 else f"|{gain}")
+        assert cal.fingerprint() == hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @pytest.mark.parametrize("gain", [7, 0, True, 128.0, "128"])
     def test_a_gain_no_adc_has_is_refused(self, gain):

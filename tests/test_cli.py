@@ -364,6 +364,12 @@ class TestWeighInput:
         assert (code, out.out, out.err) == (1, "", "weighsim: error: no frames at all\n")
         assert not (tmp_path / "records").exists()
 
+    def test_two_empty_frames_files(self, weigh, tmp_path):
+        # two batches without rows join into a batch without a verdict
+        code, out = weigh("", "\n\n")
+        assert (code, out.out, out.err) == (1, "", "weighsim: error: no frames at all\n")
+        assert not (tmp_path / "records").exists()
+
     @pytest.mark.parametrize("flag", ["--wheelbase-m", "--track-m", "--breadth-m"])
     def test_zero_geometry_flag_is_rejected(self, weigh, flag):
         code, out = weigh(self.frames(), extra=(flag, "0"))
@@ -407,6 +413,28 @@ class TestWeighInput:
     def test_frames_split_across_files(self, weigh):
         code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000))
         assert code == 0 and json.loads(out.out)["ended_at_ms"] == 15_000
+
+    def test_a_capture_split_by_cell_weighs_as_one_file(self, weigh):
+        # the batches of the two files join with the ingestor's verdict
+        lines = [f"st9,{c},{t},{10_000 + 1_000 * c},128,0\n" for t in range(0, 15_001, 100) for c in range(4)]
+        code, whole = weigh("".join(lines))
+        assert code == 0
+        by_cell = ["".join(line for line in lines if line.split(",")[1] in cells) for cells in ("23", "01")]
+        code, split = weigh(*by_cell)
+        assert code == 0 and split.err == ""
+        masked = [json.loads(out.out) | {"record_id": "*"} for out in (whole, split)]
+        assert masked[0] == masked[1] and masked[0]["cell_masses_kg"] == [10.0, 11.0, 12.0, 13.0]
+
+    def test_a_staggered_cell_is_named(self, weigh, tmp_path):
+        # cell 3 sends two frames, at 0 and 15 s, while the others run to 180 s:
+        # its "static mean" used to be its 15 s frame alone
+        text = "".join(f"st9,{c},{t},100000,128,0\n" for t in range(0, 180_001, 100) for c in range(3))
+        code, out = weigh(text + "st9,3,0,300000,128,0\nst9,3,15000,10000,128,0\n")
+        assert (code, out.out) == (1, "")
+        assert out.err == (
+            "weighsim: error: cell 3 has no frame in the deck's last 15 s: its last at 15000 ms, the deck's at 180000 ms\n"
+        )
+        assert not (tmp_path / "records").exists()
 
     def test_frames_files_from_two_stations(self, weigh, tmp_path):
         code, out = weigh(self.frames(station="ws"), self.frames(15_100, 16_000, station="ws2"))

@@ -19,7 +19,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 #: A fresh child imports the CLI, runs `main` on the argv given (if any)
 #: and reports its exit code, the weighsim modules then loaded, and whether
-#: numpy, uuid, dataclasses and inspect are.
+#: numpy, uuid, dataclasses, inspect and hashlib are.
 CHILD = """
 import contextlib, io, json, sys
 import weighsim.cli
@@ -28,7 +28,7 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = weighsim.cli.main(sys.argv[1:])
 modules = sorted(m.removeprefix("weighsim.") for m in sys.modules if m.split(".")[0] == "weighsim")
-print(json.dumps([code, modules, *(m in sys.modules for m in ("numpy", "uuid", "dataclasses", "inspect"))]))
+print(json.dumps([code, modules, *(m in sys.modules for m in ("numpy", "uuid", "dataclasses", "inspect", "hashlib"))]))
 """
 
 CAL = CalibrationState(tare_code=0, scale_kg_per_lsb=0.001, reference_points=((10.0, 10_000),))
@@ -51,7 +51,7 @@ def run_child(argv, cwd):
 
 
 def test_importing_the_cli_loads_errors_and_kvfile_only(tmp_path):
-    assert run_child([], tmp_path) == [None, CLI, False, False, False, False]
+    assert run_child([], tmp_path) == [None, CLI, False, False, False, False, False]
 
 
 def test_replay_assess_and_rules_load_no_numpy(tmp_path):
@@ -71,7 +71,7 @@ def test_replay_assess_and_rules_load_no_numpy(tmp_path):
         (["rules", "--jurisdiction", "US", "--kind", "acceptance", "--measured", "10", "--reference", "10"], RULES),
     ]
     for argv, modules in steps:
-        assert run_child(argv, tmp_path) == [0, modules, False, False, False, False], argv
+        assert run_child(argv, tmp_path) == [0, modules, False, False, False, False, False], argv
 
 
 def weigh_argv(tmp_path):
@@ -97,7 +97,7 @@ def test_weigh_loads_no_numpy_and_simulate_does(tmp_path):
         (bad_weigh, (1, False, False)),
         (["simulate", str(DEMOS / "scenarios" / "balanced.cfg")], (0, True, False)),
     ]:
-        code, _, numpy_loaded, uuid_loaded, _, _ = run_child(argv, tmp_path)
+        code, _, numpy_loaded, uuid_loaded, *_ = run_child(argv, tmp_path)
         assert (code, numpy_loaded, uuid_loaded) == expected, argv
 
 
@@ -105,10 +105,11 @@ def test_weigh_and_a_bad_replay_load_no_sensor_model(tmp_path):
     """`weigh` takes the code range and the gains from `codec`, and `replay`
     imports the sensor model (and with it numpy) only for a line that
     `decode_frame` decodes: replaying a trace with a bad line loads neither.
-    Neither loads dataclasses or inspect."""
-    assert run_child(weigh_argv(tmp_path), tmp_path) == [0, WEIGH, False, False, False, False]
+    Neither loads dataclasses, inspect or hashlib: a calibration's
+    fingerprint takes SHA-256 from the interpreter's own module."""
+    assert run_child(weigh_argv(tmp_path), tmp_path) == [0, WEIGH, False, False, False, False, False]
     (tmp_path / "bad.txt").write_text("0" * 25 + "\n" + "0" * 24 + "1111\n")
-    assert run_child(["replay", "bad.txt"], tmp_path) == [1, REPLAY, False, False, False, False]
+    assert run_child(["replay", "bad.txt"], tmp_path) == [1, REPLAY, False, False, False, False, False]
 
 
 #: The public names of the package and the submodule each comes from.

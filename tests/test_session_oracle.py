@@ -2,8 +2,9 @@
 
 `reference_session` is the per-frame reduction the columnar path replaced:
 one Python float per frame, each cell's frames sorted by timestamp, and
-`np.mean` over a list of the window's masses. Both paths must agree bit
-for bit, down to the persisted record line. The reference works from plain
+`np.mean` over a list of the window's masses, which in static mode is the
+deck's last 15 s for every cell. Both paths must agree bit for bit, down to
+the persisted record line. The reference works from plain
 `(cell, timestamp_ms, code, saturated)` tuples, and the wire lines are
 written here from the format in the `station` docstring.
 """
@@ -11,18 +12,20 @@ written here from the format in the `station` docstring.
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weighsim import codec
 from weighsim.calibration import CalibrationState
 from weighsim.codec import CHUNK_LINES
 from weighsim.cog import DeckGeometry, POLICIES, assess_four_cell, assess_two_cell
 from weighsim.compliance import STATIC_WINDOW_S, static_weigh, wim_weigh
-from weighsim.errors import InsufficientDurationError, InsufficientSamplesError, NoVehicleError
+from weighsim.errors import IncompleteStationError, InsufficientDurationError, InsufficientSamplesError, NoVehicleError
 from weighsim.sensor import CODE_MAX
-from weighsim.station import FrameIngestor, SensorFrameRecord, run_session
+from weighsim.station import FrameBatch, FrameIngestor, SensorFrameRecord, run_session
 
 GEOM = DeckGeometry(wheelbase_m=2.0, track_m=1.5)
 POLICY = POLICIES["prototype2"]
@@ -33,7 +36,9 @@ def reference_mass(code, cal):
     return 0.0 if mass < 0 else mass
 
 
-def reference_static(samples, window_s=STATIC_WINDOW_S):
+def reference_static(samples, window_s=STATIC_WINDOW_S, end=None):
+    """The mean of the masses in the window (end - window_s, end], `end` the
+    last time unless given."""
     if not samples:
         raise InsufficientDurationError("empty stream")
     times = [t for t, _ in samples]
@@ -42,8 +47,11 @@ def reference_static(samples, window_s=STATIC_WINDOW_S):
         raise InsufficientDurationError(
             f"stream spans {span:.3f} s, static weighing needs {window_s:.3f} s"
         )
-    cutoff = times[-1] - window_s
-    return float(np.mean([m for t, m in samples if t > cutoff]))
+    cutoff = (times[-1] if end is None else end) - window_s
+    window = [m for t, m in samples if t > cutoff]
+    if not window:
+        raise InsufficientDurationError(f"no sample after {cutoff:.3f} s, the start of the window")
+    return float(np.mean(window))
 
 
 def reference_wim(samples):
@@ -55,8 +63,19 @@ def reference_wim(samples):
 
 def reference_session(frames, cals, mode):
     """(cell masses, started_at_ms, ended_at_ms) of a one-station session of
-    (cell, timestamp_ms, code, saturated) frames, whose saturated frames
-    count only towards its start and end."""
+    (cell, timestamp_ms, code, saturated) frames, each cell with a frame.
+    Every frame counts towards the deck's start and end, which is the end
+    of every cell's static window, and towards each cell's span, which in
+    WIM mode must overlap the other cells'; saturated frames count towards
+    nothing else."""
+    spans = [[ts for c, ts, _, _ in frames if c == cell] for cell in range(len(cals))]
+    firsts, lasts = [min(span) for span in spans], [max(span) for span in spans]
+    if mode == "wim" and min(lasts) < max(firsts):
+        early, late = lasts.index(min(lasts)), firsts.index(max(firsts))
+        raise IncompleteStationError(
+            f"cell {early}'s frames end at {lasts[early]} ms, before cell {late}'s begin at {firsts[late]} ms"
+        )
+    ended = max(lasts)
     streams = [[] for _ in cals]
     for cell, ts, code, saturated in frames:
         if not saturated:
@@ -65,10 +84,18 @@ def reference_session(frames, cals, mode):
     for cell, (stream, cal) in enumerate(zip(streams, cals)):
         if not stream:
             raise InsufficientSamplesError(f"every frame of cell {cell} is saturated")
-        samples = [(ts / 1000.0, reference_mass(code, cal)) for ts, code in sorted(stream, key=lambda f: f[0])]
-        masses.append(reference_static(samples) if mode == "static" else reference_wim(samples)[0])
-    all_ts = [ts for _, ts, _, _ in frames]
-    return masses, min(all_ts), max(all_ts)
+        stream.sort(key=lambda f: f[0])
+        samples = [(ts / 1000.0, reference_mass(code, cal)) for ts, code in stream]
+        if mode == "wim":
+            masses.append(reference_wim(samples)[0])
+        elif samples[-1][0] <= ended / 1000.0 - STATIC_WINDOW_S:
+            raise IncompleteStationError(
+                f"cell {cell} has no frame in the deck's last {STATIC_WINDOW_S:g} s:"
+                f" its last at {stream[-1][0]} ms, the deck's at {ended} ms"
+            )
+        else:
+            masses.append(reference_static(samples, end=ended / 1000.0))
+    return masses, min(firsts), ended
 
 
 def masked_line(record):
@@ -80,7 +107,9 @@ def sessions(draw):
     """(cell, timestamp_ms, code, saturated) frames of one station: per-cell
     streams with duplicate timestamps, codes on both sides of the tare and
     at times saturated frames (none, some or all of a cell's), sometimes
-    more lines than one chunk."""
+    more lines than one chunk, at times a cell whose stream stops early or
+    starts late, and sometimes a few frames more on some cells than on
+    others."""
     cell_count = draw(st.sampled_from([2, 4]))
     mode = draw(st.sampled_from(["static", "wim"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -96,12 +125,17 @@ def sessions(draw):
         scale = draw(st.floats(1e-6, 1e-2, allow_nan=False))
         cals.append(CalibrationState(tare, scale, reference_points=((1.0, tare + 1),)))
     frames = []
+    shifted = draw(st.sampled_from([None, None, *range(cell_count)]))
     for cell, cal in enumerate(cals):
-        ts = rng.integers(0, span_ms // step_ms + 1, per_cell) * step_ms
-        if per_cell > 1:
+        n = per_cell + draw(st.integers(0, 3))
+        ts = rng.integers(0, span_ms // step_ms + 1, n) * step_ms
+        if n > 1:
             ts[:2] = 0, span_ms // step_ms * step_ms  # pin the span
-        codes = cal.tare_code + rng.integers(-3_000, 200_000, per_cell)
-        pinned = rng.random(per_cell) < draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]))
+        if cell == shifted:  # the deck's window or the other cells' segments may miss this one
+            shift = draw(st.one_of(st.integers(1, span_ms + 1_000), st.sampled_from([15_000, span_ms, span_ms + 1])))
+            ts += draw(st.sampled_from([-1, 1])) * shift
+        codes = cal.tare_code + rng.integers(-3_000, 200_000, n)
+        pinned = rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.1, 1.0]))
         frames += [
             (cell, int(t), CODE_MAX, True) if p else (cell, int(t), int(c), False)
             for t, c, p in zip(ts, codes, pinned)
@@ -130,25 +164,41 @@ def columns(samples):
 def session_or_error(run):
     try:
         return run()
-    except (InsufficientDurationError, InsufficientSamplesError, NoVehicleError) as exc:
+    except (IncompleteStationError, InsufficientDurationError, InsufficientSamplesError, NoVehicleError) as exc:
         return type(exc), str(exc)
 
 
-@settings(max_examples=60, deadline=None)
-@given(sessions())
-def test_columnar_session_is_bit_identical(session):
+def ingested_in_files(lines, cuts, cell_count):
+    """The batch of `lines` cut into files at `cuts`, each file fed to one
+    ingestor, joined as `weigh --frames` joins them."""
+    ingestor, edges = FrameIngestor(cell_count), [0, *sorted(cuts), len(lines)]
+    return FrameBatch.concat([ingestor.ingest_lines(lines[a:b]) for a, b in zip(edges, edges[1:])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sessions(), st.sampled_from([1, 2, 3, 7, 64, CHUNK_LINES]), st.lists(st.floats(0, 1), max_size=3), st.booleans())
+def test_columnar_session_is_bit_identical(session, chunk_lines, cuts, as_numpy):
+    """Records, a hand-built batch and a capture ingested as several files in
+    chunks of `chunk_lines` lines weigh as the reference, to the record
+    line, or fail with its error."""
     frames, cals, mode, cell_count = session
     expected = session_or_error(lambda: reference_session(frames, cals, mode))
     records = [SensorFrameRecord("st1", cell, ts, code, saturated=sat) for cell, ts, code, sat in frames]
-    ingested = FrameIngestor(cell_count).ingest_lines(wire_lines(frames))
+    columns = [list(column) for column in zip(*((cell, ts, code, 128) for cell, ts, code, _ in frames))]
+    built = FrameBatch("st1", *(map(np.array, columns) if as_numpy else columns))
+    lines = wire_lines(frames)
+    with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+        ingested = ingested_in_files(lines, [round(cut * len(lines)) for cut in cuts], cell_count)
     assert len(ingested) == len(frames)
-    for source in (records, ingested):
+    weighed = set()
+    for source in (records, built, ingested):
         got = session_or_error(
             lambda: run_session(source, cals, mode, POLICY, GEOM)
         )
         if isinstance(expected, tuple) and isinstance(expected[0], type):
             assert got == expected
             continue
+        weighed.add(masked_line(got))
         masses, started, ended = expected
         assert list(got.cell_masses_kg) == masses  # exact, not approx
         assert all(type(m) is float for m in got.cell_masses_kg)
@@ -160,6 +210,7 @@ def test_columnar_session_is_bit_identical(session):
             assessment = assess_two_cell(masses, GEOM, POLICY)
         reference = replace(got, cell_masses_kg=tuple(masses), assessment=assessment)
         assert masked_line(got) == masked_line(reference)
+    assert len(weighed) <= 1
 
 
 samples_lists = st.lists(
@@ -171,10 +222,12 @@ samples_lists = st.lists(
 )
 
 
-@given(samples_lists)
-def test_static_weigh_matches_reference_on_any_order(samples):
-    expected = session_or_error(lambda: reference_static(samples))
-    assert session_or_error(lambda: static_weigh(*columns(samples))) == expected
+@given(samples_lists, st.one_of(st.none(), st.floats(0.0, 30.0)))
+def test_static_weigh_matches_reference_on_any_order(samples, after):
+    """With no `end`, or one `after` seconds past the latest time."""
+    end = None if after is None or not samples else max(t for t, _ in samples) + after
+    expected = session_or_error(lambda: reference_static(samples, end=end))
+    assert session_or_error(lambda: static_weigh(*columns(samples), end=end)) == expected
 
 
 @given(samples_lists)

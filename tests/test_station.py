@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weighsim import codec
+from weighsim import codec, station
 from weighsim.calibration import CalibrationState
 from weighsim.codec import CHUNK_LINES
 from weighsim.cog import DeckGeometry, LoadAssessment, POLICIES, TwoCellAssessment
@@ -625,6 +625,68 @@ class TestRunSession:
         from_batch = run_session(FrameBatch.from_records(frames[::-1]), [CAL] * 4, "static", P2, GEOM)
         assert from_batch.to_line().replace(from_batch.record_id, from_records.record_id) == from_records.to_line()
 
+    def test_an_ingested_capture_is_judged_once(self):
+        # the batches of one ingestor's files join with its verdict, which
+        # run_session reduces without checking or grouping the rows again
+        frames = session_frames([110_000, 90_000, 80_000, 70_000])
+        lines = [format_frame_line(f) for f in sorted(frames, key=lambda f: f.timestamp_ms)]
+        ingestor = FrameIngestor()
+        with mock.patch.object(codec, "CHUNK_LINES", 50):
+            files = [ingestor.ingest_lines(lines[:301]), ingestor.ingest_lines([""]), ingestor.ingest_lines(lines[301:])]
+        expected = run_session(frames, [CAL] * 4, "static", P2, GEOM)
+        judged_again = AssertionError("judged again")
+        with mock.patch.object(station, "_checked", side_effect=judged_again), \
+                mock.patch.object(station, "_records_checked", side_effect=judged_again), \
+                mock.patch.object(station, "_group", side_effect=judged_again):
+            record = run_session(FrameBatch.concat(files), [CAL] * 4, "static", P2, GEOM)
+        assert record.to_line().replace(record.record_id, expected.record_id) == expected.to_line()
+
+    def test_batches_of_two_ingestors_are_sorted_and_weighed(self):
+        # each ingestor checks the time order of its own frames only: per
+        # cell, the frames of `a` and `b` interleave, so the joined batch is
+        # judged, grouped and sorted as one built by hand
+        a = [SensorFrameRecord("st1", c, t, 100_000) for t in range(0, 30_001, 200) for c in range(4)]
+        b = [SensorFrameRecord("st1", c, t, 300_000) for t in range(100, 30_000, 200) for c in range(4)]
+        joined = FrameBatch.concat([FrameIngestor().ingest_lines(map(format_frame_line, part)) for part in (a, b)])
+        record = run_session(joined, [CAL] * 4, "static", P2, GEOM)
+        expected = run_session(a + b, [CAL] * 4, "static", P2, GEOM)
+        assert record.to_line().replace(record.record_id, expected.record_id) == expected.to_line()
+        assert (record.started_at_ms, record.ended_at_ms) == (0, 30_000)
+        assert record.cell_masses_kg == pytest.approx((200.0,) * 4)
+
+    @pytest.mark.parametrize("last_ms", [15_000, 165_000])
+    def test_a_cell_with_no_frame_in_the_decks_window_is_named(self, last_ms):
+        # cells 0-2 at 100 kg, 10 Hz for 180 s; cell 3 at 300 kg at 0 s and
+        # 10 kg at 15 s used to read (100, 100, 100, 10): cell 3 from one
+        # frame, 165 s before the other cells' window. The window is
+        # half-open, so a last frame at 165 s is outside it too.
+        frames = [SensorFrameRecord("st1", c, t, 100_000) for t in range(0, 180_001, 100) for c in range(3)]
+        frames += [SensorFrameRecord("st1", 3, 0, 300_000), SensorFrameRecord("st1", 3, last_ms, 10_000)]
+        message = f"^cell 3 has no frame in the deck's last 15 s: its last at {last_ms} ms, the deck's at 180000 ms$"
+        lines = [format_frame_line(f) for f in sorted(frames, key=lambda f: f.timestamp_ms)]
+        for source in (frames, FrameIngestor().ingest_lines(lines)):
+            with pytest.raises(IncompleteStationError, match=message):
+                run_session(source, [CAL] * 4, "static", P2, GEOM)
+
+    def test_a_cell_that_stops_early_averages_the_decks_window(self):
+        # cell 3 stops at 25 s, the others at 30 s: its own last 15 s would
+        # hold 300 kg frames from before 12 s, the deck's last 15 s do not
+        frames = [SensorFrameRecord("st1", c, t, 100_000) for t in range(0, 30_001, 100) for c in range(3)]
+        frames += [SensorFrameRecord("st1", 3, t, 300_000 if t < 12_000 else 100_000) for t in range(0, 25_001, 100)]
+        lines = [format_frame_line(f) for f in sorted(frames, key=lambda f: f.timestamp_ms)]
+        for source in (frames, FrameIngestor().ingest_lines(lines)):
+            assert run_session(source, [CAL] * 4, "static", P2, GEOM).cell_masses_kg == (100.0,) * 4
+
+    def test_wim_needs_the_cells_segments_to_overlap(self):
+        frames = session_frames([100_000] * 3, n=20) + cell_frames(3, 100_000, n=20, t0=5_000)
+        lines = [format_frame_line(f) for f in sorted(frames, key=lambda f: f.timestamp_ms)]
+        message = "^cell 0's frames end at 1900 ms, before cell 3's begin at 5000 ms$"
+        for source in (frames, FrameIngestor().ingest_lines(lines)):
+            with pytest.raises(IncompleteStationError, match=message):
+                run_session(source, [CAL] * 4, "wim", P2, GEOM)
+        overlapping = session_frames([100_000] * 3, n=20) + cell_frames(3, 100_000, n=20, t0=1_900)
+        assert run_session(overlapping, [CAL] * 4, "wim", P2, GEOM).cell_masses_kg == (100.0,) * 4
+
     def test_negative_cell_index_rejected(self):
         frames = session_frames([1000] * 4) + [SensorFrameRecord("st1", -1, 0, 1000)]
         with pytest.raises(IncompleteStationError, match="frame for cell -1 on a 4-cell station"):
@@ -640,8 +702,10 @@ class TestRunSession:
         frames = session_frames([1000] * 4)
         with pytest.raises(ValueError, match=r"^cell count \(one per calibration\) must be one of \[2, 4\], got 3$"):
             run_session(frames, [CAL] * 3, "static", P2, GEOM)
-        with pytest.raises(IncompleteStationError, match="^frame for cell 2 on a 2-cell station$"):
-            run_session(frames, [CAL] * 2, "static", P2, GEOM)
+        # a four-cell ingestor's verdict is no verdict on a two-cell deck
+        for source in (frames, FrameIngestor().ingest_lines(map(format_frame_line, frames))):
+            with pytest.raises(IncompleteStationError, match="^frame for cell 2 on a 2-cell station$"):
+                run_session(source, [CAL] * 2, "static", P2, GEOM)
 
     @pytest.mark.parametrize("mode", ["static", "wim"])
     def test_saturated_frames_are_left_out(self, mode):
@@ -812,6 +876,19 @@ class TestRunSession:
         record = run_session(frames, [cal64] * 4, mode, P2, GEOM)
         assert record.cell_masses_kg == (100.0,) * 4
         assert record.calibration_fingerprint == "+".join([cal64.fingerprint()] * 4)
+
+    @pytest.mark.parametrize("chunk_lines", [1, 7, CHUNK_LINES])
+    @pytest.mark.parametrize("odd, other", [(((50, 64), (60, 32)), 64), (((0, 32), (60, 64)), 32)], ids=["64-then-32", "32-first"])
+    def test_the_first_other_gain_in_row_order_is_named(self, chunk_lines, odd, other):
+        # ingested in chunks, a cell's gains join in the order its rows meet them
+        frames = session_frames([100_000] * 4)
+        for i, gain in odd:
+            frames[3 * 151 + i] = replace(frames[3 * 151 + i], gain=gain)
+        with mock.patch.object(codec, "CHUNK_LINES", chunk_lines):
+            ingested = FrameIngestor().ingest_lines(map(format_frame_line, frames))
+        for source in (frames, ingested):
+            with pytest.raises(GainMismatchError, match=f"^cell 3 has a frame of gain {other}, its calibration gain 128$"):
+                run_session(source, [CAL] * 4, "static", P2, GEOM)
 
     def test_one_frame_of_another_gain_names_its_cell(self):
         frames = session_frames([100_000] * 4)
