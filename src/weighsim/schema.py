@@ -4,8 +4,7 @@ A `FrozenRecord` class declares its fields as annotations, in order, each
 with an optional default. At class creation, and never after, it gets
 `_fields` (the names) and `_field_defaults`, the one schema that the
 record codec, the `key = value` files and the CLI read; `__slots__` of the
-fields and of any private attribute the body's `__slots__` names, so an
-instance has no `__dict__`; and one compiled `__init__`,
+fields, so an instance has no `__dict__`; and one compiled `__init__`,
 which calls `__post_init__` if the class has one. Repr, equality, hash
 and frozenness are shared, and are those of a frozen dataclass.
 `dataclasses` is imported only when `dataclasses.replace`, `fields` or
@@ -22,7 +21,7 @@ from typing import Any
 class _RecordType(type):
     def __new__(mcls, name: str, bases: tuple[type, ...], ns: dict[str, Any]) -> type:
         names = tuple(ns.get("__annotations__", ()))
-        ns["__slots__"] = (*names, *ns.get("__slots__", ()))
+        ns["__slots__"] = names
         if names:  # a class without annotations keeps its base's fields
             defaults = {n: ns.pop(n) for n in names if n in ns}
             if names[len(names) - len(defaults) :] != tuple(defaults):
