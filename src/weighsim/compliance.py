@@ -29,10 +29,11 @@ import math
 from functools import partial, reduce
 from operator import add
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     ConfigError,
+    IncompleteStationError,
     InsufficientDurationError,
     InvalidValueError,
     NoVehicleError,
@@ -302,49 +303,51 @@ def _rule_parts(key: str, what: str, parts: list[str], names: tuple[str, ...]) -
 # -- weighing modes ----------------------------------------------------------
 
 
-def static_weigh(
-    times: Sequence[float], masses_kg: Sequence[float], key: Callable[[float], float] | None = None, end: float | None = None
-) -> float:
-    """Mean of the samples in the trailing `STATIC_WINDOW_S` window of a
-    static weighing.
-
-    The samples are columns of times and masses (kg); a time is in seconds,
-    or `key` of it is (`key=lambda t: t / 1000.0` reads milliseconds). The
-    stream must span at least the window. The window is half-open,
-    (t_end - window, t_end], so a stream spanning exactly the window
-    contributes everything after its first sample. `t_end` is `end`, at or
-    after the last time (a deck's last, say), else the last time; a window
-    without a sample is an InsufficientDurationError. In a time-ordered
-    stream the window's start is found by bisection, which converts only
-    the times it probes; a stream in any other order is scanned. Only the
-    masses in the window are read, by index.
-    """
+def static_window(times: Sequence[float], width: float, end: float | None = None) -> int:
+    """The index of the first of the time-ordered `times` in the static
+    window (end - width, end], `end` the last time unless given, compared
+    by differences in the times' own unit, so integer times exactly. No
+    times or a span under `width` is an InsufficientDurationError, a window
+    without a time (a later `end`) an IncompleteStationError."""
     if not len(times):
         raise InsufficientDurationError("empty stream")
-    seconds = key or (lambda t: t)
-    span = seconds(times[-1]) - seconds(times[0])
-    if span < STATIC_WINDOW_S:
-        raise InsufficientDurationError(
-            f"stream spans {span:.3f} s, static weighing needs {STATIC_WINDOW_S:.3f} s"
-        )
-    cutoff = seconds(times[-1] if end is None else end) - STATIC_WINDOW_S
-    if list(times) == sorted(times):
-        window = range(bisect.bisect_right(times, cutoff, key=seconds), len(times))
-    else:
-        window = [i for i, t in enumerate(times) if seconds(t) > cutoff]
-    if not window:
-        raise InsufficientDurationError(f"no sample after {cutoff:.3f} s, the start of the window")
-    return mean([masses_kg[i] for i in window])
+    end = times[-1] if end is None else end
+    if end - times[-1] >= width:
+        raise IncompleteStationError(f"no time in the window ({end} - {width}, {end}]")
+    if times[-1] - times[0] < width:
+        raise InsufficientDurationError(f"stream spans {times[-1] - times[0]}, static weighing needs {width}")
+    return bisect.bisect_left(times, True, key=lambda t: end - t < width)
+
+
+def static_weigh(times_s: Sequence[float], masses_kg: Sequence[float]) -> float:
+    """Mean of the masses (kg) in the trailing `STATIC_WINDOW_S` window
+    (`static_window`) of a stream of times (s) in time order. A value that
+    is not finite or a time before the one ahead of it is an
+    InvalidValueError naming its index, and so are columns of two lengths."""
+    _require_finite("time", times_s)
+    _require_finite("mass", masses_kg)
+    if len(times_s) != len(masses_kg):
+        raise InvalidValueError(f"{len(times_s)} times for {len(masses_kg)} masses")
+    if back := next((i for i in range(1, len(times_s)) if times_s[i] < times_s[i - 1]), None):
+        raise InvalidValueError(f"time {times_s[back]} at index {back} is before time {times_s[back - 1]} at {back - 1}")
+    return mean(masses_kg[static_window(times_s, STATIC_WINDOW_S):])
 
 
 def wim_weigh(masses_kg: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample variance over a column of pass-over segment masses."""
+    """Mean and sample variance over a column of finite pass-over masses."""
     if not len(masses_kg):
         raise NoVehicleError("no samples in the pass-over segment")
+    _require_finite("mass", masses_kg)
     average = mean(masses_kg)
     deviations = [(m - average) * (m - average) for m in masses_kg]
     var = _sum(deviations) / (len(masses_kg) - 1) if len(masses_kg) > 1 else 0.0
     return average, float(var)
+
+
+def _require_finite(name: str, values: Sequence[float]) -> None:
+    """InvalidValueError naming the first of `values` that is not finite."""
+    if (bad := next((i for i, v in enumerate(values) if not -math.inf < v < math.inf), None)) is not None:
+        raise InvalidValueError(f"{name} {values[bad]} at index {bad} is not finite")
 
 
 def mean(values: Sequence[float]) -> float:

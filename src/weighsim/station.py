@@ -27,9 +27,9 @@ width (RecordParseError), a second station (IncompleteStationError), time
 order on its cell (SequencingError). So neither the reading nor the chunk
 size changes a result. `run_session` judges `SensorFrameRecord`s by the
 same judge, sorted stably by timestamp, and reduces a batch's cells:
-code→mass by `calibration.code_to_mass`, then the static-window or WIM
-mean in float64, as numpy's `mean` adds (`compliance.mean`). No numpy is
-loaded here.
+code→mass by `calibration.code_to_mass` of the static window's codes (in
+integer ms) or the WIM segment's, then their mean in float64, as numpy's
+`mean` adds (`compliance.mean`). No numpy is loaded here.
 
 Records, their JSON codec and the record store live in `weighsim.record`.
 """
@@ -52,11 +52,11 @@ from .compliance import (
     ToleranceRule,
     check_compliance,
     mean,
-    static_weigh,
+    static_window,
     within_gvw_limit,
 )
-from .errors import GainMismatchError, IncompleteStationError, InsufficientSamplesError, RecordParseError
-from .errors import InvalidValueError, SequencingError, is_integer, require_positive
+from .errors import GainMismatchError, IncompleteStationError, InsufficientDurationError, InsufficientSamplesError
+from .errors import InvalidValueError, RecordParseError, SequencingError, is_integer, require_positive
 from .record import RecordStore, WeighRecord, assessment_line, to_json  # noqa: F401
 from .schema import FrozenRecord
 
@@ -324,17 +324,6 @@ class FrameIngestor:
         return rows
 
 
-class _Masses:
-    """A cell's codes as `code_to_mass` reads them, each converted when
-    indexed, so a static weighing converts the codes of its window only."""
-
-    def __init__(self, codes: Sequence[int], cal: CalibrationState):
-        self.codes, self.cal = codes, cal
-
-    def __getitem__(self, i: int) -> float:
-        return code_to_mass(self.codes[i], self.cal)
-
-
 def check_tolerance_inputs(tolerance_rule: ToleranceRule | None, reference_kg: float | None) -> None:
     """InvalidValueError unless a tolerance check has neither a rule nor a
     reference mass, or both and a finite mass > 0."""
@@ -367,12 +356,12 @@ def run_session(
     IncompleteStationError. A cell's slope holds at its calibration's gain:
     a frame of another gain is a GainMismatchError naming the cell's first
     such gain in time order. The deck weighs one load at one moment: static
-    mode averages every cell over the deck's last 15 s, (T - 15 s, T] for
-    the deck's last timestamp T, and a cell with no frame off the rails
-    there is an IncompleteStationError naming it; each cell's own frames
-    must still span 15 s. WIM mode averages each cell's whole pass-over
-    segment, and the cells' segments must overlap, else the same error
-    names two cells.
+    mode averages every cell over the deck's last 15 s, (T - 15 s, T] in
+    integer ms for the deck's last timestamp T; a cell with no frame off
+    the rails there is an IncompleteStationError naming it, and one whose
+    own frames span under 15 s an InsufficientDurationError naming it.
+    WIM mode averages each cell's whole pass-over segment, and the cells'
+    segments must overlap, else an IncompleteStationError names two cells.
     A tolerance rule with a reference mass (both or neither) and an axle
     configuration each add a compliance entry.
     """
@@ -412,15 +401,18 @@ def run_session(
             times, codes = list(compress(times, loaded)), list(compress(codes, loaded))
         if not codes:
             raise InsufficientSamplesError(f"every frame of cell {i} is saturated")
-        if mode == "wim":
-            cell_masses.append(mean([code_to_mass(c, cal) for c in codes]))
-        elif times[-1] / 1000.0 <= ended / 1000.0 - STATIC_WINDOW_S:
+        try:
+            start = static_window(times, STATIC_WINDOW_S * 1000, ended) if mode == "static" else 0
+        except IncompleteStationError:
             raise IncompleteStationError(
                 f"cell {i} has no frame in the deck's last {STATIC_WINDOW_S:g} s:"
                 f" its last at {times[-1]} ms, the deck's at {ended} ms"
-            )
-        else:
-            cell_masses.append(static_weigh(times, _Masses(codes, cal), key=lambda t: t / 1000.0, end=ended))
+            ) from None
+        except InsufficientDurationError:
+            raise InsufficientDurationError(
+                f"cell {i}'s frames span {times[-1] - times[0]} ms, static weighing needs {STATIC_WINDOW_S * 1000:g} ms"
+            ) from None
+        cell_masses.append(mean([code_to_mass(c, cal) for c in codes[start:]]))
 
     assessment = assess(cell_masses, geometry, policy)
     compliance_entries: list[dict] = []

@@ -414,6 +414,17 @@ class TestWeighInput:
         code, out = weigh(self.frames(0, 7_500), self.frames(7_600, 15_000))
         assert code == 0 and json.loads(out.out)["ended_at_ms"] == 15_000
 
+    def test_a_capture_shifted_in_time_weighs_as_from_0(self, weigh):
+        # from 1,400 ms to 16,400 ms the capture used to exit 1: "stream spans
+        # 15.000 s, static weighing needs 15.000 s", its span in float seconds
+        # 14.999999999999998
+        code, at_0 = weigh(self.frames())
+        assert code == 0
+        code, shifted = weigh(self.frames(1_400, 16_400))
+        assert (code, shifted.err) == (0, "")
+        a, b = json.loads(at_0.out), json.loads(shifted.out)
+        assert (a["cell_masses_kg"], a["assessment"]) == (b["cell_masses_kg"], b["assessment"])
+
     def test_a_capture_split_by_cell_weighs_as_one_file(self, weigh):
         # the batches of the two files join with the ingestor's verdict
         lines = [f"st9,{c},{t},{10_000 + 1_000 * c},128,0\n" for t in range(0, 15_001, 100) for c in range(4)]

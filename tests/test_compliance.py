@@ -22,11 +22,13 @@ from weighsim.compliance import (
     mean,
     simulate_weigh_stream,
     static_weigh,
+    static_window,
     wim_weigh,
     within_gvw_limit,
 )
 from weighsim.errors import (
     ConfigError,
+    IncompleteStationError,
     InsufficientDurationError,
     InvalidSeedError,
     InvalidValueError,
@@ -224,19 +226,36 @@ class TestStaticWeigh:
         times = np.arange(151) * 0.125
         assert static_weigh(times, np.where(times <= 3.75, 1000.0, 500.0)) == 500.0
 
+    @pytest.mark.parametrize("index", [0, 75, 150])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_time_that_is_not_finite_is_named(self, index, bad):
+        # a first time of NaN or -inf read 500.0, leaving out the 1,000 kg
+        # sample at it, and a NaN time in the middle dropped its sample
+        times, masses = TIMES_S.copy(), np.full(151, 500.0)
+        times[index], masses[index] = bad, 1000.0
+        with pytest.raises(InvalidValueError, match=rf"^time {bad} at index {index} is not finite$"):
+            static_weigh(times, masses)
 
-class _Reads:
-    """A mass column of 1.0 kg that records the indices read from it."""
+    @pytest.mark.parametrize("index", [0, 150])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_mass_that_is_not_finite_is_named(self, index, bad):
+        # a NaN mass read nan
+        masses = np.full(151, 500.0)
+        masses[index] = bad
+        with pytest.raises(InvalidValueError, match=rf"^mass {bad} at index {index} is not finite$"):
+            static_weigh(TIMES_S, masses)
 
-    def __init__(self, n):
-        self.n, self.read = n, []
+    def test_a_time_before_the_one_ahead_of_it_is_named(self):
+        # a stream out of time order used to be scanned for its window
+        times = TIMES_S.copy()
+        times[41] = 3.5
+        with pytest.raises(InvalidValueError, match=r"^time 3\.5 at index 41 is before time 4\.0 at 40$"):
+            static_weigh(times, np.full(151, 500.0))
 
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        self.read.append(i)
-        return 1.0
+    def test_columns_of_two_lengths_are_refused(self):
+        # the masses past the times' count were left out of the mean
+        with pytest.raises(InvalidValueError, match="^151 times for 152 masses$"):
+            static_weigh(TIMES_S, np.full(152, 500.0))
 
 
 @st.composite
@@ -244,41 +263,44 @@ def edge_streams(draw):
     """Sorted integer-ms times clustered within a few ms of the window's
     edge, the last time less 15 s; the first sits on that edge or a few ms
     before it, so the stream spans about 15 s or more. Times run up to
-    2**62 ms, where t / 1000.0 rounds."""
+    2**62 ms, where a float of them would round. Then an end at the last
+    time or after it, at times a few ms from where the window holds none."""
     end = draw(st.one_of(st.integers(0, 10**6), st.integers(-(2**62), 2**62)))
     edge = end - 15_000
     times = draw(st.lists(st.one_of(st.integers(edge - 3, edge + 3), st.integers(edge - 30_000, end)), max_size=40))
-    return sorted([draw(st.integers(edge - 3, edge)), *times, end])
+    after = draw(st.one_of(st.just(0), st.integers(14_997, 15_003), st.integers(0, 40_000)))
+    return sorted([draw(st.integers(edge - 3, edge)), *times, end]), end + after
 
 
-def window_or_error(times, **key):
-    """The indices of the masses that `static_weigh` reads, or its error."""
-    masses = _Reads(len(times))
+def window_or_error(times, end=None):
+    """The index at which `static_window`'s 15 s window of integer-ms
+    `times` starts, as a weighing finds it, or its error."""
     try:
-        assert static_weigh(times, masses, **key) == 1.0
-    except InsufficientDurationError as exc:
-        return str(exc)
-    return masses.read
+        return static_window(times, STATIC_WINDOW_S * 1000, end)
+    except (InsufficientDurationError, IncompleteStationError) as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=500, deadline=None)
 @given(edge_streams())
-@example([0, 15_000]).via("exactly 15 s")
-def test_bisected_window_is_the_scanned_window(times_ms):
-    # The scan that the bisection replaced: every timestamp in seconds,
-    # compared with the last one less the window.
-    seconds = [t / 1000.0 for t in times_ms]
-    span = seconds[-1] - seconds[0]
-    if span < STATIC_WINDOW_S:
-        scanned = f"stream spans {span:.3f} s, static weighing needs {STATIC_WINDOW_S:.3f} s"
+@example(([0, 15_000], 15_000)).via("exactly 15 s")
+@example(([1_400, 16_400], 16_400)).via("exactly 15 s, from 1.4 s")
+@example(([0, 15_000], 30_000)).via("a window that ends 15 s after the last time")
+def test_bisected_window_is_the_scanned_window(stream):
+    # The scan the bisection must equal: each integer time compared exactly
+    # with the end less the window, none converted to seconds.
+    times_ms, end = stream
+    if end - times_ms[-1] >= 15_000:
+        scanned = IncompleteStationError, f"no time in the window ({end} - 15000.0, {end}]"
+    elif times_ms[-1] - times_ms[0] < 15_000:
+        scanned = InsufficientDurationError, f"stream spans {times_ms[-1] - times_ms[0]}, static weighing needs 15000.0"
     else:
-        scanned = [i for i, t in enumerate(seconds) if t > seconds[-1] - STATIC_WINDOW_S]
-    assert window_or_error(times_ms, key=lambda t: t / 1000.0) == scanned
-    assert window_or_error(seconds) == scanned
+        scanned = [i for i, t in enumerate(times_ms) if t > end - 15_000][0]
+    assert window_or_error(times_ms, end) == scanned
 
 
 def test_a_stream_of_exactly_15_s_leaves_its_first_sample_out():
-    assert window_or_error([1_000, 1_000, 1_001, 16_000], key=lambda t: t / 1000.0) == [2, 3]
+    assert window_or_error([1_000, 1_000, 1_001, 16_000]) == 2
 
 
 class TestWimWeigh:
@@ -290,6 +312,12 @@ class TestWimWeigh:
     def test_empty_segment(self):
         with pytest.raises(NoVehicleError):
             wim_weigh(np.array([]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_mass_that_is_not_finite_is_named(self, bad):
+        # wim_weigh([1.0, nan]) returned (nan, nan)
+        with pytest.raises(InvalidValueError, match=rf"^mass {bad} at index 1 is not finite$"):
+            wim_weigh([1.0, bad])
 
     def test_seeded_determinism(self):
         a = wim_weigh(simulate_weigh_stream(500.0, "wim", 1.0, seed=7)[1])
@@ -429,8 +457,11 @@ def test_mean_is_numpy_mean_bit_for_bit(n, scale, seed, specials, negative_zeros
     with np.errstate(all="ignore"):
         expected = float(np.array(xs).mean())
         assert same_float(mean(xs), expected), (n, mean(xs), expected)
-        if n > 1:
+        if n > 1 and all(map(math.isfinite, xs)):
             assert same_float(wim_weigh(xs)[1], float(np.array(xs).var(ddof=1)))
+        elif n > 1:  # a segment with a mass that is not finite is refused, not averaged
+            with pytest.raises(InvalidValueError, match=r"^mass \S+ at index \d+ is not finite$"):
+                wim_weigh(xs)
 
 
 @pytest.mark.parametrize("n", [8191, 8192, 8193, 16385, 50000])

@@ -3,10 +3,10 @@
 `reference_session` is the per-frame reduction the columnar path replaced:
 one Python float per frame, each cell's frames sorted by timestamp, and
 `np.mean` over a list of the window's masses, which in static mode is the
-deck's last 15 s for every cell. Both paths must agree bit for bit, down to
-the persisted record line. The reference works from plain
-`(cell, timestamp_ms, code, saturated)` tuples, and the wire lines are
-written here from the format in the `station` docstring.
+deck's last 15 s for every cell, compared in integer ms. Both paths must
+agree bit for bit, down to the persisted record line. The reference works
+from plain `(cell, timestamp_ms, code, saturated)` tuples, and the wire
+lines are written here from the format in the `station` docstring.
 """
 
 import random
@@ -16,19 +16,22 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weighsim import codec
 from weighsim.calibration import CalibrationState
 from weighsim.codec import CHUNK_LINES
 from weighsim.cog import DeckGeometry, POLICIES, assess_four_cell, assess_two_cell
 from weighsim.compliance import STATIC_WINDOW_S, static_weigh, wim_weigh
-from weighsim.errors import IncompleteStationError, InsufficientDurationError, InsufficientSamplesError, NoVehicleError
+from weighsim.errors import IncompleteStationError, InsufficientDurationError, InsufficientSamplesError, InvalidValueError
+from weighsim.errors import NoVehicleError
 from weighsim.sensor import CODE_MAX
 from weighsim.station import FrameBatch, FrameIngestor, SensorFrameRecord, run_session
 
 GEOM = DeckGeometry(wheelbase_m=2.0, track_m=1.5)
 POLICY = POLICIES["prototype2"]
+#: The static window in the integer ms of a capture's timestamps.
+WINDOW_MS = 15_000
 
 
 def reference_mass(code, cal):
@@ -36,22 +39,17 @@ def reference_mass(code, cal):
     return 0.0 if mass < 0 else mass
 
 
-def reference_static(samples, window_s=STATIC_WINDOW_S, end=None):
-    """The mean of the masses in the window (end - window_s, end], `end` the
-    last time unless given."""
+def reference_static(samples, window, end=None):
+    """The mean of the masses in the window (end - window, end], `end` the
+    last time unless given. Each time is compared by its difference from
+    `end` in the times' own unit, so integer ms exactly."""
     if not samples:
         raise InsufficientDurationError("empty stream")
     times = [t for t, _ in samples]
-    span = times[-1] - times[0]
-    if span < window_s:
-        raise InsufficientDurationError(
-            f"stream spans {span:.3f} s, static weighing needs {window_s:.3f} s"
-        )
-    cutoff = (times[-1] if end is None else end) - window_s
-    window = [m for t, m in samples if t > cutoff]
-    if not window:
-        raise InsufficientDurationError(f"no sample after {cutoff:.3f} s, the start of the window")
-    return float(np.mean(window))
+    if times[-1] - times[0] < window:
+        raise InsufficientDurationError(f"stream spans {times[-1] - times[0]}, static weighing needs {window}")
+    end = times[-1] if end is None else end
+    return float(np.mean([m for t, m in samples if end - t < window]))
 
 
 def reference_wim(samples):
@@ -85,16 +83,20 @@ def reference_session(frames, cals, mode):
         if not stream:
             raise InsufficientSamplesError(f"every frame of cell {cell} is saturated")
         stream.sort(key=lambda f: f[0])
-        samples = [(ts / 1000.0, reference_mass(code, cal)) for ts, code in stream]
+        samples = [(ts, reference_mass(code, cal)) for ts, code in stream]
         if mode == "wim":
             masses.append(reference_wim(samples)[0])
-        elif samples[-1][0] <= ended / 1000.0 - STATIC_WINDOW_S:
+        elif ended - stream[-1][0] >= WINDOW_MS:
             raise IncompleteStationError(
-                f"cell {cell} has no frame in the deck's last {STATIC_WINDOW_S:g} s:"
+                f"cell {cell} has no frame in the deck's last 15 s:"
                 f" its last at {stream[-1][0]} ms, the deck's at {ended} ms"
             )
+        elif stream[-1][0] - stream[0][0] < WINDOW_MS:
+            raise InsufficientDurationError(
+                f"cell {cell}'s frames span {stream[-1][0] - stream[0][0]} ms, static weighing needs {WINDOW_MS} ms"
+            )
         else:
-            masses.append(reference_static(samples, end=ended / 1000.0))
+            masses.append(reference_static(samples, WINDOW_MS, end=ended))
     return masses, min(firsts), ended
 
 
@@ -164,7 +166,9 @@ def columns(samples):
 def session_or_error(run):
     try:
         return run()
-    except (IncompleteStationError, InsufficientDurationError, InsufficientSamplesError, NoVehicleError) as exc:
+    except (
+        IncompleteStationError, InsufficientDurationError, InsufficientSamplesError, InvalidValueError, NoVehicleError
+    ) as exc:
         return type(exc), str(exc)
 
 
@@ -216,6 +220,40 @@ def test_columnar_session_is_bit_identical(session, chunk_lines, cuts, data):
     assert len(weighed) <= 1
 
 
+def ramp_session(first_ms):
+    """Four ideal cells at 0.001 kg/LSB, 10 Hz, 151 frames each from
+    `first_ms`: the first reads 100 kg and the rest 200 kg."""
+    cal = CalibrationState(0, 0.001, reference_points=((100.0, 100_000),))
+    frames = [(c, first_ms + 100 * k, 100_000 if k == 0 else 200_000, False) for k in range(151) for c in range(4)]
+    return frames, [cal] * 4, "static", 4
+
+
+def zero_capture():
+    """Two cells of code 0 at 10 Hz over 0-15,000 ms, a capture a 15 s
+    static weighing just accepts."""
+    cal = CalibrationState(0, 0.001, reference_points=((100.0, 100_000),))
+    return [(c, t, 0, False) for c in range(2) for t in range(0, 15_001, 100)], [cal] * 2, "static", 2
+
+
+def weighed_or_error_type(frames, cals, mode, cell_count):
+    lines = wire_lines(frames)
+    got = session_or_error(lambda: run_session(FrameIngestor(cell_count).ingest_lines(lines), cals, mode, POLICY, GEOM))
+    return got[0] if isinstance(got, tuple) else got.cell_masses_kg
+
+
+@settings(max_examples=100, deadline=None)
+@given(sessions(), st.integers(-(2**40), 2**40))
+@example(ramp_session(0), 100).via("the 100 ms start that took the frame at T - 15 s")
+@example(zero_capture(), 1_400).via("the 1,400 ms start refused as spanning under 15 s")
+def test_a_capture_shifted_in_time_weighs_the_same(session, shift):
+    """Every timestamp moved by `shift` ms: the same cell masses, or the
+    same error type. The window is read in the capture's own integer ms,
+    so where the station clock started moves no frame across its edge."""
+    frames, cals, mode, cell_count = session
+    shifted = [(cell, ts + shift, code, sat) for cell, ts, code, sat in frames]
+    assert weighed_or_error_type(shifted, cals, mode, cell_count) == weighed_or_error_type(frames, cals, mode, cell_count)
+
+
 samples_lists = st.lists(
     st.tuples(
         st.floats(-100.0, 100.0, allow_nan=False),
@@ -225,12 +263,20 @@ samples_lists = st.lists(
 )
 
 
-@given(samples_lists, st.one_of(st.none(), st.floats(0.0, 30.0)))
-def test_static_weigh_matches_reference_on_any_order(samples, after):
-    """With no `end`, or one `after` seconds past the latest time."""
-    end = None if after is None or not samples else max(t for t, _ in samples) + after
-    expected = session_or_error(lambda: reference_static(samples, end=end))
-    assert session_or_error(lambda: static_weigh(*columns(samples), end=end)) == expected
+@given(samples_lists, st.booleans())
+def test_static_weigh_matches_reference_on_any_order(samples, in_order):
+    """A stream in time order (ties in drawn order) weighs as the reference;
+    a stream in any other order is refused, naming its first time before
+    the one ahead of it."""
+    if in_order:
+        samples = sorted(samples, key=lambda s: s[0])
+    times = [t for t, _ in samples]
+    back = next((i for i in range(1, len(times)) if times[i] < times[i - 1]), None)
+    if back is None:
+        expected = session_or_error(lambda: reference_static(samples, STATIC_WINDOW_S))
+    else:
+        expected = InvalidValueError, f"time {times[back]} at index {back} is before time {times[back - 1]} at {back - 1}"
+    assert session_or_error(lambda: static_weigh(*columns(samples))) == expected
 
 
 @given(samples_lists)

@@ -600,6 +600,22 @@ class TestRunSession:
         with pytest.raises(InsufficientDurationError):
             run_session(session_frames([1000] * 4, n=101), [CAL] * 4, "static", P2, GEOM)
 
+    @pytest.mark.parametrize("first_ms", [0, 100, 1_400, 2**40])
+    def test_the_window_leaves_out_the_frame_at_its_edge_from_any_start(self, first_ms):
+        # from 100 ms each cell used to read 199.3377 kg: the window, taken in
+        # float seconds, held the 100 kg frame at T - 15 s
+        frames = [SensorFrameRecord("st1", c, first_ms + 100 * k, 100_000 if k == 0 else 200_000)
+                  for k in range(151) for c in range(4)]
+        lines = [format_frame_line(f) for f in frames]
+        for source in (frames, FrameIngestor().ingest_lines(lines)):
+            assert run_session(source, [CAL] * 4, "static", P2, GEOM).cell_masses_kg == (200.0,) * 4
+
+    def test_only_the_windows_codes_are_converted(self):
+        frames = session_frames([100_000] * 4, n=301)  # 30 s at 10 Hz
+        with mock.patch.object(station, "code_to_mass", wraps=station.code_to_mass) as convert:
+            run_session(frames, [CAL] * 4, "static", P2, GEOM)
+        assert convert.call_count == 4 * 150
+
     def test_wim_accepts_short_pass(self):
         record = run_session(session_frames([110_000] * 4, n=15), [CAL] * 4, "wim", P2, GEOM)
         assert record.assessment.total_kg == pytest.approx(440.0)
@@ -744,7 +760,7 @@ class TestRunSession:
     def test_saturated_frames_do_not_count_towards_the_window(self):
         frames = session_frames([1000] * 4)
         frames[-1] = SensorFrameRecord("st1", 3, 15_000, CODE_MAX, saturated=True)
-        with pytest.raises(InsufficientDurationError, match=r"^stream spans 14\.900 s"):
+        with pytest.raises(InsufficientDurationError, match="^cell 3's frames span 14900 ms, static weighing needs 15000 ms$"):
             run_session(frames, [CAL] * 4, "static", P2, GEOM)
 
     @pytest.mark.parametrize("code, flag", [(CODE_MAX, False), (CODE_MIN, False), (5, True), (5, None), (5, "0"), (5, [0])])
